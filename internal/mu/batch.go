@@ -197,7 +197,7 @@ func (n *Node) proposeBatch(payload []byte) {
 	n.mGroupProposed.Add(ops)
 	p := n.getProposal()
 	p.index = e.Index
-	p.bytes = n.recent[e.Index].bytes
+	p.bytes = n.recent.slot(e.Index).bytes
 	p.off = off
 	p.markOff = markOff
 	p.needed, p.got = 0, 0

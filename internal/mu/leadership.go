@@ -227,7 +227,7 @@ func (n *Node) adoptEntry(e *Entry) {
 	// Queue against the cache copy appendLocal just made, not against
 	// the catch-up snapshot the scan is iterating.
 	queued := *e
-	queued.Data = entryData(n.recent[e.Index].bytes)
+	queued.Data = entryData(n.recent.slot(e.Index).bytes)
 	n.pendingApply.Push(queued)
 }
 
@@ -252,7 +252,7 @@ func (n *Node) reReplicateTo(id int, c *cm.Conn) {
 		return
 	}
 	for idx := from; idx <= n.lastIndex; idx++ {
-		ent, ok := n.recent[idx]
+		ent, ok := n.recent.get(idx)
 		if !ok {
 			n.direct.RemovePath(id)
 			return
@@ -277,7 +277,7 @@ func (n *Node) suffixDiverged(ps *peerState) bool {
 	if ps.lastIndex > n.lastIndex {
 		return true
 	}
-	ent, ok := n.recent[ps.lastIndex]
+	ent, ok := n.recent.get(ps.lastIndex)
 	if !ok {
 		return false // below the cache window: not checkable here
 	}
@@ -323,7 +323,7 @@ func (n *Node) repairReplica(ps *peerState, c *cm.Conn) {
 	}
 	var keptTerm uint32
 	if ps.commit > 0 {
-		ent, ok := n.recent[ps.commit]
+		ent, ok := n.recent.get(ps.commit)
 		if !ok {
 			n.direct.RemovePath(id)
 			return
@@ -339,7 +339,7 @@ func (n *Node) repairReplica(ps *peerState, c *cm.Conn) {
 	// the replica's, since both built the same committed prefix.
 	var tOff int
 	if target <= n.lastIndex {
-		ent, ok := n.recent[target]
+		ent, ok := n.recent.get(target)
 		if !ok {
 			n.direct.RemovePath(id)
 			return
@@ -382,7 +382,7 @@ func (n *Node) repairReplica(ps *peerState, c *cm.Conn) {
 	_ = c.QP.PostWrite(mark, c.RemoteVA+uint64(markOff), c.RemoteRKey, nil)
 	prevEnd := -1
 	for idx := target; idx <= n.lastIndex; idx++ {
-		ent, ok := n.recent[idx]
+		ent, ok := n.recent.get(idx)
 		if !ok {
 			n.direct.RemovePath(id)
 			return
@@ -421,7 +421,7 @@ func (n *Node) discardUncommittedSuffix() {
 	}
 	off, lastTerm := 0, uint32(0)
 	if n.commitIndex > 0 {
-		ent, ok := n.recent[n.commitIndex]
+		ent, ok := n.recent.get(n.commitIndex)
 		if !ok {
 			// The tail of the committed prefix fell out of the cache
 			// window: no precise rewind point. Keep the suffix rather
@@ -440,8 +440,7 @@ func (n *Node) discardUncommittedSuffix() {
 	commit := n.commitIndex
 	n.pendingApply.Filter(func(e *Entry) bool { return e.Index <= commit })
 	for idx := n.commitIndex + 1; idx <= n.lastIndex; idx++ {
-		if ent, ok := n.recent[idx]; ok {
-			delete(n.recent, idx)
+		if ent, ok := n.recent.del(idx); ok {
 			n.k.Buffers().Put(ent.bytes)
 		}
 	}
@@ -547,7 +546,7 @@ func (n *Node) proposeEntry(data []byte, flags uint8, done func(error)) {
 	n.mGroupProposed.Inc()
 	p := n.getProposal()
 	p.index = e.Index
-	p.bytes = n.recent[e.Index].bytes
+	p.bytes = n.recent.slot(e.Index).bytes
 	p.off = off
 	p.markOff = markOff
 	p.needed, p.got = 0, 0
@@ -764,7 +763,7 @@ func entryData(encoded []byte) []byte {
 // appendLocal encodes the entry into the local ring, updating the
 // re-replication window. It returns the entry's ring offset and the
 // wrap-marker offset (-1 when no wrap happened). The cache copy comes
-// from the kernel's buffer pool; pruneRecent returns it there.
+// from the kernel's buffer pool; setRecent returns it there.
 func (n *Node) appendLocal(e *Entry) (off, markOff int) {
 	size := e.EncodedSize()
 	bytes := n.k.Buffers().Get(size)
@@ -782,8 +781,7 @@ func (n *Node) appendLocal(e *Entry) (off, markOff int) {
 	copy(n.logBuf[off:], bytes)
 	n.lastIndex = e.Index
 	n.lastTerm = e.Term
-	n.recent[e.Index] = recentEntry{off: off, bytes: bytes}
-	n.pruneRecent(e.Index)
+	n.setRecent(e.Index, off, bytes)
 	n.publishState()
 	return off, markOff
 }

@@ -326,6 +326,9 @@ func (c *Consumer) Poll() int {
 			}
 			continue
 		}
+		if c.staleAtReadOff() {
+			return n
+		}
 		e, next, wrapped, ok := decodeEntryView(c.buf, c.readOff)
 		if wrapped {
 			if c.readOff == 0 {
@@ -371,6 +374,21 @@ func (c *Consumer) Poll() int {
 		}
 		c.advanceCommit(e.CommitIndex)
 	}
+}
+
+// staleAtReadOff reports whether the bytes at the read offset hold a full
+// entry header naming an index other than the next expected one. Once
+// the ring has lapped that is the normal state between writes — a
+// complete, CRC-valid entry of the previous lap — and Poll would reject
+// it on the index after checksumming it; asking the header first skips
+// that checksum with the same outcome. Anything else (a wrap marker, a
+// header cut short by the end of the ring, the expected index) is left
+// to the full decode.
+func (c *Consumer) staleAtReadOff() bool {
+	hdr := c.buf[c.readOff:]
+	return len(hdr) >= entryHeaderBytes &&
+		binary.BigEndian.Uint32(hdr[0:4]) != wrapMark &&
+		binary.BigEndian.Uint64(hdr[12:20]) != c.nextIndex
 }
 
 // processRewind validates and acts on the rewind marker at the read

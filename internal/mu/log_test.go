@@ -194,6 +194,93 @@ func TestConsumerIgnoresStaleBytes(t *testing.T) {
 	}
 }
 
+// TestConsumerMixedSizesAcrossLaps pins Poll's header-first index check
+// to the decode-then-check order it replaced. Mixed-size entries fill a
+// small ring for three laps while the consumer polls after every write,
+// so between writes its read offset usually holds a complete, CRC-valid
+// entry of an earlier lap. Poll must not consume those, and must deliver
+// the same (Index, Term, Data) sequence as a reference scan that
+// checksums first and looks at the index afterwards.
+func TestConsumerMixedSizesAcrossLaps(t *testing.T) {
+	const ringSize = 2048
+	rng := rand.New(rand.NewSource(15))
+	buf := make([]byte, ringSize)
+	ring := NewRing(ringSize)
+	type rec struct {
+		index uint64
+		term  uint32
+		data  []byte
+	}
+	var got, want []rec
+	cons := NewConsumer(buf, 1)
+	cons.OnReceive = func(e Entry) {
+		got = append(got, rec{e.Index, e.Term, append([]byte(nil), e.Data...)})
+	}
+	// The reference: full decode (CRC included) at the read offset, then
+	// the index and chain checks.
+	refOff, refNext, refTerm := 0, uint64(1), uint32(0)
+	refPoll := func() {
+		for {
+			e, next, wrapped, ok := DecodeEntryAt(buf, refOff)
+			if wrapped && refOff != 0 {
+				refOff = 0
+				continue
+			}
+			if !ok || e.Index != refNext || e.PrevTerm != refTerm {
+				return
+			}
+			refOff, refNext, refTerm = next, refNext+1, e.Term
+			want = append(want, rec{e.Index, e.Term, e.Data})
+		}
+	}
+
+	laps, staleSeen := 0, 0
+	prevTerm := uint32(0)
+	for i := uint64(1); laps < 3; i++ {
+		data := make([]byte, rng.Intn(120))
+		rng.Read(data)
+		e := &Entry{Term: 1 + uint32(i/40), PrevTerm: prevTerm, Index: i, CommitIndex: i - 1, Data: data}
+		prevTerm = e.Term
+		off, markOff, mark, err := ring.Place(e.EncodedSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if markOff >= 0 {
+			laps++
+			if mark {
+				copy(buf[markOff:], WrapMarkBytes())
+			}
+		}
+		copy(buf[off:], EncodeEntry(e))
+		if n := cons.Poll(); n != 1 {
+			t.Fatalf("entry %d: Poll consumed %d, want 1", i, n)
+		}
+		refPoll()
+		// What sits at the read offset now is whatever an earlier lap left.
+		if old, _, _, ok := DecodeEntryAt(buf, cons.ReadOffset()); ok {
+			if old.Index >= cons.NextIndex() {
+				t.Fatalf("entry %d: read offset holds index %d from the future", i, old.Index)
+			}
+			staleSeen++
+			if n := cons.Poll(); n != 0 {
+				t.Fatalf("entry %d: consumed %d stale-lap entries (index %d, valid CRC)", i, n, old.Index)
+			}
+		}
+	}
+	if staleSeen == 0 {
+		t.Fatal("no CRC-valid stale entry ever sat at the read offset: the test lost its subject")
+	}
+	if len(got) != len(want) || cons.ReadOffset() != refOff {
+		t.Fatalf("delivered %d entries to offset %d, reference %d to %d", len(got), cons.ReadOffset(), len(want), refOff)
+	}
+	for i := range want {
+		if got[i].index != want[i].index || got[i].term != want[i].term || !bytes.Equal(got[i].data, want[i].data) {
+			t.Fatalf("entry %d: got (%d, %d, %d B), want (%d, %d, %d B)", i,
+				got[i].index, got[i].term, len(got[i].data), want[i].index, want[i].term, len(want[i].data))
+		}
+	}
+}
+
 // TestConsumerRejectsBrokenChain covers the log-matching guard: an
 // entry whose PrevTerm disagrees with the last consumed term must not
 // be consumed, even when it sits exactly where the next entry is

@@ -106,8 +106,33 @@ type peerState struct {
 
 // recentEntry is a re-replication cache record.
 type recentEntry struct {
+	index uint64 // log index; 0 marks an empty slot (indices start at 1)
 	off   int
 	bytes []byte
+}
+
+// recentRing is the re-replication cache: the encoded form of the last
+// CatchUpWindow log entries, entry idx in slot idx % window. Log indices
+// are dense, so the cache is a sliding window: the only other entry that
+// can occupy idx's slot is the one a whole window older, which caching
+// idx evicts (see Node.setRecent).
+type recentRing []recentEntry
+
+func (r recentRing) slot(idx uint64) *recentEntry { return &r[idx%uint64(len(r))] }
+
+// get returns the cached record of entry idx.
+func (r recentRing) get(idx uint64) (recentEntry, bool) {
+	ent := *r.slot(idx)
+	return ent, ent.index == idx && idx != 0
+}
+
+// del removes and returns the cached record of entry idx.
+func (r recentRing) del(idx uint64) (recentEntry, bool) {
+	ent, ok := r.get(idx)
+	if ok {
+		*r.slot(idx) = recentEntry{}
+	}
+	return ent, ok
 }
 
 // proposal is one in-flight replicated entry at the leader. Proposals
@@ -204,7 +229,7 @@ type Node struct {
 	preferred   Transport
 	replConns   map[int]*cm.Conn
 	proposals   map[uint64]*proposal
-	recent      map[uint64]recentEntry
+	recent      recentRing
 	maxDataIdx  uint64 // highest non-noop index
 	sentCommit  uint64 // highest commit index embedded in an appended entry
 	firstOwnIdx uint64 // first index proposed in this leadership
@@ -316,7 +341,7 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 		peerStates: make(map[int]*peerState, len(peers)),
 		replConns:  make(map[int]*cm.Conn),
 		proposals:  make(map[uint64]*proposal),
-		recent:     make(map[uint64]recentEntry),
+		recent:     make(recentRing, max(cfg.CatchUpWindow, 1)),
 		inbound:    make(map[simnet.Addr][]*rnic.QP),
 	}
 	m := nic.Kernel().Metrics()
@@ -350,15 +375,14 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 		size := e.EncodedSize()
 		enc := n.k.Buffers().Get(size)
 		copy(enc, n.logBuf[off:off+size])
-		if old, dup := n.recent[e.Index]; dup && e.Index > n.appliedIdx {
+		if old, dup := n.recent.get(e.Index); dup && e.Index > n.appliedIdx {
 			// Re-consumption after a rewind repair replaces the cache
 			// record; its pendingApply alias was filtered by OnRewind, so
 			// the old buffer can recycle. (Applied entries may still be
 			// aliased by an OnApply consumer: leave those to the GC.)
 			n.k.Buffers().Put(old.bytes)
 		}
-		n.recent[e.Index] = recentEntry{off: off, bytes: enc}
-		n.pruneRecent(e.Index)
+		n.setRecent(e.Index, off, enc)
 		// Queue for application against the cached copy: the ring bytes
 		// can be overwritten by a wrap before the commit index arrives.
 		e.Data = entryData(enc)
@@ -372,8 +396,7 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 	n.consumer.OnRewind = func(target uint64, keptTerm uint32, off int) {
 		n.pendingApply.Filter(func(e *Entry) bool { return e.Index < target })
 		for idx := target; idx <= n.lastIndex; idx++ {
-			if ent, ok := n.recent[idx]; ok {
-				delete(n.recent, idx)
+			if ent, ok := n.recent.del(idx); ok {
 				n.k.Buffers().Put(ent.bytes)
 			}
 		}
@@ -468,25 +491,18 @@ func (n *Node) putAckEvt(evt *ackEvt) {
 	n.evtFree = append(n.evtFree, evt)
 }
 
-// pruneRecent evicts the cache record that fell out of the catch-up
-// window when idx was appended. The buffer returns to the pool only
-// once application has passed the pruned entry: until then the
-// pendingApply queue (and OnApply delivery) still alias its bytes. The
-// rare unrecycled buffer is simply left to the garbage collector.
-func (n *Node) pruneRecent(idx uint64) {
-	prune := int64(idx) - int64(n.cfg.CatchUpWindow)
-	if prune <= 0 {
-		return
+// setRecent caches the encoded entry idx, evicting the record that fell
+// out of the catch-up window when idx was appended. The evicted buffer
+// returns to the pool only once application has passed the pruned entry:
+// until then the pendingApply queue (and OnApply delivery) still alias
+// its bytes. The rare unrecycled buffer is simply left to the garbage
+// collector.
+func (n *Node) setRecent(idx uint64, off int, bytes []byte) {
+	slot := n.recent.slot(idx)
+	if old := *slot; old.index != 0 && old.index != idx && old.index <= n.appliedIdx {
+		n.k.Buffers().Put(old.bytes)
 	}
-	p := uint64(prune)
-	ent, ok := n.recent[p]
-	if !ok {
-		return
-	}
-	delete(n.recent, p)
-	if p <= n.appliedIdx {
-		n.k.Buffers().Put(ent.bytes)
-	}
+	*slot = recentEntry{index: idx, off: off, bytes: bytes}
 }
 
 // ID returns the machine identifier.

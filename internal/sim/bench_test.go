@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Kernel micro-benchmarks: everything in the repository ultimately turns
 // into events on this queue.
@@ -76,4 +79,50 @@ func BenchmarkEventThroughput(b *testing.B) {
 	b.ResetTimer()
 	k.Schedule(1, fn)
 	k.Run()
+}
+
+// BenchmarkQueueDepth is the classic hold model at a fixed queue depth:
+// every event re-schedules itself a random delay ahead, so each op is
+// one pop and one push with exactly depth events pending. The three
+// depths bracket what the simulator sees (a quiet cluster, a loaded one,
+// a sharded one) and give the next queue change a per-depth row to
+// compare against. Steady state must not allocate.
+func BenchmarkQueueDepth(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		depth int
+	}{{"16", 16}, {"1k", 1 << 10}, {"64k", 1 << 16}} {
+		b.Run(bc.name, func(b *testing.B) {
+			k := NewKernel(1)
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]Time, 1<<12)
+			for i := range delays {
+				delays[i] = Time(rng.Intn(100 * bc.depth))
+			}
+			n := 0
+			var hold func(any)
+			hold = func(any) {
+				k.ScheduleArg(delays[n&(len(delays)-1)], hold, nil)
+				n++
+			}
+			for i := 0; i < bc.depth; i++ {
+				hold(nil)
+			}
+			for i := 0; i < 2*bc.depth; i++ { // reach the steady-state shape
+				k.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+			b.StopTimer()
+			if k.Pending() != bc.depth {
+				b.Fatalf("%d events pending, want %d", k.Pending(), bc.depth)
+			}
+			if allocs := testing.AllocsPerRun(1000, func() { k.Step() }); allocs != 0 {
+				b.Fatalf("%v allocs per pop+push at depth %d, want 0", allocs, bc.depth)
+			}
+		})
+	}
 }

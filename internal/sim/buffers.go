@@ -3,12 +3,15 @@ package sim
 import "math/bits"
 
 // Buffers is a free-list pool for the byte slices that carry wire frames
-// between devices. One pool lives on each Kernel (see Kernel.Buffers) so
-// a frame obtained by a NIC can be released by the switch that consumed
-// it. Buffers are sorted into power-of-two size classes; Get hands out a
-// zeroed slice of the exact requested length backed by a class-sized
-// array, and Put accepts only slices whose capacity is a class size (so
-// foreign slices are simply dropped, never mis-pooled).
+// between devices. One pool lives on each partition's scheduler (see
+// Kernel.Buffers) so a frame obtained by a NIC can be released by the
+// switch that consumed it. Buffers are sorted into power-of-two size
+// classes; Get hands out a zeroed slice of the exact requested length
+// backed by a class-sized array, and Put accepts only slices whose
+// capacity is a class size (so foreign slices are simply dropped, never
+// mis-pooled). Each class keeps at most bufClassFreeBytes of free
+// buffers; Put leaves the excess to the garbage collector, so a one-way
+// flow between partitions cannot grow the receiving pool without bound.
 //
 // The pool is a pure recycling optimization: it has no effect on event
 // order, and because Get zeroes the slice a recycled buffer is
@@ -21,6 +24,10 @@ const (
 	bufMinShift = 6 // smallest class: 64 B, below typical frame size
 	bufMaxShift = 22
 	bufClasses  = bufMaxShift - bufMinShift + 1
+	// bufClassFreeBytes bounds the free bytes a class holds: one buffer of
+	// the largest class, 65536 of the smallest. The deepest free list any
+	// benchmark workload reaches is under 300 buffers.
+	bufClassFreeBytes = 1 << bufMaxShift
 )
 
 // bufClass returns the class index for a request of n bytes, or -1 when
@@ -58,12 +65,16 @@ func (b *Buffers) Get(n int) []byte {
 }
 
 // Put recycles a slice previously returned by Get. Slices whose capacity
-// is not a class size are ignored, so it is always safe to call.
+// is not a class size, and slices arriving at a full class, are ignored,
+// so it is always safe to call.
 func (b *Buffers) Put(buf []byte) {
 	c := cap(buf)
 	if c == 0 || c&(c-1) != 0 || c < 1<<bufMinShift || c > 1<<bufMaxShift {
 		return
 	}
 	cls := bits.Len(uint(c)) - 1 - bufMinShift
+	if len(b.classes[cls]) >= bufClassFreeBytes>>(cls+bufMinShift) {
+		return
+	}
 	b.classes[cls] = append(b.classes[cls], buf[:0])
 }

@@ -13,11 +13,28 @@
 //
 // # Determinism
 //
-// Events execute strictly by (time, seq) with FIFO tie-breaking, and
+// Events execute strictly by (time, domain, seq) — plain (time, seq)
+// FIFO on a standalone kernel, where every event carries domain 0 — and
 // the only random source is the kernel's seeded one, so identical
 // builds and seeds replay identically; Processed() is the fingerprint
 // tests compare. The one rule components must follow: never iterate a
 // Go map while emitting events — sort the keys first.
+//
+// # The event queue
+//
+// Each partition keeps its pending events in an implicit 4-ary min-heap
+// of value slots {at, dom, seq, *event} (queue.go): comparisons read
+// the key from the slice without touching the event record, sifting
+// moves a hole instead of swapping, and the run loops (Kernel.RunUntil,
+// the one-partition Group loop, a partition's window) share one
+// function that looks at the queue top once per event. The key order is
+// a strict total order, so pop order is a function of the keys alone:
+// the heap's arity, compaction and the order in which cross-partition
+// events are drained are all invisible to a seeded run. A stopped Timer
+// is only marked canceled; the record leaves the queue when it reaches
+// the top or when compaction sweeps it, and the generation counter in
+// the record — bumped on every recycle — is all a Timer handle needs to
+// know whether it still refers to a queued event.
 //
 // # Ownership and pooling
 //
@@ -25,8 +42,12 @@
 // are recycled through a free list (so schedule/cancel churn such as a
 // NIC re-arming its retransmission timer on every ACK does not grow the
 // heap), ScheduleArg/AtArg let hot paths run a persistent callback with
-// a per-call argument instead of allocating a closure, and the shared
-// Buffers pool recycles wire frames and payload scratch. A buffer
+// a per-call argument instead of allocating a closure, and the Buffers
+// pool recycles wire frames and payload scratch. The pool belongs to the
+// partition, next to the event free list: every domain packed into a
+// partition shares it, so a frame released by the domain that consumed
+// it is the next one its sender obtains, and each size class keeps a
+// bounded number of free buffers. A buffer
 // obtained from Buffers().Get belongs to the taker until it calls Put;
 // putting a buffer that someone else still aliases is the pool's one
 // cardinal sin (see the roce payload contract).

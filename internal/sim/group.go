@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -188,14 +187,10 @@ func (g *Group) Stop() { g.stopped.Store(true) }
 // identical. It reports whether an event was executed.
 func (g *Group) Step() bool {
 	var best *sched
-	var bev *event
+	var bev *qent
 	for _, sc := range g.parts {
 		ev := sc.head()
-		if ev == nil {
-			continue
-		}
-		if bev == nil || ev.at < bev.at ||
-			(ev.at == bev.at && (ev.dom < bev.dom || (ev.dom == bev.dom && ev.seq < bev.seq))) {
+		if ev != nil && (bev == nil || ev.before(bev)) {
 			best, bev = sc, ev
 		}
 	}
@@ -209,19 +204,6 @@ func (g *Group) Step() bool {
 		g.now = at
 	}
 	return true
-}
-
-// head returns the next non-canceled event without popping it.
-func (sc *sched) head() *event {
-	for len(sc.events) > 0 {
-		if !sc.events[0].canceled {
-			return sc.events[0]
-		}
-		ev := heap.Pop(&sc.events).(*event)
-		sc.ncanceled--
-		sc.release(ev)
-	}
-	return nil
 }
 
 // Run executes events until every queue drains or Stop is called.
@@ -262,19 +244,11 @@ func (g *Group) run(limit Time, fastForward bool) {
 	}
 }
 
-// runSeq is the Partitions: 1 special case: one heap, no workers, no
+// runSeq is the Partitions: 1 special case: one queue, no workers, no
 // barrier — the classic single-threaded loop over the group key order.
 func (g *Group) runSeq(limit Time) {
-	sc := g.parts[0]
-	for !g.stopped.Load() {
-		next, ok := sc.peek()
-		if !ok || next > limit {
-			return
-		}
-		sc.step()
-		if next > g.now {
-			g.now = next
-		}
+	if last := g.parts[0].run(limit, &g.stopped); last > g.now {
+		g.now = last
 	}
 }
 
@@ -293,13 +267,13 @@ func (g *Group) runPar(limit Time) {
 		go g.worker(i, &wg)
 	}
 	for !g.stopped.Load() {
-		// The coordinator owns every heap between windows: find the
+		// The coordinator owns every queue between windows: find the
 		// global floor.
 		floor := Time(0)
 		ok := false
 		for _, sc := range g.parts {
-			if t, has := sc.peek(); has && (!ok || t < floor) {
-				floor, ok = t, true
+			if e := sc.head(); e != nil && (!ok || e.at < floor) {
+				floor, ok = e.at, true
 			}
 		}
 		if !ok || floor > limit {
@@ -310,14 +284,17 @@ func (g *Group) runPar(limit Time) {
 			w = limit + 1 // events at exactly limit must run
 		}
 		// Open the window: publish the bound, release the workers, run
-		// partition 0 ourselves, then wait for everyone.
+		// partition 0 ourselves, then wait for everyone. A partition runs
+		// every event strictly before w and is not cut short by Stop;
+		// what it sends to other partitions lands at w or beyond by the
+		// lookahead contract.
 		g.window.Store(int64(w))
 		g.arrived.Store(0)
 		g.epoch.Add(1)
-		g.parts[0].runWindow(w)
+		g.parts[0].run(w-1, nil)
 		g.await(int32(n - 1))
 		// All partition writes are visible now: move cross-partition
-		// events into their destination heaps, keys intact.
+		// events into their destination queues, keys intact.
 		for _, sc := range g.parts {
 			g.drainFrom(sc)
 		}
@@ -348,7 +325,7 @@ func (g *Group) worker(p int, wg *sync.WaitGroup) {
 		if w < 0 {
 			return
 		}
-		g.parts[p].runWindow(Time(w))
+		g.parts[p].run(Time(w)-1, nil)
 		g.arrived.Add(1)
 	}
 }
@@ -362,24 +339,10 @@ func (g *Group) await(want int32) {
 	}
 }
 
-// runWindow executes every event strictly before w. Events scheduled
-// into this partition during the window keep it going (they land at
-// the current instant or later, still inside the heap); events for
-// other partitions land at w or beyond by the lookahead contract.
-func (sc *sched) runWindow(w Time) {
-	for {
-		t, ok := sc.peek()
-		if !ok || t >= w {
-			return
-		}
-		sc.step()
-	}
-}
-
 // drainFrom moves src's outgoing cross-partition events into the
-// destination heaps. Only the coordinator calls it (between windows, or
+// destination queues. Only the coordinator calls it (between windows, or
 // after a sequential Step), so no locks are needed. Push order cannot
-// influence pop order: the heap comparator is a strict total order on
+// influence pop order: the queue's comparator is a strict total order on
 // the (time, domain, sequence) keys the events already carry.
 func (g *Group) drainFrom(src *sched) {
 	for dst, box := range src.out {
@@ -390,9 +353,9 @@ func (g *Group) drainFrom(src *sched) {
 		for i := range box {
 			x := &box[i]
 			ev := d.alloc()
-			ev.at, ev.dom, ev.seq, ev.k = x.at, x.dom, x.seq, x.k
+			ev.k = x.k
 			ev.fn, ev.afn, ev.arg, ev.bfn, ev.buf = x.fn, x.afn, x.arg, x.bfn, x.buf
-			heap.Push(&d.events, ev)
+			d.events.push(qent{at: x.at, seq: x.seq, dom: x.dom, ev: ev})
 			d.live++
 			*x = xev{}
 		}

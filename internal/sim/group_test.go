@@ -20,7 +20,7 @@ func pingDomains(g *Group, shards int, horizon Time) []string {
 		d := a.(int)
 		k := g.Kernel(d)
 		hist[d] += fmt.Sprintf("pong@%d r%d;", k.Now(), k.Rand().Intn(1000))
-		k.Buffers().Put(buf) // frames release into the receiving domain's pool
+		k.Buffers().Put(buf) // frames release into the receiving partition's pool
 		if k.Now() < horizon {
 			b := k.Buffers().Get(64)
 			k.SendTo(fabric, k.Now()+g.Lookahead(), ping, d, b)

@@ -1,9 +1,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"p4ce/internal/metrics"
 	"p4ce/internal/otrace"
@@ -39,14 +40,13 @@ func (t Time) String() string {
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// event is a single scheduled callback. Events are pooled: once popped
-// (executed or canceled) the record goes back on the scheduler's free
-// list and its gen counter is bumped, which invalidates any Timer handle
-// still pointing at it.
+// event is a single scheduled callback. Its (at, dom, seq) key lives in
+// the queue slot that points here (see qent), not in the record. Events
+// are pooled: once popped (executed or canceled) the record goes back on
+// the scheduler's free list and its gen counter is bumped, which
+// invalidates any Timer handle still pointing at it — so a handle needs
+// no "still queued" flag beyond the generation it was issued at.
 type event struct {
-	at  Time
-	dom int32  // scheduling domain; ties at the same instant break by (dom, seq)
-	seq uint64 // per-domain tie-breaker: FIFO among same-domain events at one instant
 	gen uint64 // recycle generation, guards stale Timer handles
 	// Exactly one of fn / afn / bfn is set. afn runs with arg, letting
 	// hot paths reuse a persistent callback instead of allocating a
@@ -57,71 +57,32 @@ type event struct {
 	arg      any
 	bfn      func(any, []byte)
 	buf      []byte
-	k        *Kernel // run domain: its clock advances to at when the event fires
+	k        *Kernel // run domain: its clock advances to the key's time when the event fires
 	canceled bool
-	index    int // position in the heap, -1 once popped
 }
 
-// eventHeap orders events by (at, dom, seq). For a standalone kernel
-// every event carries dom 0, so the order degenerates to the classic
-// (at, seq) FIFO; in a partitioned Group the triple is a strict total
-// order over all events of the simulation that depends only on where an
-// event was *scheduled* (domain), never on how domains are packed into
-// partitions — which is what makes same-seed runs bit-identical across
-// partition counts.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].dom != h[j].dom {
-		return h[i].dom < h[j].dom
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// compactThreshold is the minimum heap size before cancel-compaction is
+// compactThreshold is the minimum queue size before cancel-compaction is
 // considered; below it the canceled residue is too small to matter.
 const compactThreshold = 64
 
-// sched is the per-partition scheduler: the event heap, the recycled
-// record pool, and the bookkeeping counters. A standalone Kernel owns a
-// private sched; in a Group every domain kernel of the same partition
-// shares one, so the partition's worker goroutine is the only toucher
-// during a run (the coordinator touches it only between windows, after
-// a barrier, which establishes the necessary happens-before edges).
+// maxTime is the run bound that admits every event.
+const maxTime = Time(math.MaxInt64)
+
+// sched is the per-partition scheduler: the event queue, the recycled
+// record pool, the frame buffer pool and the bookkeeping counters. A
+// standalone Kernel owns a private sched; in a Group every domain kernel
+// of the same partition shares one, so the partition's worker goroutine
+// is the only toucher during a run (the coordinator touches it only
+// between windows, after a barrier, which establishes the necessary
+// happens-before edges).
 type sched struct {
-	events    eventHeap
+	events    eventQueue
 	free      []*event // recycled event records
-	live      int      // scheduled and not canceled
-	ncanceled int      // canceled events still resident in the heap
+	bufs      Buffers
+	live      int // scheduled and not canceled
+	ncanceled int // canceled events still resident in the queue
 	processed uint64
-	stopped   bool
+	stopped   atomic.Bool // standalone Stop; a Group keeps its own flag
 	// out holds cross-partition events produced during the current
 	// window, one mailbox per destination partition. Nil for a
 	// standalone kernel. The coordinator drains every mailbox between
@@ -131,7 +92,7 @@ type sched struct {
 
 // xev is a cross-partition event in flight: the full (at, dom, seq) key
 // assigned at schedule time plus the callback. Because the key is fixed
-// by the sender, delivery order in the destination heap is a
+// by the sender, delivery order in the destination queue is a
 // deterministic function of (time, source domain, sequence) and never of
 // goroutine scheduling.
 type xev struct {
@@ -168,81 +129,107 @@ func (sc *sched) release(ev *event) {
 	ev.buf = nil
 	ev.k = nil
 	ev.canceled = false
-	ev.index = -1
 	sc.free = append(sc.free, ev)
 }
 
-// step executes the single next event in this partition, advancing the
-// run domain's clock to its timestamp. It reports whether an event was
-// executed.
-func (sc *sched) step() bool {
+// skim pops canceled records off the top of the queue and reports
+// whether a live event is left there.
+func (sc *sched) skim() bool {
 	for len(sc.events) > 0 {
-		ev := heap.Pop(&sc.events).(*event)
-		if ev.canceled {
-			sc.ncanceled--
-			sc.release(ev)
-			continue
+		if !sc.events[0].ev.canceled {
+			return true
 		}
-		sc.live--
-		ev.k.now = ev.at
-		sc.processed++
-		// Copy the callback out and recycle the record before invoking
-		// it, so the callback's own scheduling can reuse it.
-		fn, afn, arg, bfn, buf := ev.fn, ev.afn, ev.arg, ev.bfn, ev.buf
-		sc.release(ev)
-		switch {
-		case bfn != nil:
-			bfn(arg, buf)
-		case afn != nil:
-			afn(arg)
-		default:
-			fn()
-		}
-		return true
+		sc.release(sc.events.pop().ev)
+		sc.ncanceled--
 	}
 	return false
 }
 
-// peek returns the timestamp of the next non-canceled event.
-func (sc *sched) peek() (Time, bool) {
-	for len(sc.events) > 0 {
-		if !sc.events[0].canceled {
-			return sc.events[0].at, true
-		}
-		ev := heap.Pop(&sc.events).(*event)
-		sc.ncanceled--
-		sc.release(ev)
+// fire executes a popped live event, advancing the run domain's clock to
+// its timestamp.
+func (sc *sched) fire(e qent) {
+	ev := e.ev
+	sc.live--
+	ev.k.now = e.at
+	sc.processed++
+	// Copy the callback out and recycle the record before invoking it,
+	// so the callback's own scheduling can reuse it.
+	fn, afn, arg, bfn, buf := ev.fn, ev.afn, ev.arg, ev.bfn, ev.buf
+	sc.release(ev)
+	switch {
+	case bfn != nil:
+		bfn(arg, buf)
+	case afn != nil:
+		afn(arg)
+	default:
+		fn()
 	}
-	return 0, false
+}
+
+// step executes the single next event in this partition. It reports
+// whether an event was executed.
+func (sc *sched) step() bool {
+	if !sc.skim() {
+		return false
+	}
+	sc.fire(sc.events.pop())
+	return true
+}
+
+// run executes, in key order, every event scheduled at or before limit:
+// one look at the queue top per event. Events scheduled into this
+// partition while it runs keep it going (they land at the current
+// instant or later, still inside the queue). A non-nil stop is read after
+// each event and ends the run when set. It returns the time of the last
+// event executed, or -1 when none ran.
+func (sc *sched) run(limit Time, stop *atomic.Bool) Time {
+	last := Time(-1)
+	for sc.skim() && sc.events[0].at <= limit {
+		e := sc.events.pop()
+		last = e.at
+		sc.fire(e)
+		if stop != nil && stop.Load() {
+			break
+		}
+	}
+	return last
+}
+
+// head returns the next non-canceled event's queue slot without popping
+// it, or nil when the queue is empty. The pointer is valid until the
+// next queue operation.
+func (sc *sched) head() *qent {
+	if !sc.skim() {
+		return nil
+	}
+	return &sc.events[0]
 }
 
 // compact drops canceled events once they outnumber the live ones, so a
 // stopped long-deadline timer (a retransmission timeout re-armed on
-// every ACK, say) does not pin heap memory until its deadline. Filtering
-// preserves each survivor's (at, dom, seq) key, and re-heapifying cannot
-// change pop order — the comparator is a strict total order on those
-// keys — so compaction is invisible to a seeded run.
+// every ACK, say) does not pin queue memory until its deadline.
+// Filtering preserves each survivor's (at, dom, seq) key, and
+// re-heapifying cannot change pop order — the comparator is a strict
+// total order on those keys — so compaction is invisible to a seeded run.
 func (sc *sched) compact() {
 	kept := sc.events[:0]
-	for _, ev := range sc.events {
-		if ev.canceled {
-			sc.release(ev)
+	for _, e := range sc.events {
+		if e.ev.canceled {
+			sc.release(e.ev)
 			continue
 		}
-		kept = append(kept, ev)
+		kept = append(kept, e)
 	}
 	// Clear the tail so dropped records do not linger in the backing array.
-	for i := len(kept); i < len(sc.events); i++ {
-		sc.events[i] = nil
-	}
+	clear(sc.events[len(kept):])
 	sc.events = kept
 	sc.ncanceled = 0
-	heap.Init(&sc.events)
+	sc.events.init()
 }
 
 // Kernel is a discrete-event simulation driver and, in a partitioned
 // Group, the identity of one scheduling domain (its clock, sequence
-// counter, random stream and buffer pool). The zero value is not usable;
+// counter and random stream). The zero value is not usable;
 // construct with NewKernel, or obtain domain kernels from NewGroup.
 type Kernel struct {
 	now     Time
@@ -251,7 +238,6 @@ type Kernel struct {
 	rng     *rand.Rand
 	metrics *metrics.Registry
 	tracer  *otrace.Tracer
-	bufs    Buffers
 	sc      *sched // partition scheduler (private for a standalone kernel)
 	g       *Group // nil for a standalone kernel
 	part    int    // partition index within the group (0 standalone)
@@ -301,11 +287,16 @@ func (k *Kernel) Tracer() *otrace.Tracer { return k.tracer }
 // partitions the group runs on.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// Buffers returns this domain's frame buffer pool. Devices of one
-// domain share it; a frame that crosses domains is released into the
-// receiving domain's pool (any pool accepts any class-sized slice, and
-// Get zeroes, so migration is harmless).
-func (k *Kernel) Buffers() *Buffers { return &k.bufs }
+// Buffers returns the frame buffer pool of this kernel's partition. All
+// domains packed into one partition share it — the partition's worker
+// is its only toucher — so a frame released by the domain that consumed
+// it is the next frame its sender obtains. A frame that crosses
+// partitions is released into the receiving partition's pool (any pool
+// accepts any class-sized slice, and Get zeroes, so migration is
+// harmless; the per-class cap bounds what a one-way flow can pile up).
+// Use it like the kernel itself: from an event running on this kernel,
+// or while the simulation is quiesced.
+func (k *Kernel) Buffers() *Buffers { return &k.sc.bufs }
 
 // Processed reports how many events have executed so far. On a grouped
 // kernel it aggregates across all partitions; see Group.Processed for
@@ -330,7 +321,7 @@ func (k *Kernel) Pending() int {
 }
 
 // queueLen reports how many event records (live or canceled) are
-// resident in the heap; the excess over Pending is canceled residue
+// resident in the queue; the excess over Pending is canceled residue
 // awaiting compaction. Exposed for tests.
 func (k *Kernel) queueLen() int { return len(k.sc.events) }
 
@@ -364,7 +355,7 @@ func (k *Kernel) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil function")
 	}
-	ev := k.push(t)
+	ev := k.push(t, k)
 	ev.fn = fn
 	return Timer{sc: k.sc, ev: ev, gen: ev.gen}
 }
@@ -374,24 +365,24 @@ func (k *Kernel) AtArg(t Time, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: AtArg called with nil function")
 	}
-	ev := k.push(t)
+	ev := k.push(t, k)
 	ev.afn = fn
 	ev.arg = arg
 	return Timer{sc: k.sc, ev: ev, gen: ev.gen}
 }
 
-func (k *Kernel) push(t Time) *event {
+// push queues a blank event under this domain's next key, to run on dst
+// (which shares this kernel's partition) at time t, and returns the
+// record for the caller to attach its callback to.
+func (k *Kernel) push(t Time, dst *Kernel) *event {
 	if t < k.now {
 		t = k.now
 	}
 	sc := k.sc
 	ev := sc.alloc()
-	ev.at = t
-	ev.dom = k.dom
-	ev.seq = k.seq
-	ev.k = k
+	ev.k = dst
+	sc.events.push(qent{at: t, seq: k.seq, dom: k.dom, ev: ev})
 	k.seq++
-	heap.Push(&sc.events, ev)
 	sc.live++
 	return ev
 }
@@ -406,7 +397,7 @@ func (k *Kernel) push(t Time) *event {
 // the group's lookahead past this domain's clock (the conservative
 // window contract); link propagation delay guarantees that for every
 // simnet send. Same-partition and standalone destinations take the
-// direct heap push with the identical key, so the global event order —
+// direct queue push with the identical key, so the global event order —
 // and therefore the simulation — does not depend on the partition
 // layout.
 func (k *Kernel) SendTo(dst *Kernel, at Time, fn func(any, []byte), arg any, buf []byte) {
@@ -417,11 +408,10 @@ func (k *Kernel) SendTo(dst *Kernel, at Time, fn func(any, []byte), arg any, buf
 		at = k.now
 	}
 	if dst.sc == k.sc {
-		ev := k.push(at)
+		ev := k.push(at, dst)
 		ev.bfn = fn
 		ev.arg = arg
 		ev.buf = buf
-		ev.k = dst
 		return
 	}
 	g := k.g
@@ -452,9 +442,7 @@ func (k *Kernel) Call(dst *Kernel, fn func()) {
 	}
 	at := k.now + k.g.lookahead
 	if dst.sc == k.sc {
-		ev := k.push(at)
-		ev.fn = fn
-		ev.k = dst
+		k.push(at, dst).fn = fn
 		return
 	}
 	box := &k.sc.out[dst.part]
@@ -478,9 +466,8 @@ func (k *Kernel) Run() {
 		k.g.Run()
 		return
 	}
-	k.sc.stopped = false
-	for !k.sc.stopped && k.sc.step() {
-	}
+	k.sc.stopped.Store(false)
+	k.sc.run(maxTime, &k.sc.stopped)
 }
 
 // RunUntil executes every event scheduled at or before t and then sets the
@@ -491,15 +478,9 @@ func (k *Kernel) RunUntil(t Time) {
 		return
 	}
 	sc := k.sc
-	sc.stopped = false
-	for !sc.stopped {
-		next, ok := sc.peek()
-		if !ok || next > t {
-			break
-		}
-		sc.step()
-	}
-	if !sc.stopped && k.now < t {
+	sc.stopped.Store(false)
+	sc.run(t, &sc.stopped)
+	if !sc.stopped.Load() && k.now < t {
 		k.now = t
 	}
 }
@@ -520,7 +501,7 @@ func (k *Kernel) Stop() {
 		k.g.Stop()
 		return
 	}
-	k.sc.stopped = true
+	k.sc.stopped.Store(true)
 }
 
 // Timer is a handle to a scheduled event. It is a plain value (copying
@@ -538,7 +519,7 @@ type Timer struct {
 // Stop cancels the timer. It reports whether the call prevented the event
 // from firing (false if it already ran or was already stopped).
 func (t Timer) Stop() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.canceled || t.ev.index == -1 {
+	if t.ev == nil || t.ev.gen != t.gen || t.ev.canceled {
 		return false
 	}
 	t.ev.canceled = true
@@ -552,7 +533,7 @@ func (t Timer) Stop() bool {
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled && t.ev.index != -1
+	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled
 }
 
 // Ticker invokes a callback at a fixed period until stopped. The tick
