@@ -39,8 +39,9 @@ bench:
 
 # Hot-path microbenchmarks with allocation counts: kernel event queue,
 # ticker re-arm, CPU work items, and the end-to-end consensus loop. The
-# allocs/op columns are the zero-allocation contract; the alloc gate in
-# scripts/check.sh enforces the end-to-end one.
+# allocs/op columns are the zero-allocation contract; the alloc gate
+# (TestZeroAllocSteadyState, part of `make test`) enforces the
+# end-to-end one.
 bench-micro:
 	go test ./internal/sim -run xxx -bench . -benchmem
 	go test ./internal/bench -run xxx -bench 'BenchmarkP4CE|BenchmarkMu' -benchmem

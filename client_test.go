@@ -73,7 +73,7 @@ func TestClientSubmitsThroughLeaderChanges(t *testing.T) {
 	acked := 0
 	for i := 0; i < writes; i++ {
 		i := i
-		cl.After(time.Duration(i)*50*time.Microsecond, func() {
+		cl.Shard(0).After(time.Duration(i)*50*time.Microsecond, func() {
 			client.SubmitKV(fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i), func(err error) {
 				if err != nil {
 					t.Fatalf("submit %d: %v", i, err)
@@ -83,7 +83,7 @@ func TestClientSubmitsThroughLeaderChanges(t *testing.T) {
 		})
 	}
 	// Crash the leader in the middle of the stream.
-	cl.After(2*time.Millisecond, func() {
+	cl.Shard(0).After(2*time.Millisecond, func() {
 		if l := cl.Leader(); l != nil {
 			l.Crash()
 		}

@@ -33,8 +33,8 @@ var (
 // clock that only advances through the Run methods.
 type Cluster struct {
 	opts   Options
-	kernel *sim.Kernel // fabric domain (and, classically, the only one)
-	group  *sim.Group  // non-nil with Options.Partitions >= 1
+	kernel *sim.Kernel // fabric domain (0); shard s runs on domain 1+s
+	group  *sim.Group
 	sw     *tofino.Switch
 	backup *tofino.Switch
 	dp     *swp4ce.Dataplane
@@ -56,43 +56,25 @@ type Cluster struct {
 // NewCluster builds the testbed. Nothing runs until Run is called.
 func NewCluster(opts Options) *Cluster {
 	opts = opts.withDefaults()
-	var (
-		k *sim.Kernel
-		g *sim.Group
-	)
-	if opts.Partitions > 0 {
-		// Partitioned kernel: domain 0 carries the switch fabric and
-		// the management plane, domain 1+s carries shard s. The
-		// conservative lookahead is the minimum link propagation delay
-		// — every cross-domain frame is at least one cable flight away,
-		// so partitions may execute one flight time ahead of each other
-		// without reordering anything.
-		g = sim.NewGroup(opts.Seed, 1+opts.Shards, opts.Partitions,
-			simnet.DefaultLinkConfig().Propagation)
-		k = g.Root()
-	} else {
-		k = sim.NewKernel(opts.Seed)
-	}
+	// Domain 0 carries the switch fabric and the management plane,
+	// domain 1+s carries shard s. The conservative lookahead is the
+	// minimum link propagation delay — every cross-domain frame is at
+	// least one cable flight away, so partitions may execute one flight
+	// time ahead of each other without reordering anything.
+	g := sim.NewGroup(opts.Seed, 1+opts.Shards, opts.Partitions,
+		simnet.DefaultLinkConfig().Propagation)
+	k := g.Root()
 	if opts.EnableMetrics {
 		// Attach before any device is constructed: components resolve
 		// their instrument handles exactly once, at build time.
-		if g != nil {
-			g.SetMetrics(metrics.New())
-		} else {
-			k.SetMetrics(metrics.New())
-		}
+		g.SetMetrics(metrics.New())
 	}
 	if opts.EnableTracing {
 		// Same rule as metrics: the tracer must exist before NICs and
 		// nodes are built, because they bind their trace components once.
 		// The fallback clock is the fabric domain's; components on shard
 		// domains register their own clock through ComponentAt.
-		tr := otrace.New(func() int64 { return int64(k.Now()) })
-		if g != nil {
-			g.SetTracer(tr)
-		} else {
-			k.SetTracer(tr)
-		}
+		g.SetTracer(otrace.New(func() int64 { return int64(k.Now()) }))
 	}
 	c := &Cluster{opts: opts, kernel: k, group: g}
 
@@ -163,13 +145,10 @@ func NewCluster(opts Options) *Cluster {
 // identifiers are shard-local (0..Nodes-1); TuneNIC/TuneNode receive
 // the global machine index s*Nodes+i.
 func (c *Cluster) buildShard(s int) {
-	opts, k := c.opts, c.kernel
-	if c.group != nil {
-		// Each shard's machines — NICs, host ports, protocol nodes —
-		// live on the shard's own scheduling domain; only the switch
-		// side of each cable stays on the fabric domain.
-		k = c.group.Kernel(1 + s)
-	}
+	// Each shard's machines — NICs, host ports, protocol nodes — live on
+	// the shard's own scheduling domain; only the switch side of each
+	// cable stays on the fabric domain.
+	opts, k := c.opts, c.group.Kernel(1+s)
 	peers := make([]mu.Peer, opts.Nodes)
 	for i := range peers {
 		peers[i] = mu.Peer{ID: i, Addr: simnet.AddrFrom(10, 0, byte(s), byte(i+1))}
@@ -273,12 +252,10 @@ func (c *Cluster) buildShard(s int) {
 			// so re-acceleration after a ToR failover dials unchanged.
 			engCfg = core.DefaultConfig(switchAddr)
 			engCfg.AsyncReconfig = opts.AsyncReconfig
+			// The control plane lives on the fabric domain; membership
+			// RPCs hop domains instead of calling in.
 			engCfg.Management = c.cp
-			if c.group != nil {
-				// The control plane lives on the fabric domain;
-				// membership RPCs must hop domains instead of calling in.
-				engCfg.ManagementKernel = c.kernel
-			}
+			engCfg.ManagementKernel = c.kernel
 		}
 		engine := core.New(node, engCfg)
 		engine.SetPeers(others)
@@ -305,18 +282,19 @@ func (c *Cluster) Run(d time.Duration) { c.kernel.RunFor(simDuration(d)) }
 // Step executes a single simulation event; it reports whether one ran.
 func (c *Cluster) Step() bool { return c.kernel.Step() }
 
-// After schedules fn to run d from now on the simulated clock (workload
-// generators use it for open-loop arrivals). On a partitioned cluster
-// (Options.Partitions >= 1) the callback runs on the fabric domain;
-// callbacks that touch a shard's machines — Propose, Client.Submit —
-// belong on that shard's domain instead, through Shard.After.
+// After schedules fn to run d from now on the fabric's scheduling
+// domain: the place for fabric actions (CrashSwitch, CrashToR,
+// CrashSpine). Whatever touches a shard's machines — Propose,
+// Client.Submit, Crash, stats reads — is scheduled with Shard.After
+// instead; the kernel panics when a callback running here schedules on
+// a shard's domain.
 func (c *Cluster) After(d time.Duration, fn func()) {
 	c.kernel.Schedule(simDuration(d), fn)
 }
 
-// Now returns the current simulated time (on a partitioned cluster: the
-// fabric domain's clock, which every Run advances to the same horizon
-// as the shard domains).
+// Now returns the fabric domain's current simulated time. Between Run
+// calls every domain reads the same horizon, so this is "the" time;
+// inside a Shard.After callback, time the shard with Shard.Now.
 func (c *Cluster) Now() time.Duration { return time.Duration(c.kernel.Now()) }
 
 // EventsProcessed reports how many simulation events have executed.
@@ -324,14 +302,9 @@ func (c *Cluster) Now() time.Duration { return time.Duration(c.kernel.Now()) }
 // as a cheap whole-run fingerprint of the event schedule.
 func (c *Cluster) EventsProcessed() uint64 { return c.kernel.Processed() }
 
-// Partitions reports how many kernel partitions execute the simulation
-// concurrently, or 0 for the classic single-kernel scheduler.
-func (c *Cluster) Partitions() int {
-	if c.group == nil {
-		return 0
-	}
-	return c.group.Partitions()
-}
+// Partitions reports how many kernel partitions (worker lanes, at least
+// one) execute the simulation.
+func (c *Cluster) Partitions() int { return c.group.Partitions() }
 
 // Metrics returns the cluster-wide registry, or nil unless the cluster
 // was built with Options.EnableMetrics. The nil registry is safe to
@@ -620,11 +593,7 @@ func (c *Cluster) superviseFabric() {
 					continue
 				}
 				nic := n.mu.NIC()
-				if nk := nic.Kernel(); nk != c.kernel {
-					c.kernel.Call(nk, nic.FailoverToStandby)
-				} else {
-					nic.FailoverToStandby()
-				}
+				c.kernel.Call(nic.Kernel(), nic.FailoverToStandby)
 			}
 		})
 	}

@@ -423,26 +423,27 @@ func TestChaosPacketLoss(t *testing.T) {
 	}
 	const writes = 150
 	acked := 0
+	sh := cl.Shard(0)
 	var put func(i int)
 	put = func(i int) {
 		l := cl.Leader()
 		if l == nil {
-			cl.After(time.Millisecond, func() { put(i) })
+			sh.After(time.Millisecond, func() { put(i) })
 			return
 		}
 		if err := l.Set(fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i), func(err error) {
 			if err != nil {
-				cl.After(time.Millisecond, func() { put(i) })
+				sh.After(time.Millisecond, func() { put(i) })
 				return
 			}
 			acked++
 		}); err != nil {
-			cl.After(time.Millisecond, func() { put(i) })
+			sh.After(time.Millisecond, func() { put(i) })
 		}
 	}
 	for i := 0; i < writes; i++ {
 		i := i
-		cl.After(time.Duration(i)*30*time.Microsecond, func() { put(i) })
+		sh.After(time.Duration(i)*30*time.Microsecond, func() { put(i) })
 	}
 	cl.Run(400 * time.Millisecond)
 	if acked != writes {

@@ -66,7 +66,7 @@ func main() {
 		rate     = flag.Float64("rate", 50_000, "offered load, consensus/s (0 = idle)")
 		size     = flag.Int("size", 64, "value size in bytes")
 		seed     = flag.Int64("seed", 42, "simulation seed")
-		parts    = flag.Int("partitions", 0, "kernel partitions: 0 = classic single-heap kernel, N>=1 = partitioned parallel kernel (same-seed runs bit-identical at any N>=1)")
+		parts    = flag.Int("partitions", 1, "kernel worker lanes; results never depend on it (same-seed runs are bit-identical at any N)")
 		backup   = flag.Bool("backup", false, "cable a backup fabric")
 		topology = flag.String("topology", "single", "switch layer: single (one ToR) or leaf-spine (multi-rack fabric)")
 		racks    = flag.Int("racks", 2, "leaf-spine: number of racks (leaf ToR switches)")
@@ -185,9 +185,7 @@ func run(nodes int, modeStr string, duration time.Duration, rate float64, size i
 		TelemetryInterval: telemetryInterval,
 	})
 	// Everything that touches the nodes — the workload and the node
-	// crash script — schedules on the shard's own domain, the calling
-	// convention the partitioned kernel requires (and a no-op on the
-	// classic kernel, where every domain is the one event loop).
+	// crash script — schedules on the shard's own domain.
 	sh := cl.Shard(0)
 	var tracer *trace.Tracer
 	if doTrace {
@@ -212,9 +210,9 @@ func run(nodes int, modeStr string, duration time.Duration, rate float64, size i
 	// Periodic metrics dumps ride the telemetry ticker: every k-th
 	// sample (k = -metrics-every / sampling interval) prints the
 	// registry's delta since the previous dump as one compact JSON line.
-	// On a partitioned kernel (-partitions >= 1) the dump reads other
-	// domains' instruments mid-window — atomically, but the values may
-	// be a few events ahead or behind; the classic kernel is exact.
+	// The dump runs on the fabric domain and reads other domains'
+	// instruments atomically; with -partitions > 1 that is mid-window,
+	// so their values may be a few events ahead or behind.
 	if metricsEvery > 0 {
 		interval := time.Duration(cl.Telemetry().Interval())
 		k := int(metricsEvery / interval)
@@ -249,14 +247,10 @@ func run(nodes int, modeStr string, duration time.Duration, rate float64, size i
 	var chaosEng *chaos.Engine
 	if chaosName != "" {
 		logf := func(format string, args ...any) {
-			// Fault callbacks run on their target's domain; on a
-			// partitioned kernel the fabric clock isn't readable from
-			// there, and the messages carry their own local timestamps.
-			if partitions >= 1 {
-				fmt.Printf("[   chaos  ] %s\n", fmt.Sprintf(format, args...))
-				return
-			}
-			fmt.Printf("[%9v] %s\n", cl.Now().Round(10*time.Microsecond), fmt.Sprintf(format, args...))
+			// Fault callbacks run on their target's domain, where the
+			// fabric clock isn't readable; the messages carry their own
+			// local timestamps.
+			fmt.Printf("[   chaos  ] %s\n", fmt.Sprintf(format, args...))
 		}
 		eng, horizon, err := cl.ApplyChaosScenario(chaosName, chaosSeed, logf)
 		if err != nil {

@@ -20,8 +20,11 @@ func main() {
 		Mode:         p4ce.ModeP4CE,
 		BackupFabric: true, // the alternative route used when the switch dies
 	})
+	// The machines' callbacks run on their shard's scheduling domain, so
+	// everything here is timed with the shard's clock.
+	shard := cluster.Shard(0)
 	stamp := func(format string, args ...any) {
-		fmt.Printf("[%9v] ", cluster.Now().Round(10*time.Microsecond))
+		fmt.Printf("[%9v] ", shard.Now().Round(10*time.Microsecond))
 		fmt.Printf(format+"\n", args...)
 	}
 	quiet := false
@@ -42,11 +45,11 @@ func main() {
 
 	commit := func(tag string) {
 		l := cluster.Leader()
-		start := cluster.Now()
+		start := shard.Now()
 		done := false
 		_ = l.Propose([]byte(tag), func(err error) {
 			if err == nil {
-				stamp("%s committed in %v (accelerated=%v)", tag, cluster.Now()-start, l.Accelerated())
+				stamp("%s committed in %v (accelerated=%v)", tag, shard.Now()-start, l.Accelerated())
 				done = true
 			}
 		})

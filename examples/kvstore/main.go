@@ -45,9 +45,12 @@ func main() {
 	client.RetryDelay = 500 * time.Microsecond
 	acked := 0
 	const writes = 200
+	// Whatever touches the machines is scheduled on their shard's domain
+	// and timed with its clock.
+	shard := cluster.Shard(0)
 	for i := 0; i < writes; i++ {
 		i := i
-		cluster.After(time.Duration(i)*20*time.Microsecond, func() {
+		shard.After(time.Duration(i)*20*time.Microsecond, func() {
 			client.SubmitKV(fmt.Sprintf("user:%04d", i), fmt.Sprintf("balance=%d", i*100), func(err error) {
 				if err != nil {
 					log.Fatalf("write %d failed permanently: %v", i, err)
@@ -58,9 +61,9 @@ func main() {
 	}
 
 	// Crash the leader mid-workload.
-	cluster.After(2*time.Millisecond, func() {
+	shard.After(2*time.Millisecond, func() {
 		fmt.Printf("[%v] crashing the leader (node %d)\n",
-			cluster.Now().Round(time.Microsecond), leader.ID())
+			shard.Now().Round(time.Microsecond), leader.ID())
 		leader.Crash()
 	})
 

@@ -21,12 +21,14 @@ func main() {
 		Mode:  p4ce.ModeP4CE,
 	})
 
-	// Observe what each machine applies.
+	// Observe what each machine applies. Callbacks from the machines run
+	// on their shard's scheduling domain, so they read the shard's clock.
+	shard := cluster.Shard(0)
 	for _, node := range cluster.Nodes() {
 		node := node
 		node.OnApply(func(index uint64, data []byte) {
 			fmt.Printf("  [%v] node %d applied #%d: %q\n",
-				cluster.Now().Round(time.Microsecond), node.ID(), index, data)
+				shard.Now().Round(time.Microsecond), node.ID(), index, data)
 		})
 	}
 
@@ -43,12 +45,12 @@ func main() {
 	// round-trip: one write to the switch, one aggregated ACK back.
 	for i := 0; i < 5; i++ {
 		value := fmt.Sprintf("value-%d", i)
-		proposedAt := cluster.Now()
+		proposedAt := shard.Now()
 		err := leader.Propose([]byte(value), func(err error) {
 			if err != nil {
 				log.Fatalf("proposal failed: %v", err)
 			}
-			fmt.Printf("decided %q in %v\n", value, cluster.Now()-proposedAt)
+			fmt.Printf("decided %q in %v\n", value, shard.Now()-proposedAt)
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -68,7 +68,8 @@ func main() {
 		i := i
 		key := fmt.Sprintf("user:%04d", i)
 		owner := cluster.ShardForKey(key)
-		cluster.After(time.Duration(i)*20*time.Microsecond, func() {
+		// Each write is issued on its owner shard's scheduling domain.
+		cluster.Shard(owner).After(time.Duration(i)*20*time.Microsecond, func() {
 			router.SubmitKV(key, fmt.Sprintf("balance=%d", i*100), func(err error) {
 				if err != nil {
 					log.Fatalf("write %q failed permanently: %v", key, err)
@@ -80,10 +81,10 @@ func main() {
 
 	// Crash shard 0's leader mid-workload. Shards 1 and 2 share the
 	// switch but nothing else — their pipelines never notice.
-	victim := leaders[0]
-	cluster.After(1*time.Millisecond, func() {
+	victim, shard0 := leaders[0], cluster.Shard(0)
+	shard0.After(1*time.Millisecond, func() {
 		fmt.Printf("[%v] crashing shard 0's leader (node %d)\n",
-			cluster.Now().Round(time.Microsecond), victim.ID())
+			shard0.Now().Round(time.Microsecond), victim.ID())
 		victim.Crash()
 	})
 

@@ -202,9 +202,9 @@ func TestFabricToRFailoverNoLostCommits(t *testing.T) {
 				}
 			})
 		}
-		cl.After(100*time.Microsecond, tick)
+		cl.Shard(0).After(100*time.Microsecond, tick)
 	}
-	cl.After(100*time.Microsecond, tick)
+	cl.Shard(0).After(100*time.Microsecond, tick)
 
 	// Rack 1's ToR dies mid-stream; the supervisor's 40 ms failover
 	// follows. The leader (rack 0) keeps its local majority throughout.

@@ -64,7 +64,7 @@ func TestKVHistoryLinearizableUnderReplicaFlap(t *testing.T) {
 	for i := 0; i < writes; i++ {
 		key := fmt.Sprintf("acct:%04d", i)
 		value := fmt.Sprintf("balance=%d", i*100)
-		cl.After(time.Duration(i)*150*time.Microsecond, func() {
+		cl.Shard(0).After(time.Duration(i)*150*time.Microsecond, func() {
 			client.SubmitKV(key, value, func(err error) {
 				if err == nil {
 					acked[key] = value

@@ -130,9 +130,6 @@ func CompareReports(base, cand *Report) []Regression {
 		out = check(out, "ablation/"+key+"/consensus_per_s", br.ConsensusPerS, cr.ConsensusPerS, higherIsBetter)
 	}
 
-	// The sharded and batch-sweep sections arrived with schema v2; a v1
-	// baseline simply has no points here, so these loops are no-ops and
-	// the comparison stays meaningful across the schema bump.
 	candSharded := make(map[int]ShardedPointJSON)
 	for _, pt := range cand.Sharded.Points {
 		candSharded[pt.Shards] = pt
@@ -166,12 +163,10 @@ func CompareReports(base, cand *Report) []Regression {
 		}
 	}
 
-	// The breakdown section arrived with schema v3; against a v1/v2
-	// baseline this loop is a no-op, like the v2 sections above. Only the
-	// end-to-end quantiles gate: individual stage durations trade against
-	// each other under legitimate changes (a faster switch pipeline
-	// shifts time into gather-wait), so per-stage thresholds would flag
-	// improvements as regressions.
+	// Only the breakdown's end-to-end quantiles gate: individual stage
+	// durations trade against each other under legitimate changes (a
+	// faster switch pipeline shifts time into gather-wait), so per-stage
+	// thresholds would flag improvements as regressions.
 	candBreakdown := make(map[string]BreakdownPointJSON)
 	for _, pt := range cand.Breakdown.Points {
 		candBreakdown[fmt.Sprintf("%s/r%d", pt.Mode, pt.Replicas)] = pt
@@ -187,10 +182,9 @@ func CompareReports(base, cand *Report) []Regression {
 		out = check(out, "breakdown/"+key+"/p99_e2e_ns", float64(bp.P99.E2ENs), float64(cp.P99.E2ENs), lowerIsBetter)
 	}
 
-	// The kernel-scaling section arrived with schema v4; a pre-v4
-	// baseline has no points and this loop is a no-op. Only sim-time
-	// rates and latencies gate — the wall-clock speedup that motivates
-	// the sweep is machine-dependent and never enters a report.
+	// Only sim-time rates and latencies of the kernel-scaling sweep gate —
+	// the wall-clock speedup that motivates it is machine-dependent and
+	// never enters a report.
 	candScaling := make(map[int]ScalingPointJSON)
 	for _, pt := range cand.Scaling.Points {
 		candScaling[pt.Partitions] = pt
@@ -208,10 +202,9 @@ func CompareReports(base, cand *Report) []Regression {
 		}
 	}
 
-	// The fabric section arrived with schema v5; a pre-v5 baseline has no
-	// points and this loop is a no-op. Spine-crossing counters gate the
-	// hierarchical aggregation itself: AcksUp growing toward FlatAcksUp
-	// means the leaf partial counting stopped absorbing ACKs.
+	// The fabric's spine-crossing counters gate the hierarchical
+	// aggregation itself: AcksUp growing toward FlatAcksUp means the leaf
+	// partial counting stopped absorbing ACKs.
 	candFabric := make(map[int]FabricPointJSON)
 	for _, pt := range cand.Fabric.Points {
 		candFabric[pt.Racks] = pt
@@ -230,12 +223,11 @@ func CompareReports(base, cand *Report) []Regression {
 		}
 	}
 
-	// The SLO-timeline section arrived with schema v6; a pre-v6 baseline
-	// has no points and this loop is a no-op. Detection latency (fault
-	// open to first page) and all-clear latency (fault open to the last
-	// alert standing down) gate: an observability change that makes the
-	// pager slower to fire — or slower to shut up — is a regression even
-	// when every alert still brackets its window.
+	// The SLO timeline's detection latency (fault open to first page) and
+	// all-clear latency (fault open to the last alert standing down)
+	// gate: an observability change that makes the pager slower to fire —
+	// or slower to shut up — is a regression even when every alert still
+	// brackets its window.
 	candTimeline := make(map[string]TimelinePointJSON)
 	for _, pt := range cand.Timeline.Points {
 		candTimeline[pt.Scenario] = pt

@@ -81,8 +81,9 @@ func measureGroupConfig(cfg FailoverConfig) (time.Duration, error) {
 	// The group dial starts when the leader takes over; measure from
 	// there to acceleration.
 	var leadAt, accelAt time.Duration
+	sh := cl.Shard(0) // leadership changes on the shard's domain, under its clock
 	deadline := 500 * time.Millisecond
-	for cl.Now() < deadline {
+	for sh.Now() < deadline {
 		if !cl.Step() {
 			break
 		}
@@ -91,10 +92,10 @@ func measureGroupConfig(cfg FailoverConfig) (time.Duration, error) {
 			continue
 		}
 		if leadAt == 0 {
-			leadAt = cl.Now()
+			leadAt = sh.Now()
 		}
 		if l.Accelerated() {
-			accelAt = cl.Now()
+			accelAt = sh.Now()
 			break
 		}
 	}
@@ -142,10 +143,11 @@ func measureLeaderCrash(mode p4ce.Mode, cfg FailoverConfig) (time.Duration, erro
 		return 0, err
 	}
 	cl.Run(time.Millisecond)
-	crashAt := cl.Now()
+	sh := cl.Shard(0)
+	crashAt := sh.Now()
 	leader.Crash()
 	deadline := crashAt + 500*time.Millisecond
-	for cl.Now() < deadline {
+	for sh.Now() < deadline {
 		if !cl.Step() {
 			break
 		}
@@ -163,7 +165,7 @@ func measureLeaderCrash(mode p4ce.Mode, cfg FailoverConfig) (time.Duration, erro
 		if mode == p4ce.ModeP4CE && !cfg.AsyncReconfig && !next.Accelerated() {
 			continue
 		}
-		return cl.Now() - crashAt, nil
+		return sh.Now() - crashAt, nil
 	}
 	return 0, &stalledError{stage: "leader crash"}
 }
@@ -176,11 +178,12 @@ func measureSwitchCrash(mode p4ce.Mode, cfg FailoverConfig) (time.Duration, erro
 		return 0, err
 	}
 	cl.Run(time.Millisecond)
-	crashAt := cl.Now()
+	sh := cl.Shard(0)
+	crashAt := sh.Now()
 	cl.CrashSwitch()
 	var proposed, committed bool
 	deadline := crashAt + time.Second
-	for cl.Now() < deadline {
+	for sh.Now() < deadline {
 		if !cl.Step() {
 			break
 		}
@@ -197,7 +200,7 @@ func measureSwitchCrash(mode p4ce.Mode, cfg FailoverConfig) (time.Duration, erro
 			})
 		}
 		if committed {
-			return cl.Now() - crashAt, nil
+			return sh.Now() - crashAt, nil
 		}
 	}
 	return 0, &stalledError{stage: "switch crash"}

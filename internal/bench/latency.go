@@ -72,12 +72,14 @@ func runOpenLoop(mode p4ce.Mode, replicas int, offeredMps float64, cfg LatencyCo
 	if err != nil {
 		return pt, err
 	}
+	// The generator runs on, and times with the clock of, the shard's domain.
+	sh := cl.Shard(0)
 	var (
 		rng         = rand.New(rand.NewSource(cfg.Seed + 17))
 		lat         = sim.NewLatencyRecorder(4096)
 		sampled     int
 		completions int // commits landing inside the window: throughput
-		measureT0   = cl.Now() + cfg.Warmup
+		measureT0   = sh.Now() + cfg.Warmup
 		measureT1   = measureT0 + cfg.Duration
 		horizon     = measureT1 + 20*time.Millisecond // drain allowance
 		meanGapSec  = 1 / (offeredMps * 1e6)
@@ -86,17 +88,17 @@ func runOpenLoop(mode p4ce.Mode, replicas int, offeredMps float64, cfg LatencyCo
 	)
 	var arrive func()
 	arrive = func() {
-		if stopped || cl.Now() >= horizon {
+		if stopped || sh.Now() >= horizon {
 			stopped = true
 			return
 		}
-		proposedAt := cl.Now()
+		proposedAt := sh.Now()
 		inWindow := proposedAt >= measureT0 && proposedAt < measureT1
 		_ = leader.Propose(payload, func(err error) {
 			if err != nil {
 				return
 			}
-			now := cl.Now()
+			now := sh.Now()
 			if now >= measureT0 && now < measureT1 {
 				completions++
 			}
@@ -109,10 +111,10 @@ func runOpenLoop(mode p4ce.Mode, replicas int, offeredMps float64, cfg LatencyCo
 		if gap <= 0 {
 			gap = time.Nanosecond
 		}
-		cl.After(gap, arrive)
+		sh.After(gap, arrive)
 	}
 	arrive()
-	for cl.Now() < horizon {
+	for sh.Now() < horizon {
 		if !cl.Step() {
 			break
 		}
@@ -153,10 +155,11 @@ func RunBurstLatency(replicas int, burstSizes []int, rounds int, seed int64) ([]
 			return nil, err
 		}
 		payload := make([]byte, 64)
+		sh := cl.Shard(0)
 		for _, k := range burstSizes {
 			var total time.Duration
 			for round := 0; round < rounds; round++ {
-				start := cl.Now()
+				start := sh.Now()
 				var done int
 				for i := 0; i < k; i++ {
 					if err := leader.Propose(payload, func(err error) {
@@ -172,7 +175,7 @@ func RunBurstLatency(replicas int, burstSizes []int, rounds int, seed int64) ([]
 						return nil, &stalledError{stage: "burst"}
 					}
 				}
-				total += cl.Now() - start
+				total += sh.Now() - start
 				cl.Run(100 * time.Microsecond) // quiesce between bursts
 			}
 			out = append(out, BurstPoint{

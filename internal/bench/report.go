@@ -16,13 +16,14 @@ import (
 	"p4ce"
 )
 
-// SchemaVersion identifies the BENCH_p4ce.json layout. Version 2 added
-// the sharded-scaling and batch-sweep sections; version 3 added the
-// per-stage latency breakdown section (causal tracing); version 4 added
-// the kernel-scaling section (partitioned scheduler); version 5 added
-// the fabric-topology section (leaf-spine hierarchical aggregation);
-// version 6 added the SLO-timeline section (telemetry alert bracketing
-// over the chaos scenarios).
+// SchemaVersion identifies the BENCH_p4ce.json layout; Validate accepts
+// no other. Version 2 added the sharded-scaling and batch-sweep
+// sections; version 3 added the per-stage latency breakdown section
+// (causal tracing); version 4 added the kernel-scaling section
+// (partitioned scheduler); version 5 added the fabric-topology section
+// (leaf-spine hierarchical aggregation); version 6 added the
+// SLO-timeline section (telemetry alert bracketing over the chaos
+// scenarios).
 const SchemaVersion = 6
 
 // Report is the root of BENCH_p4ce.json.
@@ -846,11 +847,8 @@ func ParseReport(data []byte) (*Report, error) {
 // recorded seeds, non-empty sections, positive throughput, monotone sim
 // timestamps and ordered percentiles.
 func (r *Report) Validate() error {
-	// Older reports (committed baselines) stay parseable across schema
-	// bumps: sections they predate are simply absent, and the breakdown
-	// invariants below only apply from v3 on.
-	if r.SchemaVersion < 1 || r.SchemaVersion > SchemaVersion {
-		return fmt.Errorf("bench: schema_version = %d, want 1..%d", r.SchemaVersion, SchemaVersion)
+	if r.SchemaVersion != SchemaVersion {
+		return fmt.Errorf("bench: schema_version = %d, want %d", r.SchemaVersion, SchemaVersion)
 	}
 	if r.Profile == "" {
 		return fmt.Errorf("bench: report missing profile")
@@ -916,121 +914,113 @@ func (r *Report) Validate() error {
 			return fmt.Errorf("bench: batch sweep b%d: non-positive throughput", pt.BatchMaxOps)
 		}
 	}
-	if r.SchemaVersion >= 3 {
-		if len(r.Breakdown.Points) == 0 {
-			return fmt.Errorf("bench: breakdown section empty")
+	if len(r.Breakdown.Points) == 0 {
+		return fmt.Errorf("bench: breakdown section empty")
+	}
+	for _, pt := range r.Breakdown.Points {
+		for _, q := range []struct {
+			name string
+			op   BreakdownOpJSON
+		}{{"p50", pt.P50}, {"p99", pt.P99}} {
+			name, op := q.name, q.op
+			sum := int64(0)
+			for _, ns := range op.StagesNs {
+				if ns < 0 {
+					return fmt.Errorf("bench: breakdown %s/r%d/%s: negative stage", pt.Mode, pt.Replicas, name)
+				}
+				sum += ns
+			}
+			if sum != op.E2ENs {
+				return fmt.Errorf("bench: breakdown %s/r%d/%s: stages sum %d != e2e %d",
+					pt.Mode, pt.Replicas, name, sum, op.E2ENs)
+			}
 		}
-		for _, pt := range r.Breakdown.Points {
-			for _, q := range []struct {
-				name string
-				op   BreakdownOpJSON
-			}{{"p50", pt.P50}, {"p99", pt.P99}} {
-				name, op := q.name, q.op
-				sum := int64(0)
-				for _, ns := range op.StagesNs {
-					if ns < 0 {
-						return fmt.Errorf("bench: breakdown %s/r%d/%s: negative stage", pt.Mode, pt.Replicas, name)
-					}
-					sum += ns
-				}
-				if sum != op.E2ENs {
-					return fmt.Errorf("bench: breakdown %s/r%d/%s: stages sum %d != e2e %d",
-						pt.Mode, pt.Replicas, name, sum, op.E2ENs)
-				}
-			}
-			if pt.P50.E2ENs > pt.P99.E2ENs {
-				return fmt.Errorf("bench: breakdown %s/r%d: p50 > p99", pt.Mode, pt.Replicas)
-			}
+		if pt.P50.E2ENs > pt.P99.E2ENs {
+			return fmt.Errorf("bench: breakdown %s/r%d: p50 > p99", pt.Mode, pt.Replicas)
 		}
 	}
-	if r.SchemaVersion >= 4 {
-		if len(r.Scaling.Points) == 0 {
-			return fmt.Errorf("bench: scaling section empty")
+	if len(r.Scaling.Points) == 0 {
+		return fmt.Errorf("bench: scaling section empty")
+	}
+	first := r.Scaling.Points[0]
+	for _, pt := range r.Scaling.Points {
+		if pt.Partitions < 1 || pt.AggregateOpsPerS <= 0 || pt.CommittedOps <= 0 {
+			return fmt.Errorf("bench: scaling p%d: non-positive measurement", pt.Partitions)
 		}
-		first := r.Scaling.Points[0]
-		for _, pt := range r.Scaling.Points {
-			if pt.Partitions < 1 || pt.AggregateOpsPerS <= 0 || pt.CommittedOps <= 0 {
-				return fmt.Errorf("bench: scaling p%d: non-positive measurement", pt.Partitions)
-			}
-			// The partitioned scheduler's contract: partition count must
-			// not change the simulation, only wall-clock time — so every
-			// sim-derived field matches the first point exactly.
-			if pt.Events != first.Events || pt.SimDurationNs != first.SimDurationNs ||
-				pt.AggregateOpsPerS != first.AggregateOpsPerS ||
-				pt.CommittedOps != first.CommittedOps ||
-				pt.MeanNs != first.MeanNs || pt.P99Ns != first.P99Ns {
-				return fmt.Errorf("bench: scaling p%d: sim-derived fields diverge from p%d (determinism violated)",
-					pt.Partitions, first.Partitions)
-			}
+		// The partitioned scheduler's contract: partition count must
+		// not change the simulation, only wall-clock time — so every
+		// sim-derived field matches the first point exactly.
+		if pt.Events != first.Events || pt.SimDurationNs != first.SimDurationNs ||
+			pt.AggregateOpsPerS != first.AggregateOpsPerS ||
+			pt.CommittedOps != first.CommittedOps ||
+			pt.MeanNs != first.MeanNs || pt.P99Ns != first.P99Ns {
+			return fmt.Errorf("bench: scaling p%d: sim-derived fields diverge from p%d (determinism violated)",
+				pt.Partitions, first.Partitions)
 		}
 	}
-	if r.SchemaVersion >= 5 {
-		if len(r.Fabric.Points) == 0 {
-			return fmt.Errorf("bench: fabric section empty")
+	if len(r.Fabric.Points) == 0 {
+		return fmt.Errorf("bench: fabric section empty")
+	}
+	for _, pt := range r.Fabric.Points {
+		if pt.ThroughputOps <= 0 || pt.MeanNs <= 0 {
+			return fmt.Errorf("bench: fabric racks=%d: non-positive measurement", pt.Racks)
 		}
-		for _, pt := range r.Fabric.Points {
-			if pt.ThroughputOps <= 0 || pt.MeanNs <= 0 {
-				return fmt.Errorf("bench: fabric racks=%d: non-positive measurement", pt.Racks)
+		if pt.Racks <= 1 {
+			// Single switch (or single rack): no spine to cross.
+			if pt.AcksUp != 0 || pt.Partials != 0 || pt.FlatAcksUp != 0 {
+				return fmt.Errorf("bench: fabric racks=%d: spine crossings on a spineless topology", pt.Racks)
 			}
-			if pt.Racks <= 1 {
-				// Single switch (or single rack): no spine to cross.
-				if pt.AcksUp != 0 || pt.Partials != 0 || pt.FlatAcksUp != 0 {
-					return fmt.Errorf("bench: fabric racks=%d: spine crossings on a spineless topology", pt.Racks)
-				}
-				continue
-			}
-			// Multi-rack: the hierarchy must engage, and the aggregated
-			// crossing count must beat the per-replica relay of the flat
-			// ablation — the section's whole claim.
-			if pt.AcksUp == 0 || pt.Partials == 0 {
-				return fmt.Errorf("bench: fabric racks=%d: hierarchical aggregation never engaged", pt.Racks)
-			}
-			if pt.FlatAcksUp <= pt.AcksUp {
-				return fmt.Errorf("bench: fabric racks=%d: flat crossings %d not above hierarchical %d",
-					pt.Racks, pt.FlatAcksUp, pt.AcksUp)
-			}
+			continue
+		}
+		// Multi-rack: the hierarchy must engage, and the aggregated
+		// crossing count must beat the per-replica relay of the flat
+		// ablation — the section's whole claim.
+		if pt.AcksUp == 0 || pt.Partials == 0 {
+			return fmt.Errorf("bench: fabric racks=%d: hierarchical aggregation never engaged", pt.Racks)
+		}
+		if pt.FlatAcksUp <= pt.AcksUp {
+			return fmt.Errorf("bench: fabric racks=%d: flat crossings %d not above hierarchical %d",
+				pt.Racks, pt.FlatAcksUp, pt.AcksUp)
 		}
 	}
-	if r.SchemaVersion >= 6 {
-		// The breakdown's estimator-calibration columns: the log2
-		// histogram's interpolated quantiles must be present and ordered.
-		for _, pt := range r.Breakdown.Points {
-			if pt.HistP50Ns <= 0 || pt.HistP99Ns < pt.HistP50Ns {
-				return fmt.Errorf("bench: breakdown %s/r%d: histogram estimate quantiles missing or unordered (p50=%d p99=%d)",
-					pt.Mode, pt.Replicas, pt.HistP50Ns, pt.HistP99Ns)
-			}
+	// The breakdown's estimator-calibration columns: the log2
+	// histogram's interpolated quantiles must be present and ordered.
+	for _, pt := range r.Breakdown.Points {
+		if pt.HistP50Ns <= 0 || pt.HistP99Ns < pt.HistP50Ns {
+			return fmt.Errorf("bench: breakdown %s/r%d: histogram estimate quantiles missing or unordered (p50=%d p99=%d)",
+				pt.Mode, pt.Replicas, pt.HistP50Ns, pt.HistP99Ns)
 		}
-		if len(r.Timeline.Points) == 0 {
-			return fmt.Errorf("bench: timeline section empty")
+	}
+	if len(r.Timeline.Points) == 0 {
+		return fmt.Errorf("bench: timeline section empty")
+	}
+	for _, pt := range r.Timeline.Points {
+		// The section's whole claim: every scenario's alert log
+		// brackets its declared fault window.
+		if !pt.Bracketed {
+			return fmt.Errorf("bench: timeline %s: alert log did not bracket the fault window", pt.Scenario)
 		}
-		for _, pt := range r.Timeline.Points {
-			// The section's whole claim: every scenario's alert log
-			// brackets its declared fault window.
-			if !pt.Bracketed {
-				return fmt.Errorf("bench: timeline %s: alert log did not bracket the fault window", pt.Scenario)
-			}
-			if pt.CommittedOps <= 0 {
-				return fmt.Errorf("bench: timeline %s: nothing committed", pt.Scenario)
-			}
-			// Bracketed implies at least one fire, cleared by the
-			// horizon — so transitions pair up and the log is even.
-			if pt.Alerts < 2 || pt.Alerts%2 != 0 {
-				return fmt.Errorf("bench: timeline %s: %d alert transitions, want an even count >= 2",
-					pt.Scenario, pt.Alerts)
-			}
-			open, close := pt.AppliedAtNs+pt.FaultStartNs, pt.AppliedAtNs+pt.FaultEndNs
-			if pt.FirstFireNs <= open || pt.FirstFireNs > close {
-				return fmt.Errorf("bench: timeline %s: first fire at %d outside fault window (%d, %d]",
-					pt.Scenario, pt.FirstFireNs, open, close)
-			}
-			if pt.DetectionNs != pt.FirstFireNs-open {
-				return fmt.Errorf("bench: timeline %s: detection %d != first fire %d - window open %d",
-					pt.Scenario, pt.DetectionNs, pt.FirstFireNs, open)
-			}
-			if pt.LastClearNs <= pt.FirstFireNs {
-				return fmt.Errorf("bench: timeline %s: last clear %d not after first fire %d",
-					pt.Scenario, pt.LastClearNs, pt.FirstFireNs)
-			}
+		if pt.CommittedOps <= 0 {
+			return fmt.Errorf("bench: timeline %s: nothing committed", pt.Scenario)
+		}
+		// Bracketed implies at least one fire, cleared by the
+		// horizon — so transitions pair up and the log is even.
+		if pt.Alerts < 2 || pt.Alerts%2 != 0 {
+			return fmt.Errorf("bench: timeline %s: %d alert transitions, want an even count >= 2",
+				pt.Scenario, pt.Alerts)
+		}
+		open, close := pt.AppliedAtNs+pt.FaultStartNs, pt.AppliedAtNs+pt.FaultEndNs
+		if pt.FirstFireNs <= open || pt.FirstFireNs > close {
+			return fmt.Errorf("bench: timeline %s: first fire at %d outside fault window (%d, %d]",
+				pt.Scenario, pt.FirstFireNs, open, close)
+		}
+		if pt.DetectionNs != pt.FirstFireNs-open {
+			return fmt.Errorf("bench: timeline %s: detection %d != first fire %d - window open %d",
+				pt.Scenario, pt.DetectionNs, pt.FirstFireNs, open)
+		}
+		if pt.LastClearNs <= pt.FirstFireNs {
+			return fmt.Errorf("bench: timeline %s: last clear %d not after first fire %d",
+				pt.Scenario, pt.LastClearNs, pt.FirstFireNs)
 		}
 	}
 	return nil

@@ -167,6 +167,9 @@ func TestValidateRejectsBadReports(t *testing.T) {
 	if err := mutate(func(r *Report) { r.SchemaVersion = 99 }); err == nil {
 		t.Error("wrong schema version accepted")
 	}
+	if err := mutate(func(r *Report) { r.SchemaVersion = SchemaVersion - 1 }); err == nil {
+		t.Error("a v5 report accepted: only the current schema is valid")
+	}
 	if err := mutate(func(r *Report) { r.Goodput.Points[0].ThroughputMops = 0 }); err == nil {
 		t.Error("zero throughput accepted")
 	}

@@ -16,15 +16,11 @@ import (
 	"time"
 
 	"p4ce"
-	"p4ce/internal/sim"
 )
 
 // ScalingConfig parameterizes the kernel-scaling sweep.
 type ScalingConfig struct {
-	// Partitions lists the partition counts to sweep. Every entry must be
-	// >= 1 (partitioned mode); the legacy single-heap kernel (0) keys
-	// events differently and is deliberately excluded so the equality
-	// invariant across the sweep holds.
+	// Partitions lists the partition counts to sweep, each >= 1.
 	Partitions []int
 	// Shards is the fixed shard count; parallelism comes from running the
 	// same shards on more partitions, not from adding shards.
@@ -79,22 +75,6 @@ type ScalingPoint struct {
 	Wall time.Duration
 }
 
-// scalingLoop is one shard's closed-loop driver state. Everything in
-// here is touched only from the owning shard's domain while the kernel
-// runs; the main goroutine reads it only between Run calls, when the
-// partition workers are quiesced.
-type scalingLoop struct {
-	leader     *p4ce.Node
-	issued     int
-	completed  int
-	proposedAt []time.Duration
-	lat        *sim.LatencyRecorder
-	startAt    time.Duration
-	endAt      time.Duration
-	finished   bool
-	stalled    error
-}
-
 // RunScaling sweeps the partition count at a fixed shard count and
 // fixed per-shard load.
 func RunScaling(cfg ScalingConfig) ([]ScalingPoint, error) {
@@ -113,9 +93,8 @@ func RunScaling(cfg ScalingConfig) ([]ScalingPoint, error) {
 }
 
 // runScalingPoint measures one partition count. The workload is the
-// sharded closed loop, but driven entirely through Shard.After so every
-// issue/completion callback runs on its shard's own domain — the only
-// safe calling convention when partitions execute concurrently.
+// sharded closed loop, started through Shard.After and driven by Run —
+// Step would execute every partition's events on this goroutine.
 func runScalingPoint(cfg ScalingConfig, partitions int) (ScalingPoint, error) {
 	pt := ScalingPoint{Partitions: partitions, Shards: cfg.Shards}
 	wallStart := time.Now()
@@ -131,59 +110,15 @@ func runScalingPoint(cfg ScalingConfig, partitions int) (ScalingPoint, error) {
 		return pt, err
 	}
 
-	total := cfg.Warmup + cfg.Ops
 	payload := make([]byte, cfg.ItemSize)
-	loops := make([]*scalingLoop, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		lp := &scalingLoop{
-			leader:     cl.ShardLeader(s),
-			proposedAt: make([]time.Duration, cfg.Depth),
-			lat:        sim.NewLatencyRecorder(cfg.Ops),
-		}
-		if lp.leader == nil {
+	loops := make([]*closedLoop, cfg.Shards)
+	for s := range loops {
+		leader := cl.ShardLeader(s)
+		if leader == nil {
 			return pt, &stalledError{stage: "scaling leader lookup"}
 		}
-		loops[s] = lp
-		sh := cl.Shard(s)
-		var issue func()
-		var done func(error)
-		issue = func() {
-			if lp.stalled != nil || lp.issued >= total {
-				return
-			}
-			lp.proposedAt[lp.issued%cfg.Depth] = sh.Now()
-			lp.issued++
-			if err := lp.leader.Propose(payload, done); err != nil {
-				lp.stalled = err
-			}
-		}
-		done = func(err error) {
-			if err != nil {
-				lp.stalled = err
-				return
-			}
-			at := lp.proposedAt[lp.completed%cfg.Depth]
-			lp.completed++
-			switch {
-			case lp.completed == cfg.Warmup:
-				lp.startAt = sh.Now()
-			case lp.completed > cfg.Warmup:
-				lp.lat.Record(sim.Time(sh.Now() - at))
-				if lp.completed == total {
-					lp.endAt = sh.Now()
-					lp.finished = true
-				}
-			}
-			issue()
-		}
-		sh.After(time.Microsecond, func() {
-			if cfg.Warmup == 0 {
-				lp.startAt = sh.Now()
-			}
-			for i := 0; i < cfg.Depth; i++ {
-				issue()
-			}
-		})
+		loops[s] = newClosedLoop(cl, leader, payload, cfg.Depth, cfg.Warmup, cfg.Ops)
+		cl.Shard(s).After(time.Microsecond, loops[s].start)
 	}
 
 	// Run in fixed sim-time windows and inspect the loops only at the
@@ -194,16 +129,11 @@ func runScalingPoint(cfg ScalingConfig, partitions int) (ScalingPoint, error) {
 	const budget = 2 * time.Second
 	for {
 		cl.Run(window)
-		finished := 0
-		for _, lp := range loops {
-			if lp.stalled != nil {
-				return pt, lp.stalled
-			}
-			if lp.finished {
-				finished++
-			}
+		finished, err := loopsFinished(loops)
+		if err != nil {
+			return pt, err
 		}
-		if finished == len(loops) {
+		if finished {
 			break
 		}
 		if cl.Now() >= budget {
@@ -212,21 +142,14 @@ func runScalingPoint(cfg ScalingConfig, partitions int) (ScalingPoint, error) {
 	}
 	pt.Wall = time.Since(wallStart)
 
-	var latSum, latCount float64
-	for _, lp := range loops {
-		elapsed := lp.endAt - lp.startAt
-		if elapsed <= 0 {
-			return pt, &stalledError{stage: "scaling measurement window"}
-		}
-		pt.CommittedOps += lp.completed
-		pt.AggregateOpsPerS += float64(cfg.Ops) / elapsed.Seconds()
-		latSum += float64(lp.lat.Mean()) * float64(cfg.Ops)
-		latCount += float64(cfg.Ops)
-		if p99 := time.Duration(lp.lat.Percentile(99)); p99 > pt.P99Lat {
-			pt.P99Lat = p99
-		}
+	t, err := totalLoops(loops)
+	if err != nil {
+		return pt, err
 	}
-	pt.MeanLat = time.Duration(latSum / latCount)
+	pt.CommittedOps = t.committed
+	pt.AggregateOpsPerS = t.opsPerS
+	pt.MeanLat = t.meanLat
+	pt.P99Lat = t.p99Lat
 	pt.Events = cl.EventsProcessed()
 	pt.SimDuration = cl.Now()
 	return pt, nil

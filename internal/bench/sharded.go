@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"p4ce"
-	"p4ce/internal/mu"
-	"p4ce/internal/sim"
 )
 
 // ShardedConfig parameterizes the shard-scaling sweep.
@@ -67,150 +65,29 @@ type ShardedPoint struct {
 	Events uint64
 }
 
-// SteadySharded builds a sharded cluster in a measurable steady state:
-// heartbeats off, every shard's view forced to its machine 0, and every
-// shard leader accelerated with full membership.
-func SteadySharded(opts p4ce.Options) (*p4ce.Cluster, []*p4ce.Node, error) {
-	opts.DisableHeartbeats = true
-	userTune := opts.TuneNode
-	opts.TuneNode = func(i int, cfg *mu.Config) {
-		cfg.LeaderTakeoverDelay = 10 * sim.Microsecond
-		if userTune != nil {
-			userTune(i, cfg)
-		}
-	}
-	cl := p4ce.NewCluster(opts)
-	cl.ForceLeader(0)
-	deadline := cl.Now() + 500*time.Millisecond
-	for cl.Now() < deadline {
-		if !cl.Step() {
-			break
-		}
-		leaders := make([]*p4ce.Node, cl.ShardCount())
-		ready := true
-		for s := 0; s < cl.ShardCount() && ready; s++ {
-			l := cl.ShardLeader(s)
-			switch {
-			case l == nil:
-				ready = false
-			case opts.Mode == p4ce.ModeP4CE && !l.Accelerated():
-				ready = false
-			case l.ReplicationPaths() < opts.Nodes-1:
-				ready = false
-			default:
-				leaders[s] = l
-			}
-		}
-		if ready {
-			return cl, leaders, nil
-		}
-	}
-	return nil, nil, &stalledError{stage: "sharded steady-state setup"}
-}
-
-// shardLoop is one shard's closed-loop driver state.
-type shardLoop struct {
-	leader     *p4ce.Node
-	issued     int
-	completed  int
-	proposedAt []time.Duration
-	lat        *sim.LatencyRecorder
-	startAt    time.Duration
-	endAt      time.Duration
-	stalled    error
-}
-
 // ShardedClosedLoop drives every shard's leader with its own depth-deep
 // closed loop on the shared kernel, measuring each shard independently
 // (per-shard warmup, per-shard measurement window) and aggregating.
 func ShardedClosedLoop(cl *p4ce.Cluster, leaders []*p4ce.Node, size, depth, warmup, ops int) (ShardedPoint, error) {
-	var pt ShardedPoint
-	pt.Shards = len(leaders)
-	total := warmup + ops
+	pt := ShardedPoint{Shards: len(leaders)}
 	payload := make([]byte, size)
-	loops := make([]*shardLoop, len(leaders))
-	for s := range leaders {
-		loops[s] = &shardLoop{
-			leader:     leaders[s],
-			proposedAt: make([]time.Duration, depth),
-			lat:        sim.NewLatencyRecorder(ops),
-		}
+	loops := make([]*closedLoop, len(leaders))
+	for s, l := range leaders {
+		loops[s] = newClosedLoop(cl, l, payload, depth, warmup, ops)
 	}
-	remaining := len(loops)
-	for s := range loops {
-		lp := loops[s]
-		var issue func()
-		var done func(error)
-		issue = func() {
-			if lp.issued >= total {
-				return
-			}
-			lp.proposedAt[lp.issued%depth] = cl.Now()
-			lp.issued++
-			if err := lp.leader.Propose(payload, done); err != nil {
-				lp.stalled = err
-			}
-		}
-		done = func(err error) {
-			if err != nil {
-				lp.stalled = err
-				return
-			}
-			at := lp.proposedAt[lp.completed%depth]
-			lp.completed++
-			switch {
-			case lp.completed == warmup:
-				lp.startAt = cl.Now()
-			case lp.completed > warmup:
-				lp.lat.Record(sim.Time(cl.Now() - at))
-				if lp.completed == total {
-					lp.endAt = cl.Now()
-					remaining--
-				}
-			}
-			issue()
-		}
-		if warmup == 0 {
-			lp.startAt = cl.Now()
-		}
-		for i := 0; i < depth; i++ {
-			issue()
-		}
+	if err := stepLoops(cl, loops); err != nil {
+		return pt, err
 	}
-	for remaining > 0 {
-		for _, lp := range loops {
-			if lp.stalled != nil {
-				return pt, lp.stalled
-			}
-		}
-		if !cl.Step() {
-			return pt, &stalledError{stage: "sharded closed loop"}
-		}
+	t, err := totalLoops(loops)
+	if err != nil {
+		return pt, err
 	}
-
-	var latSum, latCount float64
-	pt.P99Lat = 0
-	for i, lp := range loops {
-		elapsed := lp.endAt - lp.startAt
-		if elapsed <= 0 {
-			return pt, &stalledError{stage: "sharded measurement window"}
-		}
-		rate := float64(ops) / elapsed.Seconds()
-		pt.AggregateOpsPerS += rate
-		pt.AggregateGoodputGBps += rate * float64(size) / 1e9
-		if i == 0 || rate < pt.MinShardOpsPerS {
-			pt.MinShardOpsPerS = rate
-		}
-		if rate > pt.MaxShardOpsPerS {
-			pt.MaxShardOpsPerS = rate
-		}
-		latSum += float64(lp.lat.Mean()) * float64(ops)
-		latCount += float64(ops)
-		if p99 := time.Duration(lp.lat.Percentile(99)); p99 > pt.P99Lat {
-			pt.P99Lat = p99
-		}
-	}
-	pt.MeanLat = time.Duration(latSum / latCount)
+	pt.AggregateOpsPerS = t.opsPerS
+	pt.AggregateGoodputGBps = t.goodputGBps
+	pt.MinShardOpsPerS = t.minOpsPerS
+	pt.MaxShardOpsPerS = t.maxOpsPerS
+	pt.MeanLat = t.meanLat
+	pt.P99Lat = t.p99Lat
 	pt.Events = cl.EventsProcessed()
 	return pt, nil
 }

@@ -96,6 +96,7 @@ func runTimelinePoint(name string, cfg TimelineConfig) (TimelinePoint, error) {
 	// Open-loop workload for the whole horizon: one proposal every
 	// 100 µs to whoever leads. Failures are expected mid-fault.
 	committed := 0
+	sh := cl.Shard(0)
 	var tick func()
 	tick = func() {
 		if l := cl.Leader(); l != nil {
@@ -105,15 +106,15 @@ func runTimelinePoint(name string, cfg TimelineConfig) (TimelinePoint, error) {
 				}
 			})
 		}
-		cl.After(100*time.Microsecond, tick)
+		sh.After(100*time.Microsecond, tick)
 	}
-	cl.After(100*time.Microsecond, tick)
+	sh.After(100*time.Microsecond, tick)
 
 	_, horizon, err := cl.ApplyChaosScenario(name, cfg.ChaosSeed, nil)
 	if err != nil {
 		return TimelinePoint{}, err
 	}
-	appliedAt := cl.Now()
+	appliedAt := sh.Now()
 	cl.Run(horizon)
 
 	pt := TimelinePoint{

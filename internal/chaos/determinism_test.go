@@ -23,8 +23,8 @@ func TestEventCountDeterminism(t *testing.T) {
 	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			first := runScenario(t, name, 555, 777)
-			replay := runScenario(t, name, 555, 777)
+			first := runScenario(t, name, 555, 777, 1)
+			replay := runScenario(t, name, 555, 777, 1)
 			a, b := first.cl.EventsProcessed(), replay.cl.EventsProcessed()
 			if a != b {
 				t.Fatalf("%s: same seeds processed %d vs %d events", name, a, b)

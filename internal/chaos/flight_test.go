@@ -71,7 +71,7 @@ func (r *scenarioRun) failDump(t *testing.T, name, msg string) {
 // run. (The invariants themselves hold on this run — the test exercises
 // the dump, not a deliberately broken cluster.)
 func TestFlightDumpOnInvariantFailure(t *testing.T) {
-	r := runScenario(t, "lossy-gather", 1234, 99)
+	r := runScenario(t, "lossy-gather", 1234, 99, 1)
 	dir := t.TempDir()
 	flightPath := dumpFlight(t, r.cl, dir, "lossy-gather")
 

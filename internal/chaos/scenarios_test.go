@@ -13,7 +13,9 @@ package chaos_test
 //
 // Each scenario also runs twice from the same (kernel, chaos) seeds and
 // must produce bit-identical fingerprints: the whole stack, faults
-// included, is deterministic.
+// included, is deterministic. Fault injection is partition-aware (each
+// fault schedules on its target port's domain), so the same harness
+// runs at any partition count.
 
 import (
 	"fmt"
@@ -63,14 +65,16 @@ func scenarioOptions(t *testing.T, name string, kernelSeed int64) p4ce.Options {
 	return opts
 }
 
-func runScenario(t *testing.T, name string, kernelSeed, chaosSeed int64) *scenarioRun {
+func runScenario(t *testing.T, name string, kernelSeed, chaosSeed int64, partitions int) *scenarioRun {
 	t.Helper()
 	r := &scenarioRun{leaders: make(map[int]bool)}
 	// Causal tracing rides along on every scenario: the tracer is a pure
 	// observer (no kernel events, no wire bytes), so the determinism
 	// fingerprints are identical with it on, and an invariant failure can
 	// dump the flight recorder for the post-mortem.
-	r.cl = p4ce.NewCluster(scenarioOptions(t, name, kernelSeed))
+	opts := scenarioOptions(t, name, kernelSeed)
+	opts.Partitions = partitions
+	r.cl = p4ce.NewCluster(opts)
 	for _, n := range r.cl.Nodes() {
 		m := make(map[uint64]string)
 		r.applied = append(r.applied, m)
@@ -82,8 +86,10 @@ func runScenario(t *testing.T, name string, kernelSeed, chaosSeed int64) *scenar
 	}
 
 	// Open-loop workload: one proposal every 100 µs to whoever leads,
-	// for the whole horizon. Failures (lost leadership, no leader) are
-	// expected mid-fault and only counted.
+	// for the whole horizon, on the shard's domain and clock. Failures
+	// (lost leadership, no leader) are expected mid-fault and only
+	// counted.
+	sh := r.cl.Shard(0)
 	seq := 0
 	var tick func()
 	tick = func() {
@@ -96,12 +102,12 @@ func runScenario(t *testing.T, name string, kernelSeed, chaosSeed int64) *scenar
 					return
 				}
 				r.committed++
-				r.lastAt = r.cl.Now()
+				r.lastAt = sh.Now()
 			})
 		}
-		r.cl.After(100*time.Microsecond, tick)
+		sh.After(100*time.Microsecond, tick)
 	}
-	r.cl.After(100*time.Microsecond, tick)
+	sh.After(100*time.Microsecond, tick)
 
 	eng, horizon, err := r.cl.ApplyChaosScenario(name, chaosSeed, nil)
 	if err != nil {
@@ -252,14 +258,14 @@ func sortedKeys(m map[int]bool) []int {
 // demands an identical fingerprint.
 func checkDeterminism(t *testing.T, name string, first *scenarioRun) {
 	t.Helper()
-	replay := runScenario(t, name, 1234, 99)
+	replay := runScenario(t, name, 1234, 99, 1)
 	if a, b := first.fingerprint(), replay.fingerprint(); a != b {
 		t.Fatalf("%s: same seeds, different runs:\n  run1: %s\n  run2: %s", name, a, b)
 	}
 }
 
 func TestScenarioLossyGather(t *testing.T) {
-	r := runScenario(t, "lossy-gather", 1234, 99)
+	r := runScenario(t, "lossy-gather", 1234, 99, 1)
 	r.checkInvariants(t, "lossy-gather")
 	if r.eng.Stats.ScriptedDrops == 0 {
 		t.Fatal("loss chain never dropped a frame")
@@ -271,7 +277,7 @@ func TestScenarioLossyGather(t *testing.T) {
 }
 
 func TestScenarioReplicaFlap(t *testing.T) {
-	r := runScenario(t, "replica-flap", 1234, 99)
+	r := runScenario(t, "replica-flap", 1234, 99, 1)
 	r.checkInvariants(t, "replica-flap")
 	if r.eng.Stats.NodeOutages != 2 {
 		t.Fatalf("NodeOutages = %d, want 2", r.eng.Stats.NodeOutages)
@@ -290,7 +296,7 @@ func TestScenarioReplicaFlap(t *testing.T) {
 }
 
 func TestScenarioLeaderPartition(t *testing.T) {
-	r := runScenario(t, "leader-partition", 1234, 99)
+	r := runScenario(t, "leader-partition", 1234, 99, 1)
 	r.checkInvariants(t, "leader-partition")
 	// Mu's failover rule: with machine 0 unreachable the survivors must
 	// have elected machine 1, and on heal the lowest live identifier
@@ -306,7 +312,7 @@ func TestScenarioLeaderPartition(t *testing.T) {
 }
 
 func TestScenarioSpineLoss(t *testing.T) {
-	r := runScenario(t, "spine-loss", 1234, 99)
+	r := runScenario(t, "spine-loss", 1234, 99, 1)
 	r.checkInvariants(t, "spine-loss")
 	if r.eng.Stats.SwitchCrashes != 1 {
 		t.Fatalf("SwitchCrashes = %d, want 1", r.eng.Stats.SwitchCrashes)
@@ -325,7 +331,7 @@ func TestScenarioSpineLoss(t *testing.T) {
 }
 
 func TestScenarioRackPartition(t *testing.T) {
-	r := runScenario(t, "rack-partition", 1234, 99)
+	r := runScenario(t, "rack-partition", 1234, 99, 1)
 	r.checkInvariants(t, "rack-partition")
 	if r.eng.Stats.Partitions != 1 {
 		t.Fatalf("Partitions = %d, want 1", r.eng.Stats.Partitions)
@@ -344,7 +350,7 @@ func TestScenarioRackPartition(t *testing.T) {
 }
 
 func TestScenarioTorFailoverUnderLoad(t *testing.T) {
-	r := runScenario(t, "tor-failover-under-load", 1234, 99)
+	r := runScenario(t, "tor-failover-under-load", 1234, 99, 1)
 	r.checkInvariants(t, "tor-failover-under-load")
 	if r.eng.Stats.SwitchCrashes != 1 {
 		t.Fatalf("SwitchCrashes = %d, want 1", r.eng.Stats.SwitchCrashes)
@@ -367,7 +373,7 @@ func TestScenarioTorFailoverUnderLoad(t *testing.T) {
 }
 
 func TestScenarioSwitchReboot(t *testing.T) {
-	r := runScenario(t, "switch-reboot", 1234, 99)
+	r := runScenario(t, "switch-reboot", 1234, 99, 1)
 	r.checkInvariants(t, "switch-reboot")
 	if r.eng.Stats.SwitchReboots != 1 {
 		t.Fatalf("SwitchReboots = %d, want 1", r.eng.Stats.SwitchReboots)

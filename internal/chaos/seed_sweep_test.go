@@ -6,6 +6,13 @@ package chaos_test
 // bit-identical replay per seed. One seed is one sample of the fault
 // schedule; a bug that only bites when a loss burst straddles a
 // particular retransmission round needs the sweep to surface it.
+//
+// It is one sweep under two test names. Every sample runs at one
+// partition with its invariants checked; TestSeedSweep replays three
+// samples in four at one partition, and TestParallelSeedSweep replays
+// the fourth at two — the kernel's defining property: the fingerprint
+// does not depend on the partition count. `make test-race-parallel`
+// runs the latter under the race detector.
 
 import (
 	"fmt"
@@ -14,9 +21,13 @@ import (
 	"p4ce/internal/chaos"
 )
 
-// sweepSeeds picks the sweep width for the build flavor: 32 seeds per
-// scenario normally, 8 under -short. (The sweep skips entirely under
-// the race detector — see TestSeedSweep.)
+// parallelStride: sweep samples 0, 4, 8, … are the ones replayed at two
+// partitions, as TestParallelSeedSweep's seed00, seed01, seed02, …
+const parallelStride = 4
+
+// sweepSeeds picks the sweep width for the build flavor: 32 samples per
+// scenario normally, 8 under -short. (TestSeedSweep skips entirely
+// under the race detector.)
 func sweepSeeds() int {
 	if testing.Short() {
 		return 8
@@ -24,23 +35,62 @@ func sweepSeeds() int {
 	return 32
 }
 
-// runSweepScenario replays scenario name at one seed pair: invariants
-// on the first run, then a second run that must reproduce the first
-// fingerprint byte for byte.
-func runSweepScenario(t *testing.T, name string, kernelSeed, chaosSeed int64) {
+// parallelSweepSeeds is how many samples TestParallelSeedSweep replays:
+// every parallelStride-th of the full sweep, fewer under -short, and
+// fewer still under the race detector, where the worker goroutines of a
+// two-partition run are expensive.
+func parallelSweepSeeds() int {
+	if raceEnabled {
+		return 2
+	}
+	if testing.Short() {
+		return 4
+	}
+	return 8
+}
+
+// sweepSample runs sample i of scenario name at one partition and
+// checks its invariants, then — with replayPartitions > 0 — runs it
+// again at that partition count and demands the same fingerprint byte
+// for byte. The seed pairs are fixed (not wall-clock derived): a failure
+// names its pair and reruns under -run with the same result every time.
+func sweepSample(t *testing.T, name string, i, replayPartitions int) {
 	t.Helper()
-	first := runScenario(t, name, kernelSeed, chaosSeed)
+	// Decorrelate kernel and chaos seeds: the kernel seed walks one
+	// arithmetic sequence, the fault schedule another, so neighboring
+	// samples share neither stream.
+	kernelSeed := int64(2001 + 7*i)
+	chaosSeed := int64(331 + 13*i)
+	first := runScenario(t, name, kernelSeed, chaosSeed, 1)
 	first.checkInvariants(t, name)
-	replay := runScenario(t, name, kernelSeed, chaosSeed)
+	if replayPartitions == 0 {
+		return
+	}
+	replay := runScenario(t, name, kernelSeed, chaosSeed, replayPartitions)
 	if a, b := first.fingerprint(), replay.fingerprint(); a != b {
-		t.Fatalf("%s seeds (%d,%d): same seeds, different runs:\n  run1: %s\n  run2: %s",
-			name, kernelSeed, chaosSeed, a, b)
+		t.Fatalf("%s seeds (%d,%d): partitions=1 vs replay at partitions=%d diverged:\n  run1: %s\n  run2: %s",
+			name, kernelSeed, chaosSeed, replayPartitions, a, b)
 	}
 }
 
-// TestSeedSweep is the satellite sweep over every registered scenario.
-// The seed pairs are fixed (not wall-clock derived): a failure names
-// its pair and reruns under -run with the same result every time.
+// sweepScenarios runs fn as subtest <scenario>/seedNN for n seeds of
+// every registered scenario.
+func sweepScenarios(t *testing.T, n int, fn func(t *testing.T, name string, i int)) {
+	names := chaos.Names()
+	if len(names) == 0 {
+		t.Fatal("no chaos scenarios registered")
+	}
+	for _, name := range names {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < n; i++ {
+				i := i
+				t.Run(fmt.Sprintf("seed%02d", i), func(t *testing.T) { fn(t, name, i) })
+			}
+		})
+	}
+}
+
 func TestSeedSweep(t *testing.T) {
 	if raceEnabled {
 		// Each scenario run costs ~10x under the race detector and the
@@ -51,24 +101,24 @@ func TestSeedSweep(t *testing.T) {
 		// the sweep pushes the package past any sane test timeout.
 		t.Skip("race mode: scenario code paths covered by the fixed-seed suite")
 	}
-	names := chaos.Names()
-	if len(names) == 0 {
-		t.Fatal("no chaos scenarios registered")
+	sweepScenarios(t, sweepSeeds(), func(t *testing.T, name string, i int) {
+		replayPartitions := 1
+		if i%parallelStride == 0 {
+			replayPartitions = 0 // TestParallelSeedSweep replays this sample
+		}
+		sweepSample(t, name, i, replayPartitions)
+	})
+}
+
+func TestParallelSeedSweep(t *testing.T) {
+	if raceEnabled && !testing.Short() {
+		// Under the race detector this sweep runs in its own dedicated
+		// -short invocation (scripts/check.sh, make test-race-parallel):
+		// inside the package's full race pass it pushes the package past
+		// the 10-minute test timeout.
+		t.Skip("race mode: covered by the dedicated -short gate")
 	}
-	n := sweepSeeds()
-	for _, name := range names {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			for i := 0; i < n; i++ {
-				// Decorrelate kernel and chaos seeds: the kernel seed walks
-				// one arithmetic sequence, the fault schedule another, so
-				// neighboring samples share neither stream.
-				kernelSeed := int64(2001 + 7*i)
-				chaosSeed := int64(331 + 13*i)
-				t.Run(fmt.Sprintf("seed%02d", i), func(t *testing.T) {
-					runSweepScenario(t, name, kernelSeed, chaosSeed)
-				})
-			}
-		})
-	}
+	sweepScenarios(t, parallelSweepSeeds(), func(t *testing.T, name string, i int) {
+		sweepSample(t, name, i*parallelStride, 2)
+	})
 }

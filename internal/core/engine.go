@@ -44,9 +44,8 @@ type Config struct {
 	// contributing acknowledgments.
 	Management Management
 	// ManagementKernel is the scheduling domain the control plane lives
-	// on (the fabric domain of a partitioned kernel). When set,
-	// management RPCs hop domains through sim.Kernel.Call instead of
-	// calling in; nil keeps the classic direct call on a single kernel.
+	// on (the fabric domain); required with Management. Management RPCs
+	// hop there through sim.Kernel.Call instead of calling in.
 	ManagementKernel *sim.Kernel
 }
 
@@ -260,27 +259,18 @@ func (e *Engine) onReplicaExcluded(id int) {
 	if addr == 0 {
 		return
 	}
-	if mk := e.cfg.ManagementKernel; mk != nil && mk != e.k {
-		// The control plane lives on the fabric domain: hop over for
-		// the RPC and hop back for the completion, so both sides run
-		// on — and only read the clock of — their own domain.
-		leader := e.node.Addr()
-		e.k.Call(mk, func() {
-			e.cfg.Management.RemoveReplica(leader, addr, func(err error) {
-				if err != nil {
-					return
-				}
-				mk.Call(e.k, func() {
-					e.Stats.LastGroupUpdateAt = e.k.Now()
-				})
+	// Hop over for the RPC and hop back for the completion, so both
+	// sides run on — and only read the clock of — their own domain.
+	mk, leader := e.cfg.ManagementKernel, e.node.Addr()
+	e.k.Call(mk, func() {
+		e.cfg.Management.RemoveReplica(leader, addr, func(err error) {
+			if err != nil {
+				return
+			}
+			mk.Call(e.k, func() {
+				e.Stats.LastGroupUpdateAt = e.k.Now()
 			})
 		})
-		return
-	}
-	e.cfg.Management.RemoveReplica(e.node.Addr(), addr, func(err error) {
-		if err == nil {
-			e.Stats.LastGroupUpdateAt = e.k.Now()
-		}
 	})
 }
 

@@ -154,7 +154,7 @@ func TestEngineHoldsProposalsDuringSyncReconfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		committedAt = cl.Now()
+		committedAt = cl.Shard(0).Now()
 	}); err != nil {
 		t.Fatal(err)
 	}

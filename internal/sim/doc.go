@@ -6,28 +6,43 @@
 // build on those, and everything above is ordinary code scheduled on
 // the kernel's clock.
 //
-// All state in a Kernel is confined to a single goroutine: callers
-// schedule closures and then drive the kernel with Run, RunUntil or
-// Step. Separate Kernel instances are fully independent, so tests and
-// benchmarks may run many simulations in parallel.
+// There is one scheduler: a Group of scheduling domains (one Kernel
+// each: a clock, a sequence counter, a random stream) packed onto one or
+// more partitions. NewKernel returns the only domain of a one-partition
+// group, so a standalone kernel and a cluster's domains are the same
+// code. Callers schedule closures and then drive the group with Run,
+// RunUntil or Step, from any of its kernels. Separate groups are fully
+// independent, so tests and benchmarks may run many simulations in
+// parallel.
 //
 // # Determinism
 //
 // Events execute strictly by (time, domain, seq) — plain (time, seq)
 // FIFO on a standalone kernel, where every event carries domain 0 — and
-// the only random source is the kernel's seeded one, so identical
-// builds and seeds replay identically; Processed() is the fingerprint
-// tests compare. The one rule components must follow: never iterate a
-// Go map while emitting events — sort the keys first.
+// the only random source is each domain's seeded one, so identical
+// builds and seeds replay identically at any partition count;
+// Processed() is the fingerprint tests compare. The one rule components
+// must follow: never iterate a Go map while emitting events — sort the
+// keys first.
+//
+// # Domains
+//
+// A domain's clock and sequence counter advance only through its own
+// events, so an event schedules on the domain it runs on and reaches
+// another through SendTo (frames, at least one lookahead ahead across
+// partitions) or Call (control hops, always one lookahead ahead).
+// Scheduling on a different domain from a running event panics, naming
+// both; while the group is quiesced — before and between runs — any
+// domain may be scheduled on.
 //
 // # The event queue
 //
 // Each partition keeps its pending events in an implicit 4-ary min-heap
 // of value slots {at, dom, seq, *event} (queue.go): comparisons read
 // the key from the slice without touching the event record, sifting
-// moves a hole instead of swapping, and the run loops (Kernel.RunUntil,
-// the one-partition Group loop, a partition's window) share one
-// function that looks at the queue top once per event. The key order is
+// moves a hole instead of swapping, and the run loops (the
+// one-partition Group loop, a partition's window) share one function
+// that looks at the queue top once per event. The key order is
 // a strict total order, so pop order is a function of the keys alone:
 // the heap's arity, compaction and the order in which cross-partition
 // events are drained are all invisible to a seeded run. A stopped Timer

@@ -91,7 +91,7 @@ func NewGroup(seed int64, domains, partitions int, lookahead Time) *Group {
 	g := &Group{lookahead: lookahead}
 	g.parts = make([]*sched, partitions)
 	for p := range g.parts {
-		g.parts[p] = &sched{out: make([][]xev, partitions)}
+		g.parts[p] = &sched{cur: quiesced, out: make([][]xev, partitions)}
 	}
 	g.kernels = make([]*Kernel, domains)
 	for d := range g.kernels {
@@ -173,10 +173,10 @@ func (g *Group) Pending() int {
 	return n
 }
 
-// Stop makes the current Run/RunUntil return at the next window
-// boundary. Unlike a standalone kernel it does not cut the window
-// short: all partitions finish the window, which keeps the set of
-// executed events — and so the post-stop state — deterministic.
+// Stop makes the current Run/RunUntil return: after the current event
+// on one partition, at the next window boundary on several — there all
+// partitions finish the window, which keeps the set of executed events,
+// and so the post-stop state, deterministic.
 func (g *Group) Stop() { g.stopped.Store(true) }
 
 // Step executes the single globally next event — the minimum
@@ -198,8 +198,11 @@ func (g *Group) Step() bool {
 		return false
 	}
 	at := bev.at
-	best.step()
-	g.drainFrom(best)
+	best.fire(best.events.pop()) // head left the live minimum on top
+	best.cur = quiesced
+	if len(g.parts) > 1 { // one partition has no mailbox to look into
+		g.drainFrom(best)
+	}
 	if at > g.now {
 		g.now = at
 	}
@@ -207,7 +210,7 @@ func (g *Group) Step() bool {
 }
 
 // Run executes events until every queue drains or Stop is called.
-func (g *Group) Run() { g.run(1<<62-1, false) }
+func (g *Group) Run() { g.run(maxTime, false) }
 
 // RunUntil executes every event scheduled at or before t, then sets
 // every domain clock to t (even if the queues drained earlier), unless

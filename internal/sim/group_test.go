@@ -149,3 +149,51 @@ func TestGroupCallUniformAcrossPartitions(t *testing.T) {
 		}
 	}
 }
+
+// mustPanic reports the panic message fn raised, failing if it returned.
+func mustPanic(t *testing.T, fn func()) string {
+	t.Helper()
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		fn()
+		t.Fatal("no panic")
+	}()
+	return msg
+}
+
+func TestGroupCrossDomainScheduleIsLoud(t *testing.T) {
+	// One partition takes the direct-push arms of SendTo/Call, three (a
+	// partition per domain) the mailbox arms.
+	for _, parts := range []int{1, 3} {
+		g := NewGroup(1, 3, parts, 300*Nanosecond)
+		k1, k2 := g.Kernel(1), g.Kernel(2)
+		var ran []string
+		note := func(s string) func() { return func() { ran = append(ran, s) } }
+
+		// Quiesced: any domain may be scheduled on, before and between Runs.
+		k2.Schedule(time100(), note("quiesced"))
+		// From a running event, the other domain is reached by SendTo and Call.
+		k1.Schedule(time100(), func() {
+			k1.SendTo(k2, k1.Now()+g.Lookahead(), func(any, []byte) { ran = append(ran, "sendto") }, nil, nil)
+			k1.Call(k2, note("call"))
+		})
+		g.RunUntil(Microsecond)
+		k2.Schedule(time100(), note("between"))
+		g.RunUntil(2 * Microsecond)
+		if got, want := fmt.Sprint(ran), "[quiesced sendto call between]"; got != want {
+			t.Fatalf("partitions=%d ran %s, want %s", parts, got, want)
+		}
+		if parts > 1 {
+			// A worker goroutine cannot be recovered from here, and across
+			// partitions the stray Schedule is the race detector's to report;
+			// the panic covers the one-partition layout every run replays on.
+			continue
+		}
+		k1.Schedule(time100(), func() { k2.Schedule(0, func() {}) })
+		msg := mustPanic(t, func() { g.RunUntil(3 * Microsecond) })
+		if want := "sim: domain 2 scheduled from an event running on domain 1"; len(msg) < len(want) || msg[:len(want)] != want {
+			t.Fatalf("panic %q, want prefix %q", msg, want)
+		}
+	}
+}

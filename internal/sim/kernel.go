@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync/atomic"
 
@@ -65,16 +64,16 @@ type event struct {
 // considered; below it the canceled residue is too small to matter.
 const compactThreshold = 64
 
-// maxTime is the run bound that admits every event.
-const maxTime = Time(math.MaxInt64)
+// maxTime is the run bound that admits every event, with headroom for
+// the window arithmetic (limit+1, floor+lookahead) not to overflow.
+const maxTime = Time(1<<62 - 1)
 
 // sched is the per-partition scheduler: the event queue, the recycled
-// record pool, the frame buffer pool and the bookkeeping counters. A
-// standalone Kernel owns a private sched; in a Group every domain kernel
-// of the same partition shares one, so the partition's worker goroutine
-// is the only toucher during a run (the coordinator touches it only
-// between windows, after a barrier, which establishes the necessary
-// happens-before edges).
+// record pool, the frame buffer pool and the bookkeeping counters. Every
+// domain kernel of the same partition shares one, so the partition's
+// worker goroutine is the only toucher during a run (the coordinator
+// touches it only between windows, after a barrier, which establishes
+// the necessary happens-before edges).
 type sched struct {
 	events    eventQueue
 	free      []*event // recycled event records
@@ -82,13 +81,19 @@ type sched struct {
 	live      int // scheduled and not canceled
 	ncanceled int // canceled events still resident in the queue
 	processed uint64
-	stopped   atomic.Bool // standalone Stop; a Group keeps its own flag
+	// cur is the domain whose event is executing on this partition, or
+	// quiesced between runs. Scheduling under another domain's clock
+	// and sequence counter while it is set is a bug (see Kernel.checkDomain).
+	cur int32
 	// out holds cross-partition events produced during the current
-	// window, one mailbox per destination partition. Nil for a
-	// standalone kernel. The coordinator drains every mailbox between
-	// windows, so ordering is a pure function of the event keys.
+	// window, one mailbox per destination partition. The coordinator
+	// drains every mailbox between windows, so ordering is a pure
+	// function of the event keys.
 	out [][]xev
 }
+
+// quiesced is sched.cur while no event is executing.
+const quiesced = -1
 
 // xev is a cross-partition event in flight: the full (at, dom, seq) key
 // assigned at schedule time plus the callback. Because the key is fixed
@@ -151,6 +156,7 @@ func (sc *sched) fire(e qent) {
 	ev := e.ev
 	sc.live--
 	ev.k.now = e.at
+	sc.cur = ev.k.dom
 	sc.processed++
 	// Copy the callback out and recycle the record before invoking it,
 	// so the callback's own scheduling can reuse it.
@@ -164,16 +170,6 @@ func (sc *sched) fire(e qent) {
 	default:
 		fn()
 	}
-}
-
-// step executes the single next event in this partition. It reports
-// whether an event was executed.
-func (sc *sched) step() bool {
-	if !sc.skim() {
-		return false
-	}
-	sc.fire(sc.events.pop())
-	return true
 }
 
 // run executes, in key order, every event scheduled at or before limit:
@@ -192,6 +188,7 @@ func (sc *sched) run(limit Time, stop *atomic.Bool) Time {
 			break
 		}
 	}
+	sc.cur = quiesced
 	return last
 }
 
@@ -227,10 +224,10 @@ func (sc *sched) compact() {
 	sc.events.init()
 }
 
-// Kernel is a discrete-event simulation driver and, in a partitioned
-// Group, the identity of one scheduling domain (its clock, sequence
-// counter and random stream). The zero value is not usable;
-// construct with NewKernel, or obtain domain kernels from NewGroup.
+// Kernel is one scheduling domain of a Group — its clock, sequence
+// counter and random stream — and a handle for driving the whole group.
+// The zero value is not usable; construct with NewKernel, or obtain
+// domain kernels from NewGroup.
 type Kernel struct {
 	now     Time
 	seq     uint64
@@ -238,16 +235,17 @@ type Kernel struct {
 	rng     *rand.Rand
 	metrics *metrics.Registry
 	tracer  *otrace.Tracer
-	sc      *sched // partition scheduler (private for a standalone kernel)
-	g       *Group // nil for a standalone kernel
-	part    int    // partition index within the group (0 standalone)
+	sc      *sched // partition scheduler
+	g       *Group
+	part    int // partition index within the group
 }
 
-// NewKernel returns a standalone kernel whose clock reads zero and whose
-// random source is seeded with seed, so identical schedules replay
-// identically.
+// NewKernel returns a standalone kernel — the only domain of a
+// one-partition group — whose clock reads zero and whose random source
+// is seeded with seed, so identical schedules replay identically.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed)), sc: &sched{}}
+	// The lookahead only spaces cross-domain hops; one domain has none.
+	return NewGroup(seed, 1, 1, Nanosecond).Root()
 }
 
 // Now returns the current simulated time of this kernel's domain.
@@ -256,10 +254,6 @@ func (k *Kernel) Now() Time { return k.now }
 // Domain returns the kernel's scheduling-domain index (0 for a
 // standalone kernel and for the fabric domain of a Group).
 func (k *Kernel) Domain() int { return int(k.dom) }
-
-// Group returns the partitioned group this kernel belongs to, or nil for
-// a standalone kernel.
-func (k *Kernel) Group() *Group { return k.g }
 
 // SetMetrics attaches a metrics registry. Components built on this
 // kernel resolve their instrument handles from it at construction, so
@@ -298,27 +292,15 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // or while the simulation is quiesced.
 func (k *Kernel) Buffers() *Buffers { return &k.sc.bufs }
 
-// Processed reports how many events have executed so far. On a grouped
-// kernel it aggregates across all partitions; see Group.Processed for
-// the memory-ordering contract.
-func (k *Kernel) Processed() uint64 {
-	if k.g != nil {
-		return k.g.Processed()
-	}
-	return k.sc.processed
-}
+// Processed reports how many events have executed so far, across all
+// partitions; see Group.Processed for the memory-ordering contract.
+func (k *Kernel) Processed() uint64 { return k.g.Processed() }
 
-// Pending reports how many events are scheduled and not yet canceled.
-// It is O(partitions): each scheduler maintains a live counter across
-// schedule, cancel and execution. On a grouped kernel it aggregates
-// across all partitions; see Group.Pending for the memory-ordering
-// contract.
-func (k *Kernel) Pending() int {
-	if k.g != nil {
-		return k.g.Pending()
-	}
-	return k.sc.live
-}
+// Pending reports how many events are scheduled and not yet canceled,
+// across all partitions. It is O(partitions): each scheduler maintains
+// a live counter across schedule, cancel and execution. See
+// Group.Pending for the memory-ordering contract.
+func (k *Kernel) Pending() int { return k.g.Pending() }
 
 // queueLen reports how many event records (live or canceled) are
 // resident in the queue; the excess over Pending is canceled residue
@@ -347,10 +329,10 @@ func (k *Kernel) ScheduleArg(d Time, fn func(any), arg any) Timer {
 // At runs fn at absolute time t. Scheduling in the past runs at the
 // current instant (after already-queued events for this instant).
 //
-// In a Group, At on a domain kernel must be called either from an event
-// running on that kernel's partition or while the group is quiesced
-// (no Run in progress); cross-partition scheduling from inside a
-// running event goes through SendTo / Call.
+// At must be called either from an event running on this domain or
+// while the group is quiesced (no Run in progress); an event of another
+// domain reaches this one through SendTo / Call, and panics if it
+// schedules here directly.
 func (k *Kernel) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil function")
@@ -375,6 +357,7 @@ func (k *Kernel) AtArg(t Time, fn func(any), arg any) Timer {
 // (which shares this kernel's partition) at time t, and returns the
 // record for the caller to attach its callback to.
 func (k *Kernel) push(t Time, dst *Kernel) *event {
+	k.checkDomain()
 	if t < k.now {
 		t = k.now
 	}
@@ -387,6 +370,24 @@ func (k *Kernel) push(t Time, dst *Kernel) *event {
 	return ev
 }
 
+// checkDomain panics when an event of another domain is executing on
+// this kernel's partition: the caller is about to stamp an event with
+// this domain's clock and sequence counter, which only this domain's
+// events (or a quiesced driver) may advance. Such a call would read a
+// clock up to a lookahead stale and, on more partitions, race.
+func (k *Kernel) checkDomain() {
+	if cur := k.sc.cur; cur != k.dom && cur != quiesced {
+		k.wrongDomain(cur)
+	}
+}
+
+// wrongDomain stays out of line so that checkDomain inlines.
+//
+//go:noinline
+func (k *Kernel) wrongDomain(cur int32) {
+	panic(fmt.Sprintf("sim: domain %d scheduled from an event running on domain %d (use SendTo/Call, or schedule on the running domain)", k.dom, cur))
+}
+
 // SendTo schedules a frame delivery on another domain's kernel at
 // absolute time at. The event keeps this domain's (time, domain,
 // sequence) key, so its position in the global order is fixed here, at
@@ -396,10 +397,9 @@ func (k *Kernel) push(t Time, dst *Kernel) *event {
 // When the destination lives in another partition, at must be at least
 // the group's lookahead past this domain's clock (the conservative
 // window contract); link propagation delay guarantees that for every
-// simnet send. Same-partition and standalone destinations take the
-// direct queue push with the identical key, so the global event order —
-// and therefore the simulation — does not depend on the partition
-// layout.
+// simnet send. Same-partition destinations take the direct queue push
+// with the identical key, so the global event order — and therefore
+// the simulation — does not depend on the partition layout.
 func (k *Kernel) SendTo(dst *Kernel, at Time, fn func(any, []byte), arg any, buf []byte) {
 	if fn == nil {
 		panic("sim: SendTo called with nil function")
@@ -415,25 +415,24 @@ func (k *Kernel) SendTo(dst *Kernel, at Time, fn func(any, []byte), arg any, buf
 		return
 	}
 	g := k.g
-	if g == nil || g != dst.g {
+	if g != dst.g {
 		panic("sim: SendTo across unrelated kernels")
 	}
 	if at < k.now+g.lookahead {
 		panic("sim: SendTo inside the lookahead horizon")
 	}
+	k.checkDomain()
 	box := &k.sc.out[dst.part]
 	*box = append(*box, xev{at: at, dom: k.dom, seq: k.seq, k: dst, bfn: fn, arg: arg, buf: buf})
 	k.seq++
 }
 
-// Call runs fn on another domain. On a standalone kernel (or when dst
-// is the calling kernel) it invokes fn synchronously, preserving the
-// classic single-kernel semantics. In a Group it always schedules fn
-// one lookahead ahead on dst — even when src and dst share a partition
-// — so the hop's latency, and with it the event history, is identical
-// at every partition count.
+// Call runs fn on another domain: synchronously when dst is the calling
+// kernel, otherwise scheduled one lookahead ahead on dst — even when
+// both share a partition — so the hop's latency, and with it the event
+// history, is identical at every partition count.
 func (k *Kernel) Call(dst *Kernel, fn func()) {
-	if k == dst || k.g == nil {
+	if k == dst {
 		fn()
 		return
 	}
@@ -445,64 +444,29 @@ func (k *Kernel) Call(dst *Kernel, fn func()) {
 		k.push(at, dst).fn = fn
 		return
 	}
+	k.checkDomain()
 	box := &k.sc.out[dst.part]
 	*box = append(*box, xev{at: at, dom: k.dom, seq: k.seq, k: dst, fn: fn})
 	k.seq++
 }
 
-// Step executes the single next event, advancing the clock to its
-// timestamp. It reports whether an event was executed. On a grouped
-// kernel it delegates to the group's sequential stepper.
-func (k *Kernel) Step() bool {
-	if k.g != nil {
-		return k.g.Step()
-	}
-	return k.sc.step()
-}
+// Step executes the single globally next event of the group, whatever
+// its domain; it reports whether one ran.
+func (k *Kernel) Step() bool { return k.g.Step() }
 
-// Run executes events until the queue drains or Stop is called.
-func (k *Kernel) Run() {
-	if k.g != nil {
-		k.g.Run()
-		return
-	}
-	k.sc.stopped.Store(false)
-	k.sc.run(maxTime, &k.sc.stopped)
-}
+// Run executes the group's events until every queue drains or Stop is
+// called.
+func (k *Kernel) Run() { k.g.Run() }
 
-// RunUntil executes every event scheduled at or before t and then sets the
-// clock to t (even if the queue drained earlier), unless Stop was called.
-func (k *Kernel) RunUntil(t Time) {
-	if k.g != nil {
-		k.g.RunUntil(t)
-		return
-	}
-	sc := k.sc
-	sc.stopped.Store(false)
-	sc.run(t, &sc.stopped)
-	if !sc.stopped.Load() && k.now < t {
-		k.now = t
-	}
-}
+// RunUntil executes every event scheduled at or before t and then sets
+// every domain clock to t, unless Stop was called.
+func (k *Kernel) RunUntil(t Time) { k.g.RunUntil(t) }
 
 // RunFor advances the simulation by duration d. See RunUntil.
-func (k *Kernel) RunFor(d Time) {
-	if k.g != nil {
-		k.g.RunFor(d)
-		return
-	}
-	k.RunUntil(k.now + d)
-}
+func (k *Kernel) RunFor(d Time) { k.g.RunFor(d) }
 
-// Stop makes the innermost Run/RunUntil return after the current event
-// (after the current window, in a Group).
-func (k *Kernel) Stop() {
-	if k.g != nil {
-		k.g.Stop()
-		return
-	}
-	k.sc.stopped.Store(true)
-}
+// Stop makes the current Run/RunUntil return; see Group.Stop.
+func (k *Kernel) Stop() { k.g.Stop() }
 
 // Timer is a handle to a scheduled event. It is a plain value (copying
 // it is fine); the zero Timer is inert: Stop reports false and Active

@@ -114,19 +114,16 @@ type Options struct {
 	// pin to shards by key hash (see Router / NewClientForKey). Zero or
 	// one means the classic single-group cluster.
 	Shards int
-	// Partitions runs the simulation on a partitioned kernel: the
-	// switch fabric gets scheduling domain 0 and every shard gets its
-	// own domain, grouped onto this many partitions that execute
-	// concurrently under a conservative lookahead equal to the minimum
-	// link propagation delay (see internal/sim.Group). Same options and
-	// seed replay bit-identically at every partition count >= 1; use
-	// runtime.NumCPU() (clamped to 1+Shards) for wall-clock speed.
+	// Partitions is the number of worker lanes the kernel runs on, and
+	// nothing else: results never depend on it. The switch fabric is
+	// scheduling domain 0 and every shard its own domain; the domains
+	// are packed onto this many partitions that execute concurrently
+	// under a conservative lookahead equal to the minimum link
+	// propagation delay (see internal/sim.Group). Same options and seed
+	// replay bit-identically at every value; zero means 1, and
+	// runtime.NumCPU() (clamped to 1+Shards) buys wall-clock speed.
 	//
-	// Zero (the default) keeps the classic single-kernel scheduler,
-	// whose event interleaving — and therefore fingerprints — predate
-	// the partitioned kernel and differ from Partitions >= 1.
-	//
-	// With Partitions >= 1, drive per-shard workloads through
+	// At every value, drive per-shard workloads through
 	// Shard.After/Shard.Now (not Cluster.After), so generator callbacks
 	// run on — and only observe — their shard's domain.
 	Partitions int

@@ -1,18 +1,19 @@
 package p4ce
 
-// Parallel-kernel integration tests: the partitioned scheduler
-// (Options.Partitions, internal/sim.Group) must replay bit-identically
-// at every partition count — same commits, same per-node applied
-// histories, same event totals, byte-identical Perfetto trace exports —
-// because the event order is fixed by (time, domain, sequence) keys, not
-// by which partition executed an event first. These tests drive their
+// Parallel-kernel integration tests: the scheduler (Options.Partitions,
+// internal/sim.Group) must replay bit-identically at every partition
+// count — same commits, same per-node applied histories, same event
+// totals, byte-identical Perfetto trace and telemetry exports — because
+// the event order is fixed by (time, domain, sequence) keys, not by
+// which partition executed an event first. These tests drive their
 // workloads through Shard.After/Shard.Now, the documented way to call
-// into a shard's machines on a partitioned cluster.
+// into a shard's machines.
 
 import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ type parallelRun struct {
 	events uint64
 	acked  int
 	fp     uint64 // FNV-1a over acks, applied histories, node state
-	trace  []byte // Perfetto export, compared byte for byte
+	export []byte // Perfetto + telemetry JSON + OpenMetrics, compared byte for byte
 }
 
 // runPartitioned runs a fixed sharded workload on a cluster with the
@@ -33,8 +34,11 @@ func runPartitioned(t *testing.T, partitions int) parallelRun {
 	const shards = 3
 	cl := NewCluster(Options{
 		Nodes: 3, Shards: shards, Mode: ModeP4CE, Seed: 4242,
-		Partitions: partitions, EnableTracing: true,
+		Partitions: partitions, EnableTracing: true, EnableTelemetry: true,
 	})
+	if got, want := cl.Partitions(), max(1, partitions); got != want {
+		t.Fatalf("Partitions() = %d, want %d", got, want)
+	}
 	type rec struct {
 		idx  uint64
 		data string
@@ -88,35 +92,38 @@ func runPartitioned(t *testing.T, partitions int) parallelRun {
 			fmt.Fprintf(h, ";%d=%s", r.idx, r.data)
 		}
 	}
-	var tr bytes.Buffer
-	if err := cl.ExportTrace(&tr); err != nil {
-		t.Fatalf("partitions=%d: export trace: %v", partitions, err)
+	var export bytes.Buffer
+	for _, write := range []func(io.Writer) error{cl.ExportTrace, cl.ExportTelemetryJSON, cl.ExportOpenMetrics} {
+		if err := write(&export); err != nil {
+			t.Fatalf("partitions=%d: export: %v", partitions, err)
+		}
 	}
 	return parallelRun{
 		events: cl.EventsProcessed(),
 		acked:  total,
 		fp:     h.Sum64(),
-		trace:  tr.Bytes(),
+		export: export.Bytes(),
 	}
 }
 
 // TestParallelKernelDeterminism is the tentpole property: identical
 // options and seed replay bit-identically at partition counts 1, 2 and
-// 4, and re-running any count reproduces itself.
+// 4 (and at the zero value, which means 1), and re-running any count
+// reproduces itself.
 func TestParallelKernelDeterminism(t *testing.T) {
 	base := runPartitioned(t, 1)
 	if base.acked == 0 {
 		t.Fatal("no write was ever acknowledged")
 	}
-	for _, p := range []int{2, 4} {
+	for _, p := range []int{0, 2, 4} {
 		got := runPartitioned(t, p)
 		if got.events != base.events || got.fp != base.fp || got.acked != base.acked {
 			t.Fatalf("partitions=%d diverged from partitions=1: events %d vs %d, acked %d vs %d, fp %x vs %x",
 				p, got.events, base.events, got.acked, base.acked, got.fp, base.fp)
 		}
-		if !bytes.Equal(got.trace, base.trace) {
-			t.Fatalf("partitions=%d: Perfetto export differs from partitions=1 (%d vs %d bytes)",
-				p, len(got.trace), len(base.trace))
+		if !bytes.Equal(got.export, base.export) {
+			t.Fatalf("partitions=%d: trace/telemetry exports differ from partitions=1 (%d vs %d bytes)",
+				p, len(got.export), len(base.export))
 		}
 	}
 	replay := runPartitioned(t, 2)

@@ -58,6 +58,7 @@ func runSafetySchedule(t *testing.T, seed int64) {
 	// and records which values were acknowledged.
 	acked := make(map[string]bool)
 	next := 0
+	sh := cl.Shard(0)
 	var put func()
 	put = func() {
 		if next >= 120 {
@@ -65,7 +66,7 @@ func runSafetySchedule(t *testing.T, seed int64) {
 		}
 		l := cl.Leader()
 		if l == nil {
-			cl.After(500*time.Microsecond, put)
+			sh.After(500*time.Microsecond, put)
 			return
 		}
 		value := fmt.Sprintf("s%d-v%04d", seed, next)
@@ -74,10 +75,10 @@ func runSafetySchedule(t *testing.T, seed int64) {
 				acked[value] = true
 				next++
 			}
-			cl.After(10*time.Microsecond, put)
+			sh.After(10*time.Microsecond, put)
 		})
 		if err != nil {
-			cl.After(500*time.Microsecond, put)
+			sh.After(500*time.Microsecond, put)
 		}
 	}
 	put()
@@ -89,7 +90,7 @@ func runSafetySchedule(t *testing.T, seed int64) {
 	alive := nodes
 	for c := 0; c < crashes; c++ {
 		at := time.Duration(1+rng.Intn(20)) * time.Millisecond
-		cl.After(at, func() {
+		sh.After(at, func() {
 			if alive <= nodes-f {
 				return
 			}

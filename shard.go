@@ -31,11 +31,11 @@ func (s *Shard) Nodes() []*Node { return s.nodes }
 func (s *Shard) Node(i int) *Node { return s.nodes[i] }
 
 // After schedules fn to run d from now on the shard's scheduling
-// domain. On a partitioned cluster this is the only safe place to call
-// into the shard's machines (Propose, Client.Submit, stats reads) from
-// a workload callback: the callback executes on the shard's domain,
-// under its clock, never racing another partition. On a classic
-// cluster it is identical to Cluster.After.
+// domain. This is the one place to call into the shard's machines
+// (Propose, Client.Submit, Crash, stats reads) from a workload
+// callback, at every partition count: the callback executes on the
+// shard's domain, under its clock, never racing another partition.
+// Fabric actions go through Cluster.After.
 func (s *Shard) After(d time.Duration, fn func()) {
 	s.kernel.Schedule(simDuration(d), fn)
 }

@@ -59,7 +59,7 @@ func TestShardedDeterminism(t *testing.T) {
 		var acked uint64
 		for i := 0; i < 120; i++ {
 			key := fmt.Sprintf("k%03d", i)
-			cl.After(time.Duration(i)*40*time.Microsecond, func() {
+			cl.Shard(cl.ShardForKey(key)).After(time.Duration(i)*40*time.Microsecond, func() {
 				router.SubmitKV(key, "v", func(err error) {
 					if err == nil {
 						acked++
@@ -211,7 +211,7 @@ func TestShardedKVHistoryLinearizable(t *testing.T) {
 	for i := 0; i < writes; i++ {
 		key := fmt.Sprintf("acct:%04d", i)
 		value := fmt.Sprintf("balance=%d", i*100)
-		cl.After(time.Duration(i)*100*time.Microsecond, func() {
+		cl.Shard(cl.ShardForKey(key)).After(time.Duration(i)*100*time.Microsecond, func() {
 			router.SubmitKV(key, value, func(err error) {
 				if err == nil {
 					acked[key] = value

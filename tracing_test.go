@@ -214,7 +214,7 @@ func TestShardedTraceIsolation(t *testing.T) {
 	router := cl.NewRouter()
 	for i := 0; i < 150; i++ {
 		key := fmt.Sprintf("key-%04d", i)
-		cl.After(time.Duration(i)*30*time.Microsecond, func() {
+		cl.Shard(cl.ShardForKey(key)).After(time.Duration(i)*30*time.Microsecond, func() {
 			router.SubmitKV(key, "v", func(error) {})
 		})
 	}
