@@ -22,17 +22,17 @@ import (
 // BreakdownConfig tunes the decomposition sweep.
 type BreakdownConfig struct {
 	// Replicas lists the replica counts (cluster size minus the leader).
-	Replicas []int
+	Replicas []int `json:"replicas"`
 	// ItemSize is the client payload size.
-	ItemSize int
+	ItemSize int `json:"item_size"`
 	// Depth is the closed-loop pipeline depth. Keep it below the
 	// leader's MaxInflight so the adaptive batcher stays out of the way
 	// and every operation is its own traced entry.
-	Depth int
+	Depth int `json:"depth"`
 	// Warmup completions are discarded; Ops completions are measured.
-	Warmup int
-	Ops    int
-	Seed   int64
+	Warmup int   `json:"warmup"`
+	Ops    int   `json:"ops"`
+	Seed   int64 `json:"-"`
 }
 
 // DefaultBreakdownConfig mirrors the paper's common operating point
@@ -52,8 +52,8 @@ func DefaultBreakdownConfig() BreakdownConfig {
 // durations (otrace.StageNames order) of the operation at a latency
 // quantile. The stages sum exactly to E2ENs.
 type BreakdownOp struct {
-	E2ENs   int64
-	StageNs [6]int64
+	E2ENs   int64    `json:"e2e_ns"`
+	StageNs [6]int64 `json:"stages_ns"`
 }
 
 // BreakdownPoint is one (mode, replicas) decomposition. HistP50Ns and
@@ -66,14 +66,43 @@ type BreakdownOp struct {
 // warmup, the trace quantiles only the measured window, and commit
 // latency excludes the client-side stages of the end-to-end span.
 type BreakdownPoint struct {
-	Mode     p4ce.Mode
-	Replicas int
-	ItemSize int
-	Ops      int // operations actually measured
-	P50      BreakdownOp
-	P99      BreakdownOp
-	HistP50Ns int64
-	HistP99Ns int64
+	Mode      p4ce.Mode   `json:"mode"`
+	Replicas  int         `json:"replicas"`
+	ItemSize  int         `json:"item_size"`
+	Ops       int         `json:"ops"` // operations actually measured
+	P50       BreakdownOp `json:"p50"`
+	P99       BreakdownOp `json:"p99"`
+	HistP50Ns int64       `json:"hist_p50_ns,omitempty"`
+	HistP99Ns int64       `json:"hist_p99_ns,omitempty"`
+}
+
+// check enforces the schema invariants: each quantile op's stages are
+// non-negative and sum exactly to its e2e_ns, p50 <= p99, and the
+// histogram estimates are present and ordered.
+func (p BreakdownPoint) check() error {
+	for _, q := range []struct {
+		name string
+		op   BreakdownOp
+	}{{"p50", p.P50}, {"p99", p.P99}} {
+		sum := int64(0)
+		for _, ns := range q.op.StageNs {
+			if ns < 0 {
+				return fmt.Errorf("%s/r%d/%s: negative stage", p.Mode, p.Replicas, q.name)
+			}
+			sum += ns
+		}
+		if sum != q.op.E2ENs {
+			return fmt.Errorf("%s/r%d/%s: stages sum %d != e2e %d", p.Mode, p.Replicas, q.name, sum, q.op.E2ENs)
+		}
+	}
+	if p.P50.E2ENs > p.P99.E2ENs {
+		return fmt.Errorf("%s/r%d: p50 > p99", p.Mode, p.Replicas)
+	}
+	if p.HistP50Ns <= 0 || p.HistP99Ns < p.HistP50Ns {
+		return fmt.Errorf("%s/r%d: histogram estimate quantiles missing or unordered (p50=%d p99=%d)",
+			p.Mode, p.Replicas, p.HistP50Ns, p.HistP99Ns)
+	}
+	return nil
 }
 
 // RunBreakdown measures the per-stage latency decomposition for both

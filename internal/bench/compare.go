@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // RegressionThreshold is the fractional degradation that fails the
@@ -18,7 +19,8 @@ const (
 	thresholdEpsilon    = 1e-9
 )
 
-// Regression is one tracked metric that got worse.
+// Regression is one tracked metric that got worse, or one baseline row
+// missing from the candidate (Cand is NaN).
 type Regression struct {
 	Metric string // e.g. "goodput/P4CE/r2/s64/goodput_gbps"
 	Base   float64
@@ -33,213 +35,118 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%-48s %.4g -> %.4g (%+.1f%%)", r.Metric, r.Base, r.Cand, r.Change*100)
 }
 
-// direction of a metric.
-const (
-	higherIsBetter = iota
-	lowerIsBetter
-)
+// gate is one tracked metric of a row type: its name, the direction in
+// which it must not degrade, and how to read it.
+type gate[P any] struct {
+	metric        string
+	lowerIsBetter bool
+	get           func(P) float64
+}
 
-// check appends a regression when cand is worse than base by at least
-// the threshold. A zero base is not comparable and is skipped.
-func check(out []Regression, metric string, base, cand float64, dir int) []Regression {
-	if base == 0 {
-		return out
+func higher[P any](metric string, get func(P) float64) gate[P] { return gate[P]{metric, false, get} }
+func lower[P any](metric string, get func(P) float64) gate[P]  { return gate[P]{metric, true, get} }
+
+// compareRows matches candidate rows to baseline rows by key and checks
+// every gate on each pair. A baseline row absent from the candidate is
+// one regression named section/key; extra candidate rows are ignored
+// (they have no baseline to regress from). A zero base is not
+// comparable and is skipped.
+func compareRows[P any](name string, base, cand []P, key func(P) string, gates ...gate[P]) []Regression {
+	var out []Regression
+	byKey := make(map[string]P, len(cand))
+	for _, row := range cand {
+		byKey[key(row)] = row
 	}
-	if math.IsNaN(cand) {
-		return append(out, Regression{Metric: metric, Base: base, Cand: cand, Change: 1})
-	}
-	var degraded float64
-	switch dir {
-	case higherIsBetter:
-		degraded = (base - cand) / base
-	default:
-		degraded = (cand - base) / base
-	}
-	if degraded >= RegressionThreshold-thresholdEpsilon {
-		return append(out, Regression{Metric: metric, Base: base, Cand: cand, Change: degraded})
+	for _, b := range base {
+		k := key(b)
+		prefix := name + "/" + k
+		c, ok := byKey[k]
+		if !ok {
+			out = append(out, Regression{Metric: prefix, Cand: math.NaN(), Change: 1})
+			continue
+		}
+		for _, g := range gates {
+			bv, cv := g.get(b), g.get(c)
+			if bv == 0 {
+				continue
+			}
+			degraded := (bv - cv) / bv
+			if g.lowerIsBetter {
+				degraded = (cv - bv) / bv
+			}
+			if degraded >= RegressionThreshold-thresholdEpsilon {
+				out = append(out, Regression{Metric: prefix + "/" + g.metric, Base: bv, Cand: cv, Change: degraded})
+			}
+		}
 	}
 	return out
 }
 
 // CompareReports diffs candidate against baseline and returns every
-// tracked metric that degraded by RegressionThreshold or more. Points
-// present in the baseline but absent from the candidate count as
-// regressions; extra candidate points are ignored (they have no
-// baseline to regress from).
+// tracked metric that degraded by RegressionThreshold or more, plus one
+// regression per baseline row the candidate lacks.
 func CompareReports(base, cand *Report) []Regression {
-	var out []Regression
-
-	candGoodput := make(map[string]GoodputPointJSON)
-	for _, pt := range cand.Goodput.Points {
-		candGoodput[fmt.Sprintf("%s/r%d/s%d", pt.Mode, pt.Replicas, pt.ItemSize)] = pt
-	}
-	for _, bp := range base.Goodput.Points {
-		key := fmt.Sprintf("%s/r%d/s%d", bp.Mode, bp.Replicas, bp.ItemSize)
-		cp, ok := candGoodput[key]
-		if !ok {
-			cp.GoodputGBps, cp.ThroughputMops = math.NaN(), math.NaN()
-		}
-		out = check(out, "goodput/"+key+"/goodput_gbps", bp.GoodputGBps, cp.GoodputGBps, higherIsBetter)
-		out = check(out, "goodput/"+key+"/throughput_mops", bp.ThroughputMops, cp.ThroughputMops, higherIsBetter)
-	}
-
-	candLatency := make(map[string]LatencyPointJSON)
-	for _, pt := range cand.Latency.Points {
-		candLatency[fmt.Sprintf("%s/r%d@%.3f", pt.Mode, pt.Replicas, pt.OfferedMops)] = pt
-	}
-	for _, bp := range base.Latency.Points {
-		key := fmt.Sprintf("%s/r%d@%.3f", bp.Mode, bp.Replicas, bp.OfferedMops)
-		cp, ok := candLatency[key]
-		if !ok {
-			cp.AchievedMops = math.NaN()
-			cp.MeanNs, cp.P99Ns = 0, 0 // NaN is float-only; flag via achieved
-		}
-		out = check(out, "latency/"+key+"/achieved_mops", bp.AchievedMops, cp.AchievedMops, higherIsBetter)
-		if ok {
-			out = check(out, "latency/"+key+"/mean_ns", float64(bp.MeanNs), float64(cp.MeanNs), lowerIsBetter)
-			out = check(out, "latency/"+key+"/p99_ns", float64(bp.P99Ns), float64(cp.P99Ns), lowerIsBetter)
-		}
-	}
-
-	candFailover := make(map[string]FailoverJSON)
-	for _, ft := range cand.Failover.Modes {
-		candFailover[ft.Mode] = ft
-	}
-	for _, bf := range base.Failover.Modes {
-		cf, ok := candFailover[bf.Mode]
-		if !ok {
-			out = append(out, Regression{Metric: "failover/" + bf.Mode, Base: 1, Cand: math.NaN(), Change: 1})
-			continue
-		}
-		out = check(out, "failover/"+bf.Mode+"/group_config_ns", float64(bf.GroupConfigNs), float64(cf.GroupConfigNs), lowerIsBetter)
-		out = check(out, "failover/"+bf.Mode+"/replica_crash_ns", float64(bf.ReplicaCrashNs), float64(cf.ReplicaCrashNs), lowerIsBetter)
-		out = check(out, "failover/"+bf.Mode+"/leader_crash_ns", float64(bf.LeaderCrashNs), float64(cf.LeaderCrashNs), lowerIsBetter)
-		out = check(out, "failover/"+bf.Mode+"/switch_crash_ns", float64(bf.SwitchCrashNs), float64(cf.SwitchCrashNs), lowerIsBetter)
-	}
-
-	candAblation := make(map[string]AblationRowJSON)
-	for _, row := range cand.Ablation.MaxConsensus {
-		candAblation[fmt.Sprintf("%s/r%d", row.Mode, row.Replicas)] = row
-	}
-	for _, br := range base.Ablation.MaxConsensus {
-		key := fmt.Sprintf("%s/r%d", br.Mode, br.Replicas)
-		cr, ok := candAblation[key]
-		if !ok {
-			cr.ConsensusPerS = math.NaN()
-		}
-		out = check(out, "ablation/"+key+"/consensus_per_s", br.ConsensusPerS, cr.ConsensusPerS, higherIsBetter)
-	}
-
-	candSharded := make(map[int]ShardedPointJSON)
-	for _, pt := range cand.Sharded.Points {
-		candSharded[pt.Shards] = pt
-	}
-	for _, bp := range base.Sharded.Points {
-		key := fmt.Sprintf("x%d", bp.Shards)
-		cp, ok := candSharded[bp.Shards]
-		if !ok {
-			cp.AggregateOpsPerS = math.NaN()
-		}
-		out = check(out, "sharded/"+key+"/aggregate_ops_per_s", bp.AggregateOpsPerS, cp.AggregateOpsPerS, higherIsBetter)
-		if ok {
-			out = check(out, "sharded/"+key+"/mean_ns", float64(bp.MeanNs), float64(cp.MeanNs), lowerIsBetter)
-			out = check(out, "sharded/"+key+"/min_shard_ops_per_s", bp.MinShardOpsPerS, cp.MinShardOpsPerS, higherIsBetter)
-		}
-	}
-
-	candBatch := make(map[int]BatchSweepPointJSON)
-	for _, pt := range cand.BatchSweep.Points {
-		candBatch[pt.BatchMaxOps] = pt
-	}
-	for _, bp := range base.BatchSweep.Points {
-		key := fmt.Sprintf("b%d", bp.BatchMaxOps)
-		cp, ok := candBatch[bp.BatchMaxOps]
-		if !ok {
-			cp.ThroughputMops = math.NaN()
-		}
-		out = check(out, "batch_sweep/"+key+"/throughput_mops", bp.ThroughputMops, cp.ThroughputMops, higherIsBetter)
-		if ok {
-			out = check(out, "batch_sweep/"+key+"/p99_ns", float64(bp.P99Ns), float64(cp.P99Ns), lowerIsBetter)
-		}
-	}
-
-	// Only the breakdown's end-to-end quantiles gate: individual stage
-	// durations trade against each other under legitimate changes (a
-	// faster switch pipeline shifts time into gather-wait), so per-stage
-	// thresholds would flag improvements as regressions.
-	candBreakdown := make(map[string]BreakdownPointJSON)
-	for _, pt := range cand.Breakdown.Points {
-		candBreakdown[fmt.Sprintf("%s/r%d", pt.Mode, pt.Replicas)] = pt
-	}
-	for _, bp := range base.Breakdown.Points {
-		key := fmt.Sprintf("%s/r%d", bp.Mode, bp.Replicas)
-		cp, ok := candBreakdown[key]
-		if !ok {
-			out = append(out, Regression{Metric: "breakdown/" + key, Base: 1, Cand: math.NaN(), Change: 1})
-			continue
-		}
-		out = check(out, "breakdown/"+key+"/p50_e2e_ns", float64(bp.P50.E2ENs), float64(cp.P50.E2ENs), lowerIsBetter)
-		out = check(out, "breakdown/"+key+"/p99_e2e_ns", float64(bp.P99.E2ENs), float64(cp.P99.E2ENs), lowerIsBetter)
-	}
-
-	// Only sim-time rates and latencies of the kernel-scaling sweep gate —
-	// the wall-clock speedup that motivates it is machine-dependent and
-	// never enters a report.
-	candScaling := make(map[int]ScalingPointJSON)
-	for _, pt := range cand.Scaling.Points {
-		candScaling[pt.Partitions] = pt
-	}
-	for _, bp := range base.Scaling.Points {
-		key := fmt.Sprintf("p%d", bp.Partitions)
-		cp, ok := candScaling[bp.Partitions]
-		if !ok {
-			cp.AggregateOpsPerS = math.NaN()
-		}
-		out = check(out, "scaling/"+key+"/aggregate_ops_per_s", bp.AggregateOpsPerS, cp.AggregateOpsPerS, higherIsBetter)
-		if ok {
-			out = check(out, "scaling/"+key+"/mean_ns", float64(bp.MeanNs), float64(cp.MeanNs), lowerIsBetter)
-			out = check(out, "scaling/"+key+"/p99_ns", float64(bp.P99Ns), float64(cp.P99Ns), lowerIsBetter)
-		}
-	}
-
-	// The fabric's spine-crossing counters gate the hierarchical
-	// aggregation itself: AcksUp growing toward FlatAcksUp means the leaf
-	// partial counting stopped absorbing ACKs.
-	candFabric := make(map[int]FabricPointJSON)
-	for _, pt := range cand.Fabric.Points {
-		candFabric[pt.Racks] = pt
-	}
-	for _, bp := range base.Fabric.Points {
-		key := fmt.Sprintf("racks%d", bp.Racks)
-		cp, ok := candFabric[bp.Racks]
-		if !ok {
-			cp.ThroughputOps = math.NaN()
-		}
-		out = check(out, "fabric/"+key+"/throughput_ops_per_s", bp.ThroughputOps, cp.ThroughputOps, higherIsBetter)
-		if ok {
-			out = check(out, "fabric/"+key+"/mean_ns", float64(bp.MeanNs), float64(cp.MeanNs), lowerIsBetter)
-			out = check(out, "fabric/"+key+"/p99_ns", float64(bp.P99Ns), float64(cp.P99Ns), lowerIsBetter)
-			out = check(out, "fabric/"+key+"/acks_up_forwarded", float64(bp.AcksUp), float64(cp.AcksUp), lowerIsBetter)
-		}
-	}
-
-	// The SLO timeline's detection latency (fault open to first page) and
-	// all-clear latency (fault open to the last alert standing down)
-	// gate: an observability change that makes the pager slower to fire —
-	// or slower to shut up — is a regression even when every alert still
-	// brackets its window.
-	candTimeline := make(map[string]TimelinePointJSON)
-	for _, pt := range cand.Timeline.Points {
-		candTimeline[pt.Scenario] = pt
-	}
-	for _, bp := range base.Timeline.Points {
-		cp, ok := candTimeline[bp.Scenario]
-		if !ok {
-			out = append(out, Regression{Metric: "timeline/" + bp.Scenario, Base: 1, Cand: math.NaN(), Change: 1})
-			continue
-		}
-		out = check(out, "timeline/"+bp.Scenario+"/detection_ns", float64(bp.DetectionNs), float64(cp.DetectionNs), lowerIsBetter)
-		out = check(out, "timeline/"+bp.Scenario+"/all_clear_ns", float64(bp.AllClearNs), float64(cp.AllClearNs), lowerIsBetter)
-	}
-	return out
+	return slices.Concat(
+		compareRows("goodput", base.Goodput.Points, cand.Goodput.Points,
+			func(p GoodputPoint) string { return fmt.Sprintf("%s/r%d/s%d", p.Mode, p.Replicas, p.ItemSize) },
+			higher("goodput_gbps", func(p GoodputPoint) float64 { return p.GoodputGBps }),
+			higher("throughput_mops", func(p GoodputPoint) float64 { return p.ThroughputMs })),
+		compareRows("latency", base.Latency.Points, cand.Latency.Points,
+			func(p LatencyPoint) string { return fmt.Sprintf("%s/r%d@%.3f", p.Mode, p.Replicas, p.OfferedMps) },
+			higher("achieved_mops", func(p LatencyPoint) float64 { return p.AchievedMps }),
+			lower("mean_ns", func(p LatencyPoint) float64 { return float64(p.MeanLat) }),
+			lower("p99_ns", func(p LatencyPoint) float64 { return float64(p.P99Lat) })),
+		compareRows("failover", base.Failover.Modes, cand.Failover.Modes,
+			func(f FailoverTimes) string { return f.Mode.String() },
+			lower("group_config_ns", func(f FailoverTimes) float64 { return float64(f.GroupConfig) }),
+			lower("replica_crash_ns", func(f FailoverTimes) float64 { return float64(f.ReplicaCrash) }),
+			lower("leader_crash_ns", func(f FailoverTimes) float64 { return float64(f.LeaderCrash) }),
+			lower("switch_crash_ns", func(f FailoverTimes) float64 { return float64(f.SwitchCrash) })),
+		compareRows("ablation", base.Ablation.MaxConsensus, cand.Ablation.MaxConsensus,
+			func(r MaxConsensusResult) string { return fmt.Sprintf("%s/r%d", r.Mode, r.Replicas) },
+			higher("consensus_per_s", func(r MaxConsensusResult) float64 { return r.ConsensusPerS })),
+		compareRows("sharded", base.Sharded.Points, cand.Sharded.Points,
+			func(p ShardedPoint) string { return fmt.Sprintf("x%d", p.Shards) },
+			higher("aggregate_ops_per_s", func(p ShardedPoint) float64 { return p.AggregateOpsPerS }),
+			lower("mean_ns", func(p ShardedPoint) float64 { return float64(p.MeanLat) }),
+			higher("min_shard_ops_per_s", func(p ShardedPoint) float64 { return p.MinShardOpsPerS })),
+		compareRows("batch_sweep", base.BatchSweep.Points, cand.BatchSweep.Points,
+			func(p BatchSweepPoint) string { return fmt.Sprintf("b%d", p.BatchMaxOps) },
+			higher("throughput_mops", func(p BatchSweepPoint) float64 { return p.ThroughputMops }),
+			lower("p99_ns", func(p BatchSweepPoint) float64 { return float64(p.P99Lat) })),
+		// Only the breakdown's end-to-end quantiles gate: individual stage
+		// durations trade against each other under legitimate changes (a
+		// faster switch pipeline shifts time into gather-wait), so
+		// per-stage thresholds would flag improvements as regressions.
+		compareRows("breakdown", base.Breakdown.Points, cand.Breakdown.Points,
+			func(p BreakdownPoint) string { return fmt.Sprintf("%s/r%d", p.Mode, p.Replicas) },
+			lower("p50_e2e_ns", func(p BreakdownPoint) float64 { return float64(p.P50.E2ENs) }),
+			lower("p99_e2e_ns", func(p BreakdownPoint) float64 { return float64(p.P99.E2ENs) })),
+		// Only sim-time rates and latencies of the kernel-scaling sweep
+		// gate — the wall-clock speedup that motivates it is
+		// machine-dependent and never enters a report.
+		compareRows("scaling", base.Scaling.Points, cand.Scaling.Points,
+			func(p ScalingPoint) string { return fmt.Sprintf("p%d", p.Partitions) },
+			higher("aggregate_ops_per_s", func(p ScalingPoint) float64 { return p.AggregateOpsPerS }),
+			lower("mean_ns", func(p ScalingPoint) float64 { return float64(p.MeanLat) }),
+			lower("p99_ns", func(p ScalingPoint) float64 { return float64(p.P99Lat) })),
+		// The fabric's spine-crossing counter gates the hierarchical
+		// aggregation itself: AcksUp growing toward FlatAcksUp means the
+		// leaf partial counting stopped absorbing ACKs.
+		compareRows("fabric", base.Fabric.Points, cand.Fabric.Points,
+			func(p FabricPoint) string { return fmt.Sprintf("racks%d", p.Racks) },
+			higher("throughput_ops_per_s", func(p FabricPoint) float64 { return p.Throughput }),
+			lower("mean_ns", func(p FabricPoint) float64 { return float64(p.MeanLat) }),
+			lower("p99_ns", func(p FabricPoint) float64 { return float64(p.P99Lat) }),
+			lower("acks_up_forwarded", func(p FabricPoint) float64 { return float64(p.AcksUp) })),
+		// The SLO timeline's detection latency (fault open to first page)
+		// and all-clear latency (fault open to the last alert standing
+		// down) gate: an observability change that makes the pager slower
+		// to fire — or slower to shut up — is a regression even when every
+		// alert still brackets its window.
+		compareRows("timeline", base.Timeline.Points, cand.Timeline.Points,
+			func(p TimelinePoint) string { return p.Scenario },
+			lower("detection_ns", func(p TimelinePoint) float64 { return float64(p.DetectionNs) }),
+			lower("all_clear_ns", func(p TimelinePoint) float64 { return float64(p.AllClearNs) })),
+	)
 }

@@ -10,6 +10,7 @@ package bench
 // regression comparator.
 
 import (
+	"fmt"
 	"time"
 
 	"p4ce"
@@ -21,20 +22,20 @@ type FabricConfig struct {
 	// Racks lists the rack counts to sweep. 0 means the classic
 	// single-switch cluster — the latency baseline every fabric point
 	// is compared against.
-	Racks []int
+	Racks []int `json:"racks"`
 	// Spines is the spine count of every fabric point (crossings are
 	// spread across spines by rack hash; the count does not change the
 	// ACK totals, only the per-link load).
-	Spines int
+	Spines int `json:"spines"`
 	// Nodes is the machine count, leader included; replicas are
 	// assigned to racks round-robin.
-	Nodes    int
-	ItemSize int
+	Nodes    int `json:"nodes"`
+	ItemSize int `json:"item_size"`
 	// Depth is the closed-loop depth.
-	Depth  int
-	Warmup int
-	Ops    int
-	Seed   int64
+	Depth  int   `json:"depth"`
+	Warmup int   `json:"warmup"`
+	Ops    int   `json:"ops"`
+	Seed   int64 `json:"-"`
 }
 
 // DefaultFabricConfig is the EXPERIMENTS.md sweep. Nine machines, so
@@ -58,25 +59,48 @@ func DefaultFabricConfig() FabricConfig {
 // FabricPoint is one measured rack count.
 type FabricPoint struct {
 	// Racks is 0 for the single-switch baseline.
-	Racks      int
-	Throughput float64 // committed consensus operations per second
-	MeanLat    time.Duration
-	P50Lat     time.Duration
-	P99Lat     time.Duration
+	Racks      int           `json:"racks"`
+	Throughput float64       `json:"throughput_ops_per_s"` // committed consensus operations per second
+	MeanLat    time.Duration `json:"mean_ns"`
+	P50Lat     time.Duration `json:"p50_ns"`
+	P99Lat     time.Duration `json:"p99_ns"`
 	// AcksUp counts the ACK-bearing frames that crossed a spine during
 	// the run with hierarchical aggregation on: one partial-count ACK
 	// per (rack, slot) instead of one per remote replica.
-	AcksUp uint64
+	AcksUp uint64 `json:"acks_up_forwarded"`
 	// Partials counts the root-side merges of those partial counts.
-	Partials uint64
+	Partials uint64 `json:"partials_aggregated"`
 	// FlatAcksUp is the spine-crossing ACK count of the identical
 	// workload under the FlatGather ablation, where every remote
 	// replica's ACK is relayed to the root individually. Zero on the
 	// single-switch baseline (there is no spine to cross).
-	FlatAcksUp uint64
+	FlatAcksUp uint64 `json:"flat_acks_up_forwarded"`
 	// Events is the kernel's determinism fingerprint for the
 	// hierarchical run.
-	Events uint64
+	Events uint64 `json:"events"`
+}
+
+func (p FabricPoint) check() error {
+	if p.Throughput <= 0 || p.MeanLat <= 0 {
+		return fmt.Errorf("racks=%d: non-positive measurement", p.Racks)
+	}
+	if p.Racks <= 1 {
+		// Single switch (or single rack): no spine to cross.
+		if p.AcksUp != 0 || p.Partials != 0 || p.FlatAcksUp != 0 {
+			return fmt.Errorf("racks=%d: spine crossings on a spineless topology", p.Racks)
+		}
+		return nil
+	}
+	// Multi-rack: the hierarchy must engage, and the aggregated crossing
+	// count must beat the per-replica relay of the flat ablation — the
+	// section's whole claim.
+	if p.AcksUp == 0 || p.Partials == 0 {
+		return fmt.Errorf("racks=%d: hierarchical aggregation never engaged", p.Racks)
+	}
+	if p.FlatAcksUp <= p.AcksUp {
+		return fmt.Errorf("racks=%d: flat crossings %d not above hierarchical %d", p.Racks, p.FlatAcksUp, p.AcksUp)
+	}
+	return nil
 }
 
 // runFabricOnce measures one closed loop on one topology.

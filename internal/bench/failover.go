@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"p4ce"
@@ -8,18 +9,25 @@ import (
 
 // FailoverTimes is Table IV: average fail-over times for one mode.
 type FailoverTimes struct {
-	Mode p4ce.Mode
+	Mode p4ce.Mode `json:"mode"`
 	// GroupConfig is the time to configure a communication group on the
 	// switch (P4CE only; zero for Mu).
-	GroupConfig time.Duration
+	GroupConfig time.Duration `json:"group_config_ns"`
 	// ReplicaCrash is crash → replication set updated (Mu: leader-local
 	// exclusion; P4CE: exclusion plus switch-group update).
-	ReplicaCrash time.Duration
+	ReplicaCrash time.Duration `json:"replica_crash_ns"`
 	// LeaderCrash is crash → new leader serving (Mu: permission switch +
 	// catch-up; P4CE: plus the synchronous switch reconfiguration).
-	LeaderCrash time.Duration
+	LeaderCrash time.Duration `json:"leader_crash_ns"`
 	// SwitchCrash is crash → replication resumed over the backup route.
-	SwitchCrash time.Duration
+	SwitchCrash time.Duration `json:"switch_crash_ns"`
+}
+
+func (f FailoverTimes) check() error {
+	if f.ReplicaCrash <= 0 || f.LeaderCrash <= 0 || f.SwitchCrash <= 0 {
+		return fmt.Errorf("%s: non-positive times", f.Mode)
+	}
+	return nil
 }
 
 // FailoverConfig parameterizes the Table IV runs.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"p4ce"
@@ -10,24 +11,35 @@ import (
 
 // GoodputPoint is one point of Fig. 5.
 type GoodputPoint struct {
-	Mode         p4ce.Mode
-	Replicas     int
-	ItemSize     int
-	GoodputGBps  float64 // useful client bytes per second, in GB/s
-	ThroughputMs float64 // consensus operations per second, in M/s
+	Mode         p4ce.Mode `json:"mode"`
+	Replicas     int       `json:"replicas"`
+	ItemSize     int       `json:"item_size"`
+	GoodputGBps  float64   `json:"goodput_gbps"`    // useful client bytes per second, in GB/s
+	ThroughputMs float64   `json:"throughput_mops"` // consensus operations per second, in M/s
 	// SimStart/SimEnd bound the measurement window on the virtual clock.
-	SimStart time.Duration
-	SimEnd   time.Duration
+	SimStart time.Duration `json:"sim_start_ns"`
+	SimEnd   time.Duration `json:"sim_end_ns"`
+}
+
+func (p GoodputPoint) check() error {
+	if p.ThroughputMs <= 0 || p.GoodputGBps <= 0 {
+		return fmt.Errorf("%s/r%d/s%d: non-positive throughput", p.Mode, p.Replicas, p.ItemSize)
+	}
+	if p.SimEnd <= p.SimStart {
+		return fmt.Errorf("%s/r%d/s%d: sim window not monotone (%d..%d)",
+			p.Mode, p.Replicas, p.ItemSize, p.SimStart, p.SimEnd)
+	}
+	return nil
 }
 
 // GoodputConfig parameterizes the Fig. 5 sweep.
 type GoodputConfig struct {
-	Replicas []int // replica counts (the paper shows 2 and 4)
-	Sizes    []int // item sizes in bytes
-	Depth    int   // pipeline depth (the testbed allows 16)
-	Warmup   int
-	Ops      int
-	Seed     int64
+	Replicas []int `json:"replicas"` // replica counts (the paper shows 2 and 4)
+	Sizes    []int `json:"sizes"`    // item sizes in bytes
+	Depth    int   `json:"depth"`    // pipeline depth (the testbed allows 16)
+	Warmup   int   `json:"warmup"`
+	Ops      int   `json:"ops"`
+	Seed     int64 `json:"-"`
 	// LeaderCores spreads the leader's request generation across cores
 	// for this bandwidth-oriented workload. The paper's Fig. 5 reaches
 	// line rate at ≈500 B items (≥20 M requests/s), which a single
@@ -35,7 +47,7 @@ type GoodputConfig struct {
 	// ceiling is explicitly single-stream; parallel request generation
 	// (the machines have 16 cores, and P4CE supports parallel groups)
 	// reconciles the two. Set to 1 for the strictly single-core curve.
-	LeaderCores int
+	LeaderCores int `json:"leader_cores"`
 }
 
 // DefaultGoodputConfig mirrors the paper's sweep (each point averages
@@ -103,11 +115,18 @@ func RunGoodput(cfg GoodputConfig) ([]GoodputPoint, error) {
 // consensus rate on 64 B values, where the leader's CPU is the
 // bottleneck.
 type MaxConsensusResult struct {
-	Mode          p4ce.Mode
-	Replicas      int
-	ConsensusPerS float64
-	LeaderCPU     float64 // leader core utilization during the run
-	SpeedupVsMu   float64 // filled by the caller across modes
+	Mode          p4ce.Mode `json:"mode"`
+	Replicas      int       `json:"replicas"`
+	ConsensusPerS float64   `json:"consensus_per_s"`
+	LeaderCPU     float64   `json:"leader_cpu"`    // leader core utilization during the run
+	SpeedupVsMu   float64   `json:"speedup_vs_mu"` // filled by the caller across modes
+}
+
+func (r MaxConsensusResult) check() error {
+	if r.ConsensusPerS <= 0 {
+		return fmt.Errorf("%s/r%d: non-positive rate", r.Mode, r.Replicas)
+	}
+	return nil
 }
 
 // RunMaxConsensus regenerates §V-C "Maximum number of consensus per

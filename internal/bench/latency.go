@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -11,26 +12,36 @@ import (
 
 // LatencyPoint is one point of Fig. 6: mean latency at an offered load.
 type LatencyPoint struct {
-	Mode        p4ce.Mode
-	Replicas    int
-	OfferedMps  float64 // offered load, M consensus/s
-	AchievedMps float64 // completed, M consensus/s
-	MeanLat     time.Duration
-	P50Lat      time.Duration
-	P99Lat      time.Duration
-	P999Lat     time.Duration
-	MaxLat      time.Duration
+	Mode        p4ce.Mode     `json:"mode"`
+	Replicas    int           `json:"replicas"`
+	OfferedMps  float64       `json:"offered_mops"`  // offered load, M consensus/s
+	AchievedMps float64       `json:"achieved_mops"` // completed, M consensus/s
+	MeanLat     time.Duration `json:"mean_ns"`
+	P50Lat      time.Duration `json:"p50_ns"`
+	P99Lat      time.Duration `json:"p99_ns"`
+	P999Lat     time.Duration `json:"p999_ns"`
+	MaxLat      time.Duration `json:"max_ns"`
+}
+
+func (p LatencyPoint) check() error {
+	if p.AchievedMps <= 0 || p.MeanLat <= 0 {
+		return fmt.Errorf("%s/r%d@%.2f: non-positive measurement", p.Mode, p.Replicas, p.OfferedMps)
+	}
+	if !(p.P50Lat <= p.P99Lat && p.P99Lat <= p.P999Lat && p.P999Lat <= p.MaxLat) {
+		return fmt.Errorf("%s/r%d@%.2f: percentiles not ordered", p.Mode, p.Replicas, p.OfferedMps)
+	}
+	return nil
 }
 
 // LatencyConfig parameterizes the Fig. 6 sweep.
 type LatencyConfig struct {
-	Replicas []int
+	Replicas []int `json:"replicas"`
 	// OfferedMps are the offered loads to sweep, in M consensus/s.
-	OfferedMps []float64
-	ItemSize   int
-	Duration   time.Duration // measured window per point
-	Warmup     time.Duration
-	Seed       int64
+	OfferedMps []float64     `json:"offered_mops"`
+	ItemSize   int           `json:"item_size"`
+	Duration   time.Duration `json:"duration_ns"` // measured window per point
+	Warmup     time.Duration `json:"warmup_ns"`
+	Seed       int64         `json:"-"`
 }
 
 // DefaultLatencyConfig sweeps past both systems' knees.

@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"testing"
+	"time"
+
+	"p4ce"
 )
 
 // buildSmokeReport runs the smoke profile once per test binary; the
@@ -29,19 +34,19 @@ func TestSmokeReport(t *testing.T) {
 		t.Fatal("no goodput points")
 	}
 	for _, pt := range rep.Goodput.Points {
-		if pt.ThroughputMops <= 0 {
+		if pt.ThroughputMs <= 0 {
 			t.Errorf("goodput %s/r%d/s%d: throughput %v, want > 0",
-				pt.Mode, pt.Replicas, pt.ItemSize, pt.ThroughputMops)
+				pt.Mode, pt.Replicas, pt.ItemSize, pt.ThroughputMs)
 		}
-		if pt.SimEndNs <= pt.SimStartNs {
+		if pt.SimEnd <= pt.SimStart {
 			t.Errorf("goodput %s/r%d/s%d: sim window %d..%d not monotone",
-				pt.Mode, pt.Replicas, pt.ItemSize, pt.SimStartNs, pt.SimEndNs)
+				pt.Mode, pt.Replicas, pt.ItemSize, pt.SimStart, pt.SimEnd)
 		}
 	}
 	for _, pt := range rep.Latency.Points {
-		if !(pt.P50Ns <= pt.P99Ns && pt.P99Ns <= pt.P999Ns && pt.P999Ns <= pt.MaxNs) {
+		if !(pt.P50Lat <= pt.P99Lat && pt.P99Lat <= pt.P999Lat && pt.P999Lat <= pt.MaxLat) {
 			t.Errorf("latency %s/r%d@%.2f: percentiles not ordered: p50=%d p99=%d p999=%d max=%d",
-				pt.Mode, pt.Replicas, pt.OfferedMops, pt.P50Ns, pt.P99Ns, pt.P999Ns, pt.MaxNs)
+				pt.Mode, pt.Replicas, pt.OfferedMps, pt.P50Lat, pt.P99Lat, pt.P999Lat, pt.MaxLat)
 		}
 	}
 
@@ -57,6 +62,32 @@ func TestSmokeReport(t *testing.T) {
 		len(back.Goodput.Points) != len(rep.Goodput.Points) ||
 		len(back.Latency.Points) != len(rep.Latency.Points) {
 		t.Fatal("round-tripped report lost data")
+	}
+
+	// The on-disk schema is the struct tags of the runner rows and
+	// configs: a renamed, retagged or reordered field must not pass
+	// unnoticed, so parse-then-marshal reproduces the built report and
+	// both committed baselines byte for byte.
+	blobs := map[string][]byte{"built smoke report": blob}
+	for _, path := range []string{"../../bench/BENCH_baseline.json", "../../bench/BENCH_smoke_baseline.json"} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[path] = b
+	}
+	for name, b := range blobs {
+		parsed, err := ParseReport(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again, err := parsed.Marshal()
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Errorf("%s: Marshal(ParseReport(b)) != b", name)
+		}
 	}
 }
 
@@ -107,9 +138,9 @@ func TestCompareDetectsRegression(t *testing.T) {
 	t.Run("latency rise fails", func(t *testing.T) {
 		cand := degrade()
 		pt := &cand.Latency.Points[0]
-		pt.P99Ns = int64(math.Ceil(float64(pt.P99Ns) * (1 + RegressionThreshold)))
-		if pt.P999Ns < pt.P99Ns {
-			pt.P999Ns, pt.MaxNs = pt.P99Ns, pt.P99Ns
+		pt.P99Lat = time.Duration(math.Ceil(float64(pt.P99Lat) * (1 + RegressionThreshold)))
+		if pt.P999Lat < pt.P99Lat {
+			pt.P999Lat, pt.MaxLat = pt.P99Lat, pt.P99Lat
 		}
 		if regs := CompareReports(base, cand); len(regs) == 0 {
 			t.Fatal("10% p99 rise not flagged")
@@ -117,24 +148,43 @@ func TestCompareDetectsRegression(t *testing.T) {
 	})
 	t.Run("failover rise fails", func(t *testing.T) {
 		cand := degrade()
-		cand.Failover.Modes[0].LeaderCrashNs = int64(math.Ceil(
-			float64(cand.Failover.Modes[0].LeaderCrashNs) * (1 + RegressionThreshold)))
+		cand.Failover.Modes[0].LeaderCrash = time.Duration(math.Ceil(
+			float64(cand.Failover.Modes[0].LeaderCrash) * (1 + RegressionThreshold)))
 		if regs := CompareReports(base, cand); len(regs) == 0 {
 			t.Fatal("10% leader-crash failover rise not flagged")
 		}
 	})
 	t.Run("missing point fails", func(t *testing.T) {
-		cand := degrade()
-		cand.Goodput.Points = cand.Goodput.Points[1:]
-		if regs := CompareReports(base, cand); len(regs) == 0 {
-			t.Fatal("dropped goodput point not flagged")
+		// Drop the first row of each section in turn: exactly one
+		// regression, named <section>/<key> of the dropped row.
+		for _, tc := range []struct {
+			want string
+			drop func(r *Report)
+		}{
+			{"goodput/Mu/r2/s64", func(r *Report) { r.Goodput.Points = r.Goodput.Points[1:] }},
+			{"latency/Mu/r2@0.500", func(r *Report) { r.Latency.Points = r.Latency.Points[1:] }},
+			{"failover/Mu", func(r *Report) { r.Failover.Modes = r.Failover.Modes[1:] }},
+			{"ablation/Mu/r2", func(r *Report) { r.Ablation.MaxConsensus = r.Ablation.MaxConsensus[1:] }},
+			{"sharded/x1", func(r *Report) { r.Sharded.Points = r.Sharded.Points[1:] }},
+			{"batch_sweep/b1", func(r *Report) { r.BatchSweep.Points = r.BatchSweep.Points[1:] }},
+			{"breakdown/Mu/r2", func(r *Report) { r.Breakdown.Points = r.Breakdown.Points[1:] }},
+			{"scaling/p1", func(r *Report) { r.Scaling.Points = r.Scaling.Points[1:] }},
+			{"fabric/racks0", func(r *Report) { r.Fabric.Points = r.Fabric.Points[1:] }},
+			{"timeline/replica-flap", func(r *Report) { r.Timeline.Points = r.Timeline.Points[1:] }},
+		} {
+			cand := degrade()
+			tc.drop(cand)
+			regs := CompareReports(base, cand)
+			if len(regs) != 1 || regs[0].Metric != tc.want {
+				t.Errorf("dropping %s: regressions %v, want exactly one named %s", tc.want, regs, tc.want)
+			}
 		}
 	})
 	t.Run("sub-threshold wiggle passes", func(t *testing.T) {
 		cand := degrade()
 		for i := range cand.Goodput.Points {
 			cand.Goodput.Points[i].GoodputGBps *= 0.95
-			cand.Goodput.Points[i].ThroughputMops *= 0.95
+			cand.Goodput.Points[i].ThroughputMs *= 0.95
 		}
 		if regs := CompareReports(base, cand); len(regs) != 0 {
 			t.Fatalf("5%% wiggle flagged: %v", regs)
@@ -170,18 +220,34 @@ func TestValidateRejectsBadReports(t *testing.T) {
 	if err := mutate(func(r *Report) { r.SchemaVersion = SchemaVersion - 1 }); err == nil {
 		t.Error("a v5 report accepted: only the current schema is valid")
 	}
-	if err := mutate(func(r *Report) { r.Goodput.Points[0].ThroughputMops = 0 }); err == nil {
+	if err := mutate(func(r *Report) { r.Goodput.Points[0].ThroughputMs = 0 }); err == nil {
 		t.Error("zero throughput accepted")
 	}
 	if err := mutate(func(r *Report) {
-		r.Goodput.Points[0].SimEndNs = r.Goodput.Points[0].SimStartNs
+		r.Goodput.Points[0].SimEnd = r.Goodput.Points[0].SimStart
 	}); err == nil {
 		t.Error("empty sim window accepted")
 	}
-	if err := mutate(func(r *Report) { r.Latency.Points[0].P50Ns = r.Latency.Points[0].MaxNs + 1 }); err == nil {
+	if err := mutate(func(r *Report) { r.Latency.Points[0].P50Lat = r.Latency.Points[0].MaxLat + 1 }); err == nil {
 		t.Error("disordered percentiles accepted")
 	}
 	if err := mutate(func(r *Report) { r.Failover.Modes = nil }); err == nil {
 		t.Error("empty failover section accepted")
+	}
+
+	// Modes travel by name: "Mu" and "P4CE" round-trip, any other name
+	// fails the parse.
+	blob, _ := base.Marshal()
+	back, err := ParseReport(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp := back.Goodput.Points
+	if gp[0].Mode != p4ce.ModeMu || gp[len(gp)-1].Mode != p4ce.ModeP4CE {
+		t.Errorf("modes parsed as %v..%v, want Mu..P4CE", gp[0].Mode, gp[len(gp)-1].Mode)
+	}
+	raft := bytes.Replace(blob, []byte(`"mode": "Mu"`), []byte(`"mode": "Raft"`), 1)
+	if _, err := ParseReport(raft); err == nil {
+		t.Error(`"mode": "Raft" accepted`)
 	}
 }

@@ -21,19 +21,19 @@ import (
 // ScalingConfig parameterizes the kernel-scaling sweep.
 type ScalingConfig struct {
 	// Partitions lists the partition counts to sweep, each >= 1.
-	Partitions []int
+	Partitions []int `json:"partitions"`
 	// Shards is the fixed shard count; parallelism comes from running the
 	// same shards on more partitions, not from adding shards.
-	Shards int
+	Shards int `json:"shards"`
 	// Nodes is the machine count per shard, leader included.
-	Nodes    int
-	ItemSize int
+	Nodes    int `json:"nodes"`
+	ItemSize int `json:"item_size"`
 	// Depth is the per-shard closed-loop depth.
-	Depth int
+	Depth int `json:"depth"`
 	// Warmup and Ops are per-shard completion counts.
-	Warmup int
-	Ops    int
-	Seed   int64
+	Warmup int   `json:"warmup"`
+	Ops    int   `json:"ops"`
+	Seed   int64 `json:"-"`
 }
 
 // DefaultScalingConfig is the EXPERIMENTS.md sweep.
@@ -54,25 +54,33 @@ func DefaultScalingConfig() ScalingConfig {
 // are sim-derived and identical across partition counts by the
 // determinism guarantee.
 type ScalingPoint struct {
-	Partitions int
-	Shards     int
-	// CommittedOps counts every completed proposal across shards,
-	// warmup included.
-	CommittedOps int
+	Partitions int `json:"partitions"`
 	// AggregateOpsPerS sums the per-shard committed-op rates over each
 	// shard's measurement window, in sim time.
-	AggregateOpsPerS float64
-	MeanLat          time.Duration
-	P99Lat           time.Duration
+	AggregateOpsPerS float64       `json:"aggregate_ops_per_s"`
+	MeanLat          time.Duration `json:"mean_ns"`
+	P99Lat           time.Duration `json:"p99_ns"`
+	// CommittedOps counts every completed proposal across shards,
+	// warmup included.
+	CommittedOps int `json:"committed_ops"`
 	// Events is the kernel fingerprint for the whole run; equal across
 	// partition counts or the scheduler is broken.
-	Events uint64
+	Events uint64 `json:"events"`
 	// SimDuration is the simulated time the run covered.
-	SimDuration time.Duration
+	SimDuration time.Duration `json:"sim_duration_ns"`
+	// Shards repeats the config's shard count for the CLI table.
+	Shards int `json:"-"`
 	// Wall is the host wall-clock time for the run. CLI-only: it is the
 	// one field that partitions are allowed to change, and it must never
 	// be written into a report.
-	Wall time.Duration
+	Wall time.Duration `json:"-"`
+}
+
+func (p ScalingPoint) check() error {
+	if p.Partitions < 1 || p.AggregateOpsPerS <= 0 || p.CommittedOps <= 0 {
+		return fmt.Errorf("p%d: non-positive measurement", p.Partitions)
+	}
+	return nil
 }
 
 // RunScaling sweeps the partition count at a fixed shard count and

@@ -9,6 +9,7 @@ package bench
 // comparator.
 
 import (
+	"fmt"
 	"time"
 
 	"p4ce"
@@ -18,19 +19,19 @@ import (
 type ShardedConfig struct {
 	// Shards lists the shard counts to sweep (the scaling claim compares
 	// the first and last entries).
-	Shards []int
+	Shards []int `json:"shards"`
 	// Nodes is the machine count per shard, leader included.
-	Nodes int
+	Nodes int `json:"nodes"`
 	// ItemSize is the client payload size in bytes.
-	ItemSize int
+	ItemSize int `json:"item_size"`
 	// Depth is the per-shard closed-loop depth — the fixed per-shard
 	// load. It matches the pipeline depth so every shard runs the same
 	// unsaturated steady state regardless of the shard count.
-	Depth int
+	Depth int `json:"depth"`
 	// Warmup and Ops are per-shard completion counts.
-	Warmup int
-	Ops    int
-	Seed   int64
+	Warmup int   `json:"warmup"`
+	Ops    int   `json:"ops"`
+	Seed   int64 `json:"-"`
 }
 
 // DefaultShardedConfig is the EXPERIMENTS.md sweep.
@@ -48,21 +49,31 @@ func DefaultShardedConfig() ShardedConfig {
 
 // ShardedPoint is one measured shard count.
 type ShardedPoint struct {
-	Shards int
+	Shards int `json:"shards"`
 	// AggregateOpsPerS sums the per-shard committed-op rates — the
 	// cluster-wide consensus throughput at this shard count.
-	AggregateOpsPerS float64
+	AggregateOpsPerS float64 `json:"aggregate_ops_per_s"`
 	// AggregateGoodputGBps is the matching client-payload bandwidth.
-	AggregateGoodputGBps float64
+	AggregateGoodputGBps float64 `json:"aggregate_goodput_gbps"`
 	// MinShardOpsPerS/MaxShardOpsPerS bound the per-shard rates; a wide
 	// spread means the shared fabric is no longer fair.
-	MinShardOpsPerS float64
-	MaxShardOpsPerS float64
+	MinShardOpsPerS float64 `json:"min_shard_ops_per_s"`
+	MaxShardOpsPerS float64 `json:"max_shard_ops_per_s"`
 	// MeanLat/P99Lat aggregate the per-op latencies across every shard.
-	MeanLat time.Duration
-	P99Lat  time.Duration
+	MeanLat time.Duration `json:"mean_ns"`
+	P99Lat  time.Duration `json:"p99_ns"`
 	// Events is the kernel's determinism fingerprint for the whole run.
-	Events uint64
+	Events uint64 `json:"events"`
+}
+
+func (p ShardedPoint) check() error {
+	if p.Shards <= 0 || p.AggregateOpsPerS <= 0 {
+		return fmt.Errorf("x%d: non-positive rate", p.Shards)
+	}
+	if p.MinShardOpsPerS > p.MaxShardOpsPerS {
+		return fmt.Errorf("x%d: min/max shard rates inverted", p.Shards)
+	}
+	return nil
 }
 
 // ShardedClosedLoop drives every shard's leader with its own depth-deep
@@ -121,16 +132,16 @@ func RunSharded(cfg ShardedConfig) ([]ShardedPoint, error) {
 type BatchSweepConfig struct {
 	// BatchMaxOps lists the batcher bounds to sweep; 1 disables batching
 	// (the baseline: excess proposals ride the NIC send queue).
-	BatchMaxOps []int
+	BatchMaxOps []int `json:"batch_max_ops"`
 	// MaxInflight is the RDMA pipeline depth (the testbed's 16).
-	MaxInflight int
+	MaxInflight int `json:"max_inflight"`
 	// Depth is the closed-loop depth. It must exceed MaxInflight or the
 	// batcher never sees a full pipeline.
-	Depth    int
-	ItemSize int
-	Warmup   int
-	Ops      int
-	Seed     int64
+	Depth    int   `json:"depth"`
+	ItemSize int   `json:"item_size"`
+	Warmup   int   `json:"warmup"`
+	Ops      int   `json:"ops"`
+	Seed     int64 `json:"-"`
 }
 
 // DefaultBatchSweepConfig is the EXPERIMENTS.md sweep.
@@ -148,15 +159,22 @@ func DefaultBatchSweepConfig() BatchSweepConfig {
 
 // BatchSweepPoint is one measured batch bound.
 type BatchSweepPoint struct {
-	BatchMaxOps    int
-	ThroughputMops float64
-	MeanLat        time.Duration
-	P50Lat         time.Duration
-	P99Lat         time.Duration
+	BatchMaxOps    int           `json:"batch_max_ops"`
+	ThroughputMops float64       `json:"throughput_mops"`
+	MeanLat        time.Duration `json:"mean_ns"`
+	P50Lat         time.Duration `json:"p50_ns"`
+	P99Lat         time.Duration `json:"p99_ns"`
 	// MeanOpsPerEntry is the measured average batch size (from the
 	// mu.batch_ops_per_entry histogram) — how hard the batcher actually
 	// coalesced under this bound.
-	MeanOpsPerEntry float64
+	MeanOpsPerEntry float64 `json:"mean_ops_per_entry"`
+}
+
+func (p BatchSweepPoint) check() error {
+	if p.BatchMaxOps <= 0 || p.ThroughputMops <= 0 {
+		return fmt.Errorf("b%d: non-positive throughput", p.BatchMaxOps)
+	}
+	return nil
 }
 
 // RunBatchSweep measures the saturated closed loop at each batch bound.

@@ -22,12 +22,12 @@ import (
 // TimelineConfig parameterizes the scenario sweep.
 type TimelineConfig struct {
 	// Scenarios names the chaos scenarios to replay (chaos.Names()).
-	Scenarios []string
+	Scenarios []string `json:"scenarios"`
 	// ChaosSeed seeds the fault engine's random draws; the kernel seed
 	// comes from the report seed, so a (profile, seed) pair reproduces
 	// the same alert log byte for byte.
-	ChaosSeed int64
-	Seed      int64
+	ChaosSeed int64 `json:"chaos_seed"`
+	Seed      int64 `json:"-"`
 }
 
 // DefaultTimelineConfig replays every registered scenario with the
@@ -41,24 +41,52 @@ func DefaultTimelineConfig() TimelineConfig {
 // (the instant the fault schedule was armed), FirstFire/LastClear are
 // absolute kernel timestamps.
 type TimelinePoint struct {
-	Scenario     string
-	AppliedAtNs  int64
-	FaultStartNs int64
-	FaultEndNs   int64
-	HorizonNs    int64
+	Scenario     string `json:"scenario"`
+	AppliedAtNs  int64  `json:"applied_at_ns"`
+	FaultStartNs int64  `json:"fault_start_ns"`
+	FaultEndNs   int64  `json:"fault_end_ns"`
+	HorizonNs    int64  `json:"horizon_ns"`
 	// FirstFireNs is when the first alert fired (0 = the log is empty);
 	// DetectionNs is its distance from the fault window opening.
-	FirstFireNs int64
-	DetectionNs int64
+	FirstFireNs int64 `json:"first_fire_ns"`
+	DetectionNs int64 `json:"detection_ns"`
 	// LastClearNs is when the final alert stood down; AllClearNs is its
 	// distance from the fault window opening — fault-to-quiet, the
 	// on-call's whole incident span.
-	LastClearNs int64
-	AllClearNs  int64
-	Alerts      int
-	Bracketed   bool
-	Committed   int
-	Events      uint64
+	LastClearNs int64  `json:"last_clear_ns"`
+	AllClearNs  int64  `json:"all_clear_ns"`
+	Alerts      int    `json:"alerts"`
+	Bracketed   bool   `json:"bracketed"`
+	Committed   int    `json:"committed_ops"`
+	Events      uint64 `json:"events"`
+}
+
+func (p TimelinePoint) check() error {
+	// The section's whole claim: every scenario's alert log brackets its
+	// declared fault window.
+	if !p.Bracketed {
+		return fmt.Errorf("%s: alert log did not bracket the fault window", p.Scenario)
+	}
+	if p.Committed <= 0 {
+		return fmt.Errorf("%s: nothing committed", p.Scenario)
+	}
+	// Bracketed implies at least one fire, cleared by the horizon — so
+	// transitions pair up and the log is even.
+	if p.Alerts < 2 || p.Alerts%2 != 0 {
+		return fmt.Errorf("%s: %d alert transitions, want an even count >= 2", p.Scenario, p.Alerts)
+	}
+	open, close := p.AppliedAtNs+p.FaultStartNs, p.AppliedAtNs+p.FaultEndNs
+	if p.FirstFireNs <= open || p.FirstFireNs > close {
+		return fmt.Errorf("%s: first fire at %d outside fault window (%d, %d]", p.Scenario, p.FirstFireNs, open, close)
+	}
+	if p.DetectionNs != p.FirstFireNs-open {
+		return fmt.Errorf("%s: detection %d != first fire %d - window open %d",
+			p.Scenario, p.DetectionNs, p.FirstFireNs, open)
+	}
+	if p.LastClearNs <= p.FirstFireNs {
+		return fmt.Errorf("%s: last clear %d not after first fire %d", p.Scenario, p.LastClearNs, p.FirstFireNs)
+	}
+	return nil
 }
 
 // RunTimeline replays every configured scenario once and summarizes

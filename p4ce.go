@@ -24,6 +24,7 @@
 package p4ce
 
 import (
+	"fmt"
 	"time"
 
 	"p4ce/internal/mu"
@@ -51,6 +52,25 @@ func (m Mode) String() string {
 		return "Mu"
 	}
 	return "P4CE"
+}
+
+// MarshalText writes the mode's name, so a Mode field encodes in JSON
+// as "Mu" or "P4CE".
+func (m Mode) MarshalText() ([]byte, error) {
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText reads "Mu" or "P4CE" and rejects any other name.
+func (m *Mode) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "Mu":
+		*m = ModeMu
+	case "P4CE":
+		*m = ModeP4CE
+	default:
+		return fmt.Errorf("p4ce: unknown mode %q", text)
+	}
+	return nil
 }
 
 // Topology sizes an optional leaf-spine switch fabric. Nil keeps the

@@ -60,7 +60,11 @@ cmp /tmp/p4ce-tel-p1.om /tmp/p4ce-tel-p2.om
 rm -f /tmp/p4ce-tel-p1.om /tmp/p4ce-tel-p2.om
 
 echo "== bench regression gate =="
+# Both committed baselines: the quick profile, and the smoke profile
+# (about a second) that CI uploads as an artifact.
 go run ./cmd/p4ce-bench -json -profile quick -out BENCH_p4ce.json
 ./scripts/bench_compare.sh
+go run ./cmd/p4ce-bench -json -profile smoke -out BENCH_smoke.json
+./scripts/bench_compare.sh bench/BENCH_smoke_baseline.json BENCH_smoke.json
 
 echo "ok"
