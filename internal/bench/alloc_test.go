@@ -14,11 +14,6 @@ import (
 // the full telemetry pipeline (sim-time sampler, SLO engine, alert
 // log) running on top, since the sampler's ring series and the SLO
 // engine's integer windows are preallocated at Start.
-//
-// The warmup must outlast CatchUpWindow (4096 entries) so the
-// re-replication caches reach their prune-and-recycle steady state on
-// every machine; before that, each append grows a cache that has never
-// returned a buffer to the pool.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-op warmup")
@@ -34,51 +29,97 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cl, leader, err := Steady(p4ce.Options{
+			_, oneOp := warmSteady(t, p4ce.Options{
 				Nodes:           5, // leader + 4 replicas
 				Mode:            p4ce.ModeP4CE,
 				Seed:            7,
 				EnableMetrics:   tc.metrics,
 				EnableTelemetry: tc.telemetry,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload := make([]byte, 64)
-			outstanding := 0
-			var failed error
-			done := func(err error) {
-				outstanding--
-				if err != nil {
-					failed = err
-				}
-			}
-			oneOp := func() {
-				if err := leader.Propose(payload, done); err != nil {
-					failed = err
-					return
-				}
-				outstanding++
-				for outstanding > 0 && failed == nil {
-					if !cl.Step() {
-						failed = &stalledError{stage: "alloc gate"}
-						return
-					}
-				}
-			}
-			for i := 0; i < 6000 && failed == nil; i++ {
-				oneOp()
-			}
-			if failed != nil {
-				t.Fatal(failed)
-			}
-			avg := testing.AllocsPerRun(500, oneOp)
-			if failed != nil {
-				t.Fatal(failed)
-			}
+			avg := testing.AllocsPerRun(500, func() { oneOp(t) })
 			if avg != 0 {
 				t.Fatalf("steady-state committed op allocates %.3f objects/op, want 0", avg)
 			}
 		})
 	}
+}
+
+// TestEventBudgetSteadyState pins the kernel events one committed
+// 64-byte operation costs in steady state, on the harness of
+// TestZeroAllocSteadyState. events_per_op is what the simulator's
+// wall-clock cost scales with, so a change that adds or removes events
+// on the hot path must update the budget here; the sim.events.*
+// counters of a metrics-enabled run say which site moved. Per P4CE op:
+// 10 frame deliveries, 5 NIC sends, 5 switch ingress steps, 5 egress
+// emits, one leader ACK step and one post step. Per Mu op, four writes
+// out and four ACKs back each cross the switch: 16 deliveries, 8 sends,
+// 8 ingress steps, 8 egress emits, 4 ACK steps and one post step. The
+// slack covers the odd timer tick.
+func TestEventBudgetSteadyState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-thousand-op warmup")
+	}
+	const ops = 1000
+	cases := []struct {
+		mode     p4ce.Mode
+		min, max uint64
+	}{
+		{p4ce.ModeP4CE, 27 * ops, 27*ops + 50},
+		{p4ce.ModeMu, 45 * ops, 45*ops + 50},
+	}
+	for _, tc := range cases {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			cl, oneOp := warmSteady(t, p4ce.Options{Nodes: 5, Mode: tc.mode, Seed: 7})
+			ev0 := cl.EventsProcessed()
+			for i := 0; i < ops; i++ {
+				oneOp(t)
+			}
+			if n := cl.EventsProcessed() - ev0; n < tc.min || n > tc.max {
+				t.Fatalf("%d committed ops took %d events, want [%d, %d]", ops, n, tc.min, tc.max)
+			}
+		})
+	}
+}
+
+// warmSteady builds a steady-state cluster and returns it with a
+// function that proposes one 64-byte operation on its leader and steps
+// the kernel until it commits, after 6000 such operations of warmup.
+//
+// The warmup must outlast CatchUpWindow (4096 entries) so the
+// re-replication caches reach their prune-and-recycle steady state on
+// every machine; before that, each append grows a cache that has never
+// returned a buffer to the pool.
+func warmSteady(t *testing.T, opts p4ce.Options) (*p4ce.Cluster, func(*testing.T)) {
+	t.Helper()
+	cl, leader, err := Steady(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	outstanding := 0
+	var failed error
+	done := func(err error) {
+		outstanding--
+		if err != nil {
+			failed = err
+		}
+	}
+	oneOp := func(t *testing.T) {
+		if err := leader.Propose(payload, done); err != nil {
+			t.Fatal(err)
+		}
+		outstanding++
+		for outstanding > 0 && failed == nil {
+			if !cl.Step() {
+				t.Fatal(&stalledError{stage: "steady-state op"})
+			}
+		}
+		if failed != nil {
+			t.Fatal(failed)
+		}
+	}
+	for i := 0; i < 6000; i++ {
+		oneOp(t)
+	}
+	return cl, oneOp
 }

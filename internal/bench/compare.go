@@ -84,7 +84,10 @@ func compareRows[P any](name string, base, cand []P, key func(P) string, gates .
 
 // CompareReports diffs candidate against baseline and returns every
 // tracked metric that degraded by RegressionThreshold or more, plus one
-// regression per baseline row the candidate lacks.
+// regression per baseline row the candidate lacks. The kernel-event
+// count of a sharded, scaling, fabric or timeline row gates like a
+// sim-time metric: it is deterministic, and it is the simulator's own
+// cost per simulated op.
 func CompareReports(base, cand *Report) []Regression {
 	return slices.Concat(
 		compareRows("goodput", base.Goodput.Points, cand.Goodput.Points,
@@ -109,7 +112,8 @@ func CompareReports(base, cand *Report) []Regression {
 			func(p ShardedPoint) string { return fmt.Sprintf("x%d", p.Shards) },
 			higher("aggregate_ops_per_s", func(p ShardedPoint) float64 { return p.AggregateOpsPerS }),
 			lower("mean_ns", func(p ShardedPoint) float64 { return float64(p.MeanLat) }),
-			higher("min_shard_ops_per_s", func(p ShardedPoint) float64 { return p.MinShardOpsPerS })),
+			higher("min_shard_ops_per_s", func(p ShardedPoint) float64 { return p.MinShardOpsPerS }),
+			lower("events", func(p ShardedPoint) float64 { return float64(p.Events) })),
 		compareRows("batch_sweep", base.BatchSweep.Points, cand.BatchSweep.Points,
 			func(p BatchSweepPoint) string { return fmt.Sprintf("b%d", p.BatchMaxOps) },
 			higher("throughput_mops", func(p BatchSweepPoint) float64 { return p.ThroughputMops }),
@@ -129,7 +133,8 @@ func CompareReports(base, cand *Report) []Regression {
 			func(p ScalingPoint) string { return fmt.Sprintf("p%d", p.Partitions) },
 			higher("aggregate_ops_per_s", func(p ScalingPoint) float64 { return p.AggregateOpsPerS }),
 			lower("mean_ns", func(p ScalingPoint) float64 { return float64(p.MeanLat) }),
-			lower("p99_ns", func(p ScalingPoint) float64 { return float64(p.P99Lat) })),
+			lower("p99_ns", func(p ScalingPoint) float64 { return float64(p.P99Lat) }),
+			lower("events", func(p ScalingPoint) float64 { return float64(p.Events) })),
 		// The fabric's spine-crossing counter gates the hierarchical
 		// aggregation itself: AcksUp growing toward FlatAcksUp means the
 		// leaf partial counting stopped absorbing ACKs.
@@ -138,7 +143,8 @@ func CompareReports(base, cand *Report) []Regression {
 			higher("throughput_ops_per_s", func(p FabricPoint) float64 { return p.Throughput }),
 			lower("mean_ns", func(p FabricPoint) float64 { return float64(p.MeanLat) }),
 			lower("p99_ns", func(p FabricPoint) float64 { return float64(p.P99Lat) }),
-			lower("acks_up_forwarded", func(p FabricPoint) float64 { return float64(p.AcksUp) })),
+			lower("acks_up_forwarded", func(p FabricPoint) float64 { return float64(p.AcksUp) }),
+			lower("events", func(p FabricPoint) float64 { return float64(p.Events) })),
 		// The SLO timeline's detection latency (fault open to first page)
 		// and all-clear latency (fault open to the last alert standing
 		// down) gate: an observability change that makes the pager slower
@@ -147,6 +153,7 @@ func CompareReports(base, cand *Report) []Regression {
 		compareRows("timeline", base.Timeline.Points, cand.Timeline.Points,
 			func(p TimelinePoint) string { return p.Scenario },
 			lower("detection_ns", func(p TimelinePoint) float64 { return float64(p.DetectionNs) }),
-			lower("all_clear_ns", func(p TimelinePoint) float64 { return float64(p.AllClearNs) })),
+			lower("all_clear_ns", func(p TimelinePoint) float64 { return float64(p.AllClearNs) }),
+			lower("events", func(p TimelinePoint) float64 { return float64(p.Events) })),
 	)
 }

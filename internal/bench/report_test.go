@@ -154,6 +154,27 @@ func TestCompareDetectsRegression(t *testing.T) {
 			t.Fatal("10% leader-crash failover rise not flagged")
 		}
 	})
+	t.Run("events rise fails", func(t *testing.T) {
+		// Each section that records kernel events gates them: a 10% rise
+		// in the first row is exactly one regression, on its events.
+		up := func(n *uint64) { *n = uint64(math.Ceil(float64(*n) * (1 + RegressionThreshold))) }
+		for _, tc := range []struct {
+			want string
+			bump func(r *Report)
+		}{
+			{"sharded/x1/events", func(r *Report) { up(&r.Sharded.Points[0].Events) }},
+			{"scaling/p1/events", func(r *Report) { up(&r.Scaling.Points[0].Events) }},
+			{"fabric/racks0/events", func(r *Report) { up(&r.Fabric.Points[0].Events) }},
+			{"timeline/replica-flap/events", func(r *Report) { up(&r.Timeline.Points[0].Events) }},
+		} {
+			cand := degrade()
+			tc.bump(cand)
+			regs := CompareReports(base, cand)
+			if len(regs) != 1 || regs[0].Metric != tc.want {
+				t.Errorf("10%% events rise: regressions %v, want exactly one named %s", regs, tc.want)
+			}
+		}
+	})
 	t.Run("missing point fails", func(t *testing.T) {
 		// Drop the first row of each section in turn: exactly one
 		// regression, named <section>/<key> of the dropped row.

@@ -25,6 +25,11 @@
 // must follow: never iterate a Go map while emitting events — sort the
 // keys first.
 //
+// With a metrics registry attached, every fired event also bumps a
+// sim.events.<site> counter named after its callback (for example
+// sim.events.tofino.(*Switch).egressEmit), so a run's event budget can
+// be read by site; without one, firing pays a single nil check.
+//
 // # Domains
 //
 // A domain's clock and sequence counter advance only through its own

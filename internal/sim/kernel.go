@@ -3,6 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 
 	"p4ce/internal/metrics"
@@ -90,6 +93,9 @@ type sched struct {
 	// drains every mailbox between windows, so ordering is a pure
 	// function of the event keys.
 	out [][]xev
+	// sites caches the per-site event counters by callback code
+	// pointer; see countSite.
+	sites map[uintptr]*metrics.Counter
 }
 
 // quiesced is sched.cur while no event is executing.
@@ -161,6 +167,9 @@ func (sc *sched) fire(e qent) {
 	// Copy the callback out and recycle the record before invoking it,
 	// so the callback's own scheduling can reuse it.
 	fn, afn, arg, bfn, buf := ev.fn, ev.afn, ev.arg, ev.bfn, ev.buf
+	if r := ev.k.metrics; r != nil {
+		sc.countSite(r, ev)
+	}
 	sc.release(ev)
 	switch {
 	case bfn != nil:
@@ -170,6 +179,39 @@ func (sc *sched) fire(e qent) {
 	default:
 		fn()
 	}
+}
+
+// countSite bumps the sim.events.<site> counter of ev's callback,
+// resolving its code pointer to a name on the callback's first event.
+// The site is the function's package-qualified name with the import
+// path and the method-value suffix trimmed, as in
+// sim.events.tofino.(*Switch).egressEmit; closures keep their .funcN
+// suffix. These counters split Processed by site: Processed itself
+// counts the same events, with or without a registry. The cache assumes
+// what Group.SetMetrics sets up: one registry for every domain.
+func (sc *sched) countSite(r *metrics.Registry, ev *event) {
+	var fn any = ev.fn
+	switch {
+	case ev.bfn != nil:
+		fn = ev.bfn
+	case ev.afn != nil:
+		fn = ev.afn
+	}
+	pc := reflect.ValueOf(fn).Pointer()
+	c := sc.sites[pc]
+	if c == nil {
+		if sc.sites == nil {
+			sc.sites = make(map[uintptr]*metrics.Counter)
+		}
+		name := "unknown"
+		if f := runtime.FuncForPC(pc); f != nil {
+			name = strings.TrimSuffix(f.Name(), "-fm")
+			name = name[strings.LastIndexByte(name, '/')+1:]
+		}
+		c = r.Counter("sim.events." + name)
+		sc.sites[pc] = c
+	}
+	c.Inc()
 }
 
 // run executes, in key order, every event scheduled at or before limit:

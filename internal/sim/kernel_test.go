@@ -2,8 +2,11 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"p4ce/internal/metrics"
 )
 
 func TestKernelOrdering(t *testing.T) {
@@ -395,5 +398,66 @@ func TestCompactionPreservesOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("position %d: fired %d, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+func countArg(a any)               { *a.(*int)++ }
+func countFrame(a any, buf []byte) { *a.(*int) += len(buf) }
+
+// TestEventsBySite checks the per-callback event counters of a kernel
+// with a metrics registry: one sim.events.<site> counter per callback,
+// whichever of the three callback forms scheduled it, summing to
+// Processed — which does not depend on whether a registry is attached.
+func TestEventsBySite(t *testing.T) {
+	run := func(r *metrics.Registry) uint64 {
+		g := NewGroup(1, 2, 1, Nanosecond)
+		g.SetMetrics(r)
+		k, peer := g.Kernel(0), g.Kernel(1)
+		n := 0
+		for i := 0; i < 3; i++ {
+			k.ScheduleArg(Time(i), countArg, &n)
+		}
+		k.Schedule(5, func() { k.SendTo(peer, 10, countFrame, &n, make([]byte, 4)) })
+		tk := k.NewTicker(3, func() {})
+		k.RunUntil(10)
+		tk.Stop()
+		if n != 7 {
+			t.Fatalf("callbacks ran %d units, want 7", n)
+		}
+		return k.Processed()
+	}
+	r := metrics.New()
+	processed := run(r)
+	if off := run(nil); off != processed {
+		t.Fatalf("Processed = %d with metrics, %d without", processed, off)
+	}
+	// Closures keep their compiler-assigned .funcN suffixes, so the one
+	// closure site here is matched by prefix.
+	const closure = "sim.events.sim.TestEventsBySite."
+	want := map[string]uint64{
+		"sim.events.sim.countArg":       3,
+		"sim.events.sim.countFrame":     1,
+		"sim.events.sim.(*Ticker).tick": 3,
+		closure:                         1,
+	}
+	var sum uint64
+	for name, v := range r.Snapshot().Counters {
+		if !strings.HasPrefix(name, "sim.events.") {
+			continue
+		}
+		sum += v
+		if strings.HasPrefix(name, closure) {
+			name = closure
+		}
+		if v != want[name] {
+			t.Errorf("%s = %d, want %d", name, v, want[name])
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("no counter %s", name)
+	}
+	if sum != processed {
+		t.Fatalf("site counters sum to %d, Processed = %d", sum, processed)
 	}
 }

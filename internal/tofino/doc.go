@@ -16,12 +16,16 @@
 // usual aliasing rule — a stage that rewrites payload bytes must call
 // OwnPayload first, because multicast copies share one buffer.
 //
+// The pipeline costs one kernel event per frame (ingress) and one per
+// egress copy (egress); the match-action traversal costs none.
+//
 // # Register allocation
 //
 // Stateful registers are a named, finite resource: AllocRegister panics
 // on a duplicate name (as the compiler would refuse to fit two arrays
 // in one slot), and FreeRegister returns a name to the pool. The
 // control plane that programs a group owns its registers and frees them
-// when the group is destroyed; a switch Crash/Restore cycle wipes them
-// all, modelling the ASIC losing state.
+// when the group is destroyed. A Reboot (power cycle) wipes their
+// contents, modelling the ASIC losing state; a Crash/Restore outage
+// freezes them.
 package tofino

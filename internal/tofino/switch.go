@@ -112,7 +112,6 @@ type Switch struct {
 	egrFree   []*egressJob
 	shrFree   []*frameShare
 	ingressFn func(any)
-	egrEnqFn  func(any)
 	egrEmitFn func(any)
 	rxPkt     roce.Packet
 
@@ -154,7 +153,6 @@ func New(k *sim.Kernel, name string, ip simnet.Addr, cfg Config) *Switch {
 		mFanout:      m.Histogram("tofino.multicast_fanout"),
 	}
 	sw.ingressFn = sw.ingressStep
-	sw.egrEnqFn = sw.egressEnqueue
 	sw.egrEmitFn = sw.egressEmit
 	return sw
 }
@@ -418,6 +416,9 @@ func (sw *Switch) ingress(p *swPort, frame []byte) {
 // toEgress moves one outgoing copy through the buffer into the egress
 // pipeline of the output port. The copy gets its own Packet struct but
 // shares the payload (and the ingress frame, via share) copy-on-write.
+// It books the port's egress parser, which every copy consumes even if
+// the program drops it, from the end of the constant pipeline traversal:
+// this switch replicates in nondecreasing time, so that is exact.
 func (sw *Switch) toEgress(out PortID, rid uint16, pkt *roce.Packet, share *frameShare) {
 	if int(out) >= len(sw.ports) {
 		sw.Stats.DroppedEgress++
@@ -429,29 +430,15 @@ func (sw *Switch) toEgress(out PortID, rid uint16, pkt *roce.Packet, share *fram
 	j.pkt = *pkt
 	j.share = share
 	share.refs++
-	sw.k.ScheduleArg(sw.cfg.PipelineLatency, sw.egrEnqFn, j)
-}
-
-// egressEnqueue books the copy into the egress parser after the fixed
-// pipeline traversal.
-func (sw *Switch) egressEnqueue(a any) {
-	j := a.(*egressJob)
-	if sw.crashed {
-		sw.dropEgressJob(j)
-		return
-	}
-	// Egress parser serialization: every packet entering this port's
-	// egress consumes capacity, even ones the program then drops.
 	dst := j.dst
-	start := dst.egressFree
-	if now := sw.k.Now(); start < now {
-		start = now
-	}
-	dst.egressFree = start + sw.cfg.ParserServiceTime
+	dst.egressFree = max(dst.egressFree, sw.k.Now()+sw.cfg.PipelineLatency) + sw.cfg.ParserServiceTime
 	sw.k.AtArg(dst.egressFree, sw.egrEmitFn, j)
 }
 
-// egressEmit runs the egress program and transmits the copy.
+// egressEmit runs the egress program and transmits the copy. It is the
+// one gate for copies caught in flight by a Crash: a copy is dropped if
+// the switch is down at its emit instant (its parser slot stays booked)
+// and sent if a Restore came first.
 func (sw *Switch) egressEmit(a any) {
 	j := a.(*egressJob)
 	if sw.crashed {
@@ -488,7 +475,8 @@ func (sw *Switch) InjectFromCP(pkt *roce.Packet) {
 }
 
 // PortBacklog reports how far ahead of now a port's egress parser is
-// booked (tests of the parser-bottleneck ablation).
+// booked, including copies still in the match-action pipeline (tests of
+// the parser-bottleneck ablation).
 func (sw *Switch) PortBacklog(id PortID) sim.Time {
 	p := sw.ports[id]
 	now := sw.k.Now()

@@ -1,6 +1,8 @@
 package tofino
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,7 +32,7 @@ func newEndpoint(k *sim.Kernel, name string) *endpoint {
 	return e
 }
 
-// testFabric is a switch with three attached hosts.
+// testFabric is a switch with attached hosts, three unless stated.
 type testFabric struct {
 	k     *sim.Kernel
 	sw    *Switch
@@ -39,12 +41,16 @@ type testFabric struct {
 }
 
 func newTestFabric(t *testing.T, prog Program) *testFabric {
+	return newTestFabricN(t, prog, 3)
+}
+
+func newTestFabricN(t *testing.T, prog Program, hosts int) *testFabric {
 	t.Helper()
 	k := sim.NewKernel(5)
 	tf := &testFabric{k: k}
 	tf.sw = New(k, "tofino", simnet.AddrFrom(10, 0, 0, 254), DefaultConfig())
 	tf.sw.SetProgram(prog)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < hosts; i++ {
 		addr := simnet.AddrFrom(10, 0, 0, byte(i+1))
 		host := newEndpoint(k, "host")
 		pid, swPort := tf.sw.AddPort("p")
@@ -308,5 +314,152 @@ func TestEgressBacklogAccumulates(t *testing.T) {
 	}
 	if !sawBacklog {
 		t.Fatal("egress parser backlog never observed during burst")
+	}
+}
+
+// recordingProgram multicasts a packet for the switch to group PSN%3+1
+// and forwards everything else by L3, logging every ingress decision
+// and every egress copy with its instant.
+type recordingProgram struct {
+	L3Program
+	ingress []ingressRec
+	egress  map[PortID][]copyRec
+}
+
+type ingressRec struct {
+	at    sim.Time
+	psn   uint32
+	ports []PortID
+	rids  []uint16
+}
+
+type copyRec struct {
+	at  sim.Time
+	psn uint32
+	rid uint16
+}
+
+func (p *recordingProgram) Ingress(sw *Switch, in PortID, pkt *roce.Packet) IngressResult {
+	rec := ingressRec{at: sw.Kernel().Now(), psn: pkt.PSN}
+	var res IngressResult
+	if pkt.DstIP == sw.IP() {
+		res = IngressResult{Verdict: VerdictMulticast, Group: GroupID(pkt.PSN%3 + 1)}
+		for _, m := range sw.mcast[res.Group] {
+			rec.ports = append(rec.ports, m.Port)
+			rec.rids = append(rec.rids, m.RID)
+		}
+	} else {
+		res = p.L3Program.Ingress(sw, in, pkt)
+		rec.ports, rec.rids = []PortID{res.OutPort}, []uint16{0}
+	}
+	p.ingress = append(p.ingress, rec)
+	return res
+}
+
+func (p *recordingProgram) Egress(sw *Switch, out PortID, rid uint16, pkt *roce.Packet) bool {
+	p.egress[out] = append(p.egress[out], copyRec{at: sw.Kernel().Now(), psn: pkt.PSN, rid: rid})
+	return true
+}
+
+// TestEgressBookingMatchesTwoStageModel checks that booking a copy's
+// egress parser slot at replication time is exact: random bursts on
+// three ingress ports, replicated onto shared, contended output ports,
+// must leave every port in the order and at the instants of the
+// two-stage reference, in which a copy enters its port's egress queue
+// one pipeline traversal after ingress and only then books the parser.
+func TestEgressBookingMatchesTwoStageModel(t *testing.T) {
+	prog := &recordingProgram{egress: make(map[PortID][]copyRec)}
+	tf := newTestFabricN(t, prog, 6)
+	tf.sw.SetMulticastGroup(1, []GroupMember{{Port: 3, RID: 1}, {Port: 4, RID: 2}, {Port: 5, RID: 3}})
+	tf.sw.SetMulticastGroup(2, []GroupMember{{Port: 5, RID: 4}, {Port: 4, RID: 5}})
+	tf.sw.SetMulticastGroup(3, []GroupMember{{Port: 4, RID: 6}, {Port: 1, RID: 7}, {Port: 5, RID: 8}, {Port: 3, RID: 9}})
+	rng := rand.New(rand.NewSource(11))
+	psn := uint32(0)
+	for burst := 0; burst < 40; burst++ {
+		at := sim.Time(rng.Intn(20000))
+		src := rng.Intn(3)
+		n := 1 + rng.Intn(12)
+		tf.k.At(at, func() {
+			for i := 0; i < n; i++ {
+				dst := tf.sw.IP()
+				if rng.Intn(4) == 0 {
+					dst = tf.addrs[3+rng.Intn(3)]
+				}
+				psn++
+				pkt := testPacket(tf.addrs[src], dst)
+				pkt.PSN = psn
+				tf.hosts[src].port.Send(pkt.Marshal())
+			}
+		})
+	}
+	tf.k.Run()
+
+	// Stage one: each copy enters its port's egress queue one pipeline
+	// traversal after its ingress, in the order the queue events would
+	// fire — by instant, then by scheduling order.
+	cfg := DefaultConfig()
+	type enq struct {
+		at   sim.Time
+		port PortID
+		copy copyRec
+	}
+	var queue []enq
+	for _, in := range prog.ingress {
+		for i, port := range in.ports {
+			queue = append(queue, enq{in.at + cfg.PipelineLatency, port, copyRec{psn: in.psn, rid: in.rids[i]}})
+		}
+	}
+	slices.SortStableFunc(queue, func(a, b enq) int { return int(a.at - b.at) })
+	// Stage two: each queued copy books the port's parser.
+	free := make(map[PortID]sim.Time)
+	want := make(map[PortID][]copyRec)
+	for _, e := range queue {
+		start := max(free[e.port], e.at)
+		free[e.port] = start + cfg.ParserServiceTime
+		e.copy.at = free[e.port]
+		want[e.port] = append(want[e.port], e.copy)
+	}
+
+	if len(queue) < 200 {
+		t.Fatalf("only %d copies; the bursts must contend", len(queue))
+	}
+	contended := false
+	for port, w := range want {
+		got := prog.egress[port]
+		if !slices.Equal(got, w) {
+			t.Fatalf("port %d: emitted %v, two-stage model %v", port, got, w)
+		}
+		for i := 1; i < len(w); i++ {
+			contended = contended || w[i].at-w[i-1].at == cfg.ParserServiceTime
+		}
+	}
+	if !contended {
+		t.Fatal("no port ever had a backlog at its egress parser")
+	}
+}
+
+// TestCrashDropsCopiesInPipeline crashes the switch while a multicast
+// copy is still in the match-action pipeline: its egress slot is
+// already booked, but it must not leave the switch, neither while the
+// switch is down nor after a later Restore.
+func TestCrashDropsCopiesInPipeline(t *testing.T) {
+	prog := &mcastProgram{}
+	tf := newTestFabric(t, prog)
+	tf.sw.SetMulticastGroup(1, []GroupMember{{Port: 1, RID: 1}, {Port: 2, RID: 2}})
+	tf.hosts[0].port.Send(testPacket(tf.addrs[0], tf.sw.IP()).Marshal())
+	for tf.sw.Stats.Copies == 0 && tf.k.Step() {
+	}
+	if tf.sw.Stats.Copies != 2 || tf.sw.PortBacklog(1) == 0 {
+		t.Fatalf("copies = %d, backlog = %v: want two copies in the pipeline", tf.sw.Stats.Copies, tf.sw.PortBacklog(1))
+	}
+	tf.sw.Crash()
+	tf.k.RunFor(DefaultConfig().PipelineLatency + 10*DefaultConfig().ParserServiceTime)
+	tf.sw.Restore()
+	tf.k.Run()
+	if n := len(tf.hosts[1].frames) + len(tf.hosts[2].frames); n != 0 {
+		t.Fatalf("%d copies left a switch that crashed while they were in the pipeline", n)
+	}
+	if tf.sw.Stats.EgressPackets != 0 || len(prog.egressRIDs) != 0 {
+		t.Fatalf("egress ran %d times for copies dropped by the crash", tf.sw.Stats.EgressPackets)
 	}
 }
