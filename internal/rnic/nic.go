@@ -96,13 +96,9 @@ type NIC struct {
 	nextQPN   uint32
 	cmHandler CMHandler
 
-	// Hot-path recycling: pooled work requests, pooled transmit jobs for
-	// the ProcessingDelay hop, a persistent send callback, and a scratch
-	// packet the RX path decodes into (receive is synchronous, so one
-	// suffices).
+	// Hot-path recycling: pooled work requests and a scratch packet the
+	// RX path decodes into (receive is synchronous, so one suffices).
 	wrFree []*workRequest
-	txFree []*txJob
-	sendFn func(any)
 	rxPkt  roce.Packet
 
 	// Stats counts the datapath events, for tests and experiments.
@@ -176,29 +172,7 @@ func New(k *sim.Kernel, cfg Config, ip simnet.Addr) *NIC {
 	n.otr = k.Tracer()
 	n.oc = n.otr.ComponentAt(fmt.Sprintf("s%d/rnic/%v", shard, ip), int(shard),
 		func() int64 { return int64(k.Now()) })
-	n.sendFn = n.sendDelayed
 	return n
-}
-
-// txJob carries one marshaled frame across the NIC pipeline delay.
-type txJob struct {
-	port  *simnet.Port
-	frame []byte
-}
-
-func (n *NIC) getTxJob() *txJob {
-	if l := len(n.txFree); l > 0 {
-		j := n.txFree[l-1]
-		n.txFree[l-1] = nil
-		n.txFree = n.txFree[:l-1]
-		return j
-	}
-	return &txJob{}
-}
-
-func (n *NIC) putTxJob(j *txJob) {
-	j.port, j.frame = nil, nil
-	n.txFree = append(n.txFree, j)
 }
 
 // getWR returns a zeroed work request from the NIC-wide pool.
@@ -308,6 +282,9 @@ func (n *NIC) activePort() *simnet.Port {
 // transmit encodes and sends a packet after the NIC pipeline delay. The
 // packet struct is consumed synchronously (marshaled into a pooled
 // frame), so callers may pass a scratch packet they reuse immediately.
+// The pipeline is booked on the port at hand-off (Port.SendAfter) rather
+// than run as a kernel event: only this NIC sends on its ports, with one
+// constant delay, so its frames reach each wire in call order.
 func (n *NIC) transmit(p *roce.Packet) {
 	n.Stats.TxPackets++
 	n.mTxPackets.Inc()
@@ -317,20 +294,7 @@ func (n *NIC) transmit(p *roce.Packet) {
 	}
 	frame := n.k.Buffers().Get(p.WireSize())
 	p.MarshalInto(frame)
-	if n.cfg.ProcessingDelay > 0 {
-		j := n.getTxJob()
-		j.port, j.frame = port, frame
-		n.k.ScheduleArg(n.cfg.ProcessingDelay, n.sendFn, j)
-		return
-	}
-	port.Send(frame)
-}
-
-// sendDelayed is the persistent callback completing a delayed transmit.
-func (n *NIC) sendDelayed(a any) {
-	j := a.(*txJob)
-	j.port.Send(j.frame)
-	n.putTxJob(j)
+	port.SendAfter(n.cfg.ProcessingDelay, frame)
 }
 
 // SendCM emits a connection-manager datagram. CM traffic is unreliable;

@@ -11,6 +11,12 @@
 // handler. Links can be cut and repaired to model crashes, and can drop
 // frames probabilistically to model a lossy fabric.
 //
+// Port.SendAfter hands a frame over with a device pipeline delay still
+// to run: the frame books the wire from max(busy-until, now + delay)
+// with no kernel event of its own, and every send-side decision (link
+// state, loss, jitter, taps, stats) is taken at hand-off. The rnic NIC
+// sends this way; the only event a frame costs is its delivery.
+//
 // # Frame ownership
 //
 // Frames are pooled []byte slices from the kernel's Buffers pool. The

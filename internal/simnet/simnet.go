@@ -252,48 +252,40 @@ func (p *Port) wireTime(n int) sim.Time {
 
 // Send transmits one frame to the peer port. The frame queues behind any
 // frames still serializing. Send never blocks; it returns false if the
-// frame was dropped immediately (no peer, link down, oversize).
+// frame was dropped immediately (no peer, link down, oversize, loss).
 //
 // Send takes ownership of the frame: dropped frames are released to the
 // kernel's buffer pool (a no-op for slices that did not come from it),
 // and delivered frames become the receiving handler's to release. The
 // caller must not touch the slice after Send returns.
-func (p *Port) Send(frame []byte) bool {
-	if p.peer == nil || !p.up {
-		p.stats.TxDropped++
-		p.mTxDropped.Inc()
-		p.observe(TapDrop, frame)
-		p.k.Buffers().Put(frame)
-		return false
+func (p *Port) Send(frame []byte) bool { return p.SendAfter(0, frame) }
+
+// SendAfter is Send for a device whose transmit pipeline takes d before
+// the frame reaches the port: the frame starts serializing at
+// max(the end of the frames queued before it, now + d), with no kernel
+// event in between. Every send-side decision is taken at the hand-off
+// instant, now: link state, oversize, scripted and probabilistic loss,
+// jitter, taps and stats. So a frame handed over while the port is up
+// leaves even if the port goes down before now + d, and a frame handed
+// over while it is down is dropped even if the port comes back first.
+//
+// Booking at hand-off equals sending at now + d as long as one port's
+// hand-offs arrive in nondecreasing now + d, as they do from a device
+// with one constant d.
+func (p *Port) SendAfter(d sim.Time, frame []byte) bool {
+	if p.peer == nil || !p.up ||
+		p.cfg.MaxFrameBytes > 0 && len(frame) > p.cfg.MaxFrameBytes {
+		return p.drop(frame)
 	}
-	if p.cfg.MaxFrameBytes > 0 && len(frame) > p.cfg.MaxFrameBytes {
-		p.stats.TxDropped++
-		p.mTxDropped.Inc()
-		p.observe(TapDrop, frame)
-		p.k.Buffers().Put(frame)
-		return false
-	}
-	if p.lossFn != nil && p.lossFn(frame) {
-		// Scripted loss: the frame still occupies the wire; it is lost in
-		// flight.
-		p.reserveWire(len(frame))
-		p.stats.TxDropped++
-		p.mTxDropped.Inc()
-		p.observe(TapDrop, frame)
-		p.k.Buffers().Put(frame)
-		return false
-	}
-	if p.lossProb > 0 && p.k.Rand().Float64() < p.lossProb {
+	from := p.k.Now() + d
+	if p.lossFn != nil && p.lossFn(frame) ||
+		p.lossProb > 0 && p.k.Rand().Float64() < p.lossProb {
 		// The frame still occupies the wire; it is lost in flight.
-		p.reserveWire(len(frame))
-		p.stats.TxDropped++
-		p.mTxDropped.Inc()
-		p.observe(TapDrop, frame)
-		p.k.Buffers().Put(frame)
-		return false
+		p.reserveWire(from, len(frame))
+		return p.drop(frame)
 	}
-	p.mBacklogNs.Observe(int64(p.TxBacklog()))
-	doneAt := p.reserveWire(len(frame))
+	p.mBacklogNs.Observe(int64(max(0, p.txFreeAt-from)))
+	doneAt := p.reserveWire(from, len(frame))
 	p.stats.TxFrames++
 	p.stats.TxBytes += uint64(len(frame))
 	p.mTxFrames.Inc()
@@ -313,10 +305,19 @@ func (p *Port) Send(frame []byte) bool {
 		p.k.SendTo(p.peer.k, arriveAt, deliverRemoteFn, p.peer, frame)
 		return true
 	}
-	d := p.getDelivery()
-	d.dst, d.frame = p.peer, frame
-	p.k.AtArg(arriveAt, p.deliverFn, d)
+	dl := p.getDelivery()
+	dl.dst, dl.frame = p.peer, frame
+	p.k.AtArg(arriveAt, p.deliverFn, dl)
 	return true
+}
+
+// drop counts and releases a frame lost at send time.
+func (p *Port) drop(frame []byte) bool {
+	p.stats.TxDropped++
+	p.mTxDropped.Inc()
+	p.observe(TapDrop, frame)
+	p.k.Buffers().Put(frame)
+	return false
 }
 
 // deliverRemoteFn is deliverRemote as a reusable func value, so a
@@ -369,13 +370,10 @@ func (p *Port) observe(dir TapDirection, frame []byte) {
 	}
 }
 
-// reserveWire books the transmit serialization slot and returns when the
-// last bit leaves the port.
-func (p *Port) reserveWire(n int) sim.Time {
-	start := p.txFreeAt
-	if now := p.k.Now(); start < now {
-		start = now
-	}
+// reserveWire books the transmit serialization slot for n bytes ready
+// at from, and returns when the last bit leaves the port.
+func (p *Port) reserveWire(from sim.Time, n int) sim.Time {
+	start := max(p.txFreeAt, from)
 	wire := p.wireTime(n)
 	p.mWireNs.Add(uint64(wire))
 	p.txFreeAt = start + wire

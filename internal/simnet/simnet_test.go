@@ -1,8 +1,15 @@
 package simnet
 
 import (
+	"encoding/binary"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"p4ce/internal/metrics"
 	"p4ce/internal/sim"
 )
 
@@ -185,6 +192,124 @@ func TestTxBacklog(t *testing.T) {
 	k.Run()
 	if bl := a.TxBacklog(); bl != 0 {
 		t.Fatalf("TxBacklog after drain = %v, want 0", bl)
+	}
+}
+
+// TestSendAfterMatchesDelayedSend checks that booking a device's
+// transmit pipeline on the wire at hand-off is exact: random bursts of
+// mixed-size frames handed to three contended ports with one constant
+// delay, every seventh lost by a count-based LossFunc, must arrive at
+// the instants and in the order, and leave the port counters and simnet
+// metrics (the backlog histogram too), of a reference that runs the
+// delay as a kernel event and only then sends.
+func TestSendAfterMatchesDelayedSend(t *testing.T) {
+	const d = 50 * sim.Nanosecond
+	type frame struct {
+		at   sim.Time
+		port int
+		size int
+	}
+	rng := rand.New(rand.NewSource(3))
+	var frames []frame
+	for burst := 0; burst < 60; burst++ {
+		at, port := sim.Time(rng.Intn(40000)), rng.Intn(3)
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			frames = append(frames, frame{at, port, 64 + rng.Intn(1400)})
+		}
+	}
+	type arrival struct {
+		at   sim.Time
+		port int
+		id   uint32
+	}
+	run := func(booked bool) (got []arrival, stats []PortStats, snap metrics.Snapshot, queued int) {
+		k := sim.NewKernel(1)
+		k.SetMetrics(metrics.New())
+		var tx []*Port
+		var all []*Port
+		for i := 0; i < 3; i++ {
+			a := NewPort(k, "tx", nil)
+			b := NewPort(k, "rx", HandlerFunc(func(_ *Port, f []byte) {
+				got = append(got, arrival{k.Now(), i, binary.BigEndian.Uint32(f)})
+			}))
+			Connect(a, b, LinkConfig{BitsPerSecond: 10e9, Propagation: 300, FrameOverheadBytes: 20})
+			sent := 0
+			a.SetLossFunc(func([]byte) bool { sent++; return sent%7 == 0 })
+			tx, all = append(tx, a), append(all, a, b)
+		}
+		for id, f := range frames {
+			buf := make([]byte, f.size)
+			binary.BigEndian.PutUint32(buf, uint32(id))
+			port := tx[f.port]
+			k.At(f.at, func() {
+				if booked {
+					port.SendAfter(d, buf)
+					return
+				}
+				k.Schedule(d, func() {
+					if port.TxBacklog() > 0 {
+						queued++
+					}
+					port.Send(buf)
+				})
+			})
+		}
+		k.Run()
+		for _, p := range all {
+			stats = append(stats, p.Stats())
+		}
+		// The per-site event counters differ by design.
+		snap = k.Metrics().Snapshot()
+		maps.DeleteFunc(snap.Counters, func(name string, _ uint64) bool {
+			return strings.HasPrefix(name, "sim.events.")
+		})
+		return got, stats, snap, queued
+	}
+
+	want, wantStats, wantSnap, queued := run(false)
+	got, gotStats, gotSnap, _ := run(true)
+	if queued < len(frames)/4 {
+		t.Fatalf("only %d of %d frames queued behind another; the bursts must contend", queued, len(frames))
+	}
+	if wantStats[0].TxDropped == 0 {
+		t.Fatal("the loss function dropped nothing")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("SendAfter delivered %v,\ndelayed Send %v", got, want)
+	}
+	if !slices.Equal(gotStats, wantStats) {
+		t.Fatalf("SendAfter stats %+v, delayed Send %+v", gotStats, wantStats)
+	}
+	if !reflect.DeepEqual(gotSnap, wantSnap) {
+		t.Fatalf("SendAfter metrics %+v,\ndelayed Send %+v", gotSnap, wantSnap)
+	}
+}
+
+// TestSendAfterDecidesAtHandOff pins SendAfter's departure rule: the
+// port's state is judged when the frame is handed over, not when it
+// reaches the wire.
+func TestSendAfterDecidesAtHandOff(t *testing.T) {
+	const d = 50 * sim.Nanosecond
+	k := sim.NewKernel(1)
+	a, _, _, cb := pair(k, LinkConfig{BitsPerSecond: 1e9, Propagation: 100})
+	// Handed over while up, port cut halfway through the pipeline: the
+	// frame still leaves, 8 ns of wire and 100 ns of flight later.
+	if !a.SendAfter(d, []byte("x")) {
+		t.Fatal("SendAfter dropped a frame on an up port")
+	}
+	k.Schedule(d/2, func() { a.SetUp(false) })
+	k.Run()
+	if len(cb.at) != 1 || cb.at[0] != d+8+100 {
+		t.Fatalf("arrivals = %v, want [%v]", cb.at, d+8+100)
+	}
+	// Handed over while down, port raised before departure: dropped.
+	if a.SendAfter(d, []byte("y")) {
+		t.Fatal("SendAfter accepted a frame on a downed port")
+	}
+	k.Schedule(d/2, func() { a.SetUp(true) })
+	k.Run()
+	if len(cb.frames) != 1 || a.Stats().TxDropped != 1 {
+		t.Fatalf("delivered %d frames, dropped %d; want 1 and 1", len(cb.frames), a.Stats().TxDropped)
 	}
 }
 

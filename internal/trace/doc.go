@@ -12,4 +12,11 @@
 // Tapping copies what it needs out of each frame before the pool
 // reclaims it, so a tracer never perturbs the run it observes beyond
 // its own scheduled work.
+//
+// A TX event is stamped when the device hands the frame to its port,
+// which for a host NIC is one rnic ProcessingDelay (50 ns) before the
+// frame can start onto the wire; the matching RX is stamped when the last
+// bit arrives. A frame handed over before the tracer was attached is
+// never seen, even if it departs afterwards: a Cluster's t = 0
+// ConnectRequests, for one.
 package trace

@@ -9,7 +9,10 @@ import (
 
 	"p4ce"
 	"p4ce/internal/mu"
+	"p4ce/internal/rnic"
 	"p4ce/internal/roce"
+	"p4ce/internal/sim"
+	"p4ce/internal/simnet"
 	"p4ce/internal/trace"
 )
 
@@ -182,5 +185,46 @@ func TestTraceBatchPayloadDecode(t *testing.T) {
 	e.Pkt = &roce.Packet{OpCode: roce.OpWriteOnly, DestQP: 0x11, Payload: plain}
 	if s := e.String(); strings.Contains(s, "batch(") {
 		t.Fatalf("plain entry rendered as batch: %q", s)
+	}
+}
+
+// TestTraceStampsTxAtHandOff pins the TX semantics of a NIC-originated
+// frame: its TX is stamped when the NIC hands it to the port, and its RX
+// one NIC pipeline, one serialization and one flight later.
+func TestTraceStampsTxAtHandOff(t *testing.T) {
+	k := sim.NewKernel(1)
+	cfg := rnic.DefaultConfig()
+	nic := rnic.New(k, cfg, simnet.AddrFrom(10, 0, 0, 1))
+	host := simnet.NewPort(k, "host0", nil)
+	nic.AttachPort(host)
+	peer := simnet.NewPort(k, "peer", simnet.HandlerFunc(func(_ *simnet.Port, f []byte) {
+		k.Buffers().Put(f)
+	}))
+	// 8 Gb/s puts one byte on the wire per nanosecond.
+	link := simnet.LinkConfig{BitsPerSecond: 8e9, Propagation: 300, FrameOverheadBytes: 20}
+	simnet.Connect(host, peer, link)
+	tr := trace.New(k, 8, trace.Filter{})
+	tr.Tap(host, "host0")
+	tr.Tap(peer, "peer")
+
+	const handOff = sim.Microsecond
+	k.At(handOff, func() {
+		msg := &roce.CMMessage{Type: roce.CMConnectRequest, LocalCommID: 1}
+		if err := nic.SendCM(simnet.AddrFrom(10, 0, 0, 2), msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	k.Run()
+
+	ev := tr.Events()
+	if len(ev) != 2 || ev[0].Dir != simnet.TapTx || ev[1].Dir != simnet.TapRx {
+		t.Fatalf("events = %v, want one TX then one RX", ev)
+	}
+	wire := sim.Time(ev[0].Size + link.FrameOverheadBytes)
+	if ev[0].At != handOff {
+		t.Fatalf("TX at %v, want the hand-off instant %v", ev[0].At, handOff)
+	}
+	if want := handOff + cfg.ProcessingDelay + wire + link.Propagation; ev[1].At != want {
+		t.Fatalf("RX at %v, want %v", ev[1].At, want)
 	}
 }
