@@ -17,6 +17,13 @@
 // state, loss, jitter, taps, stats) is taken at hand-off. The rnic NIC
 // sends this way; the only event a frame costs is its delivery.
 //
+// Port.SetRxDelay gives a port the latency of the device behind it: a
+// frame sent to the port is delivered that long after its last bit
+// arrives, and the receive side (link state, stats, taps) is judged at
+// delivery. The tofino switch sets its ingress parser's service time
+// there, so a frame meeting an idle parser runs ingress inside its
+// delivery; host ports keep zero.
+//
 // # Frame ownership
 //
 // Frames are pooled []byte slices from the kernel's Buffers pool. The

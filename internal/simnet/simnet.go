@@ -81,6 +81,7 @@ type Port struct {
 	cfg     LinkConfig
 
 	txFreeAt sim.Time // when the transmit side of this port is free
+	rxDelay  sim.Time // latency of the device behind the port (SetRxDelay)
 	up       bool
 	lossProb float64
 	lossFn   LossFunc
@@ -228,6 +229,16 @@ func (p *Port) AddTap(tap TapFunc) {
 // switch crash.
 func (p *Port) SetUp(up bool) { p.up = up }
 
+// SetRxDelay sets the latency of the device behind the port: every
+// frame sent to it is delivered d after its last bit arrives, with no
+// kernel event in between. The receive side is judged at delivery, so
+// the port's link state, the Rx stats and the taps all see the frame at
+// arrival + d: a frame whose last bit arrives just before the port is
+// cut is dropped (a TapDrop, no RxFrames), and one arriving just before
+// a down port comes back up is delivered. The delay must be set before
+// frames are in flight toward the port; host ports keep zero.
+func (p *Port) SetRxDelay(d sim.Time) { p.rxDelay = d }
+
 // Up reports whether the transmit side is enabled.
 func (p *Port) Up() bool { return p.up }
 
@@ -295,13 +306,14 @@ func (p *Port) SendAfter(d sim.Time, frame []byte) bool {
 	if p.delayFn != nil {
 		jitter = p.delayFn(frame)
 	}
-	arriveAt := doneAt + p.cfg.Propagation + jitter
+	arriveAt := doneAt + p.cfg.Propagation + jitter + p.peer.rxDelay
 	if p.k != p.peer.k {
 		// The peer lives on another scheduling domain: hand the frame
 		// across with the sender's (time, domain, sequence) key. The
 		// link's propagation delay is what funds the group's lookahead,
-		// so the arrival always clears the window horizon. Receive-side
-		// bookkeeping runs on the peer's domain (see deliverRemote).
+		// so the arrival always clears the window horizon; the peer's
+		// receive delay only moves it later. Receive-side bookkeeping
+		// runs on the peer's domain (see deliverRemote).
 		p.k.SendTo(p.peer.k, arriveAt, deliverRemoteFn, p.peer, frame)
 		return true
 	}

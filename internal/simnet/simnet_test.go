@@ -313,6 +313,73 @@ func TestSendAfterDecidesAtHandOff(t *testing.T) {
 	}
 }
 
+// TestRxDelayDeliversAfterArrival checks that a port's receive delay
+// postpones delivery past the frame's last bit, on the same-domain and
+// on the cross-domain path, and leaves the other direction alone.
+func TestRxDelayDeliversAfterArrival(t *testing.T) {
+	const d = 8 * sim.Nanosecond
+	cfg := LinkConfig{BitsPerSecond: 1e9, Propagation: 100}
+	arrive := sim.Time(8 + 100) // one byte at 8 ns/B, then the flight
+	t.Run("same-domain", func(t *testing.T) {
+		k := sim.NewKernel(1)
+		a, b, ca, cb := pair(k, cfg)
+		b.SetRxDelay(d)
+		a.Send([]byte("x"))
+		b.Send([]byte("y"))
+		k.Run()
+		if len(cb.at) != 1 || cb.at[0] != arrive+d {
+			t.Fatalf("delayed port: arrivals = %v, want [%v]", cb.at, arrive+d)
+		}
+		if len(ca.at) != 1 || ca.at[0] != arrive {
+			t.Fatalf("undelayed port: arrivals = %v, want [%v]", ca.at, arrive)
+		}
+	})
+	t.Run("cross-domain", func(t *testing.T) {
+		g := sim.NewGroup(1, 2, 2, cfg.Propagation)
+		ka, kb := g.Kernel(1), g.Kernel(0)
+		a := NewPort(ka, "a", nil)
+		cb := &capture{k: kb}
+		b := NewPort(kb, "b", cb)
+		Connect(a, b, cfg)
+		b.SetRxDelay(d)
+		ka.At(0, func() { a.Send([]byte("x")) })
+		g.Run()
+		if len(cb.at) != 1 || cb.at[0] != arrive+d {
+			t.Fatalf("arrivals = %v, want [%v]", cb.at, arrive+d)
+		}
+	})
+}
+
+// TestRxDelayJudgesLinkAtDelivery pins the receive side's departure
+// rule: with a receive delay, the port's link state is judged at
+// delivery, d after the last bit arrives, not at the arrival itself.
+func TestRxDelayJudgesLinkAtDelivery(t *testing.T) {
+	const d = 8 * sim.Nanosecond
+	arrive := sim.Time(8 + 100)
+	k := sim.NewKernel(1)
+	a, b, _, cb := pair(k, LinkConfig{BitsPerSecond: 1e9, Propagation: 100})
+	b.SetRxDelay(d)
+	var taps []TapDirection
+	b.AddTap(func(dir TapDirection, _ []byte) { taps = append(taps, dir) })
+	// Arrived while up, port cut before delivery: dropped at delivery.
+	a.Send([]byte("x"))
+	k.At(arrive+d/2, func() { b.SetUp(false) })
+	k.Run()
+	if len(cb.frames) != 0 || b.Stats().RxFrames != 0 || !slices.Equal(taps, []TapDirection{TapDrop}) {
+		t.Fatalf("cut port: delivered %d frames, RxFrames %d, taps %v; want 0, 0, [TapDrop]",
+			len(cb.frames), b.Stats().RxFrames, taps)
+	}
+	// Arrived while down, port raised before delivery: delivered.
+	start := k.Now()
+	a.Send([]byte("y"))
+	k.At(start+arrive+d/2, func() { b.SetUp(true) })
+	k.Run()
+	if len(cb.at) != 1 || cb.at[0] != start+arrive+d || b.Stats().RxFrames != 1 {
+		t.Fatalf("raised port: arrivals %v, RxFrames %d; want [%v], 1",
+			cb.at, b.Stats().RxFrames, start+arrive+d)
+	}
+}
+
 func TestDoubleConnectPanics(t *testing.T) {
 	k := sim.NewKernel(1)
 	a := NewPort(k, "a", nil)

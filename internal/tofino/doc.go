@@ -16,8 +16,13 @@
 // usual aliasing rule — a stage that rewrites payload bytes must call
 // OwnPayload first, because multicast copies share one buffer.
 //
-// The pipeline costs one kernel event per frame (ingress) and one per
-// egress copy (egress); the match-action traversal costs none.
+// The pipeline costs one kernel event per egress copy (egress), and
+// none for a host frame meeting an idle parser: each switch port has a
+// receive delay of one parser service time (simnet.Port.SetRxDelay), so
+// a frame is delivered when its parser slot would end and ingress runs
+// inside the delivery. A frame that finds its parser backlogged, or that
+// comes from a switch on the same scheduling domain, costs one ingress
+// event. The match-action traversal costs none.
 //
 // # Register allocation
 //

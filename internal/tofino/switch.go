@@ -157,7 +157,9 @@ func New(k *sim.Kernel, name string, ip simnet.Addr, cfg Config) *Switch {
 	return sw
 }
 
-// ingressJob carries one received frame across the ingress parser delay.
+// ingressJob carries one received frame across the ingress parser delay
+// when ingress cannot run at delivery: the parser is backlogged, or the
+// frame came from the switch's own domain.
 type ingressJob struct {
 	p     *swPort
 	frame []byte
@@ -270,6 +272,7 @@ func (sw *Switch) SetCPUHandler(h CPUHandler) { sw.cpu = h }
 func (sw *Switch) AddPort(name string) (PortID, *simnet.Port) {
 	id := PortID(len(sw.ports))
 	np := simnet.NewPort(sw.k, fmt.Sprintf("%s/%s", sw.name, name), nil)
+	np.SetRxDelay(sw.cfg.ParserServiceTime)
 	p := &swPort{id: id, net: np}
 	np.SetHandler(simnet.HandlerFunc(func(_ *simnet.Port, frame []byte) {
 		sw.receive(p, frame)
@@ -323,7 +326,10 @@ func (sw *Switch) Reboot() {
 // Crashed reports whether the switch is down.
 func (sw *Switch) Crashed() bool { return sw.crashed }
 
-// receive runs the ingress side of the pipeline for one frame.
+// receive runs the ingress side of the pipeline for one frame. Switch
+// ports carry a receive delay of one parser service time (AddPort), so
+// the frame is delivered at its arrival + svc and the parser is booked
+// from the true arrival, now − svc.
 func (sw *Switch) receive(p *swPort, frame []byte) {
 	if sw.crashed {
 		sw.k.Buffers().Put(frame)
@@ -332,11 +338,17 @@ func (sw *Switch) receive(p *swPort, frame []byte) {
 	// The per-port ingress parser serializes packets at its pps capacity:
 	// this is the resource whose placement the paper's Lesson in §IV-D is
 	// about.
-	start := p.ingressFree
-	if now := sw.k.Now(); start < now {
-		start = now
+	svc, now := sw.cfg.ParserServiceTime, sw.k.Now()
+	p.ingressFree = max(p.ingressFree, now-svc) + svc
+	// A frame from another domain that met an idle parser is done with it
+	// now, and its delivery already sorts where the ingress step would
+	// have: after every fabric-domain event at this instant. A frame from
+	// the same domain is keyed at its send instant, a cable flight
+	// earlier, so it (like a backlogged frame) keeps the step.
+	if p.ingressFree == now && p.net.Peer().Kernel() != sw.k {
+		sw.ingress(p, frame)
+		return
 	}
-	p.ingressFree = start + sw.cfg.ParserServiceTime
 	j := sw.getIngressJob()
 	j.p, j.frame = p, frame
 	sw.k.AtArg(p.ingressFree, sw.ingressFn, j)

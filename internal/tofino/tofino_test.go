@@ -1,11 +1,13 @@
 package tofino
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"p4ce/internal/metrics"
 	"p4ce/internal/roce"
 	"p4ce/internal/sim"
 	"p4ce/internal/simnet"
@@ -435,6 +437,112 @@ func TestEgressBookingMatchesTwoStageModel(t *testing.T) {
 	}
 	if !contended {
 		t.Fatal("no port ever had a backlog at its egress parser")
+	}
+}
+
+// TestIngressBookingMatchesParserQueue checks that running ingress at
+// delivery is exact: random bursts of minimum-size frames from hosts on
+// a shard domain and on the switch's own domain, some backing up their
+// port's parser and some meeting it idle, must reach the program at the
+// instants and in the order of the parser queue — per port, in arrival
+// order, each frame parsed at max(parser free, arrival) + service time,
+// ingresses at one instant in the order their frames arrived. Bursts
+// start on a grid of parser service times, so ingresses from different
+// ports often share an instant and the order between them is tested.
+func TestIngressBookingMatchesParserQueue(t *testing.T) {
+	link := simnet.DefaultLinkConfig()
+	g := sim.NewGroup(5, 2, 1, link.Propagation)
+	reg := metrics.New()
+	g.SetMetrics(reg)
+	// Every frame is for the switch and no multicast group exists, so
+	// each ends at ingress.
+	prog := &recordingProgram{}
+	sw := New(g.Kernel(0), "tofino", simnet.AddrFrom(10, 0, 0, 254), DefaultConfig())
+	sw.SetProgram(prog)
+	// Hosts 0-3 live on the shard domain, host 4 on the switch's.
+	const hosts = 5
+	var eps [hosts]*endpoint
+	for i := range eps {
+		dom := 1
+		if i == hosts-1 {
+			dom = 0
+		}
+		eps[i] = newEndpoint(g.Kernel(dom), "host")
+		_, swPort := sw.AddPort("p")
+		simnet.Connect(eps[i].port, swPort, link)
+	}
+
+	// sent is one frame as the reference sees it: its arrival at the
+	// switch port and its key in the delivery order (arrival, sender's
+	// domain, send order within that domain).
+	type sent struct {
+		port    int
+		psn     uint32
+		arrival sim.Time
+		dom     int
+		ord     int
+	}
+	var frames []sent
+	var txFree [hosts]sim.Time
+	var sends [2]int
+	wire := func(n int) sim.Time {
+		return sim.Time(float64(n+link.FrameOverheadBytes) * 8 / link.BitsPerSecond * float64(sim.Second))
+	}
+	rng := rand.New(rand.NewSource(17))
+	psn := uint32(0)
+	for burst := 0; burst < 60; burst++ {
+		at := sim.Time(rng.Intn(600)) * DefaultConfig().ParserServiceTime
+		src := rng.Intn(hosts)
+		n := 1 + rng.Intn(8)
+		k := eps[src].k
+		k.At(at, func() {
+			for i := 0; i < n; i++ {
+				psn++
+				pkt := testPacket(simnet.AddrFrom(10, 0, 0, byte(src+1)), sw.IP())
+				pkt.PSN = psn
+				frame := pkt.Marshal()
+				txFree[src] = max(txFree[src], k.Now()) + wire(len(frame))
+				dom := k.Domain()
+				frames = append(frames, sent{src, psn, txFree[src] + link.Propagation, dom, sends[dom]})
+				sends[dom]++
+				eps[src].port.Send(frame)
+			}
+		})
+	}
+	g.Run()
+
+	// The reference parser queue.
+	svc := DefaultConfig().ParserServiceTime
+	slices.SortStableFunc(frames, func(a, b sent) int {
+		return cmp.Or(cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.dom, b.dom), cmp.Compare(a.ord, b.ord))
+	})
+	type parsed struct {
+		sent
+		at sim.Time
+	}
+	var want []parsed
+	var free [hosts]sim.Time
+	backlogged := false
+	for _, f := range frames {
+		free[f.port] = max(free[f.port], f.arrival) + svc
+		backlogged = backlogged || free[f.port] > f.arrival+svc
+		want = append(want, parsed{f, free[f.port]})
+	}
+	slices.SortStableFunc(want, func(a, b parsed) int { return cmp.Compare(a.at, b.at) })
+
+	if len(prog.ingress) != len(want) {
+		t.Fatalf("%d ingresses, %d frames sent", len(prog.ingress), len(want))
+	}
+	for i, w := range want {
+		if got := prog.ingress[i]; got.at != w.at || got.psn != w.psn {
+			t.Fatalf("ingress %d: PSN %d at %v, parser queue PSN %d at %v", i, got.psn, got.at, w.psn, w.at)
+		}
+	}
+	if !backlogged {
+		t.Fatal("no parser ever had a backlog")
+	}
+	if steps := reg.Counter("sim.events.tofino.(*Switch).ingressStep").Value(); steps == 0 || steps >= uint64(len(want)) {
+		t.Fatalf("%d ingress steps for %d ingresses: want both the step and the inline path", steps, len(want))
 	}
 }
 

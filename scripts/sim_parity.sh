@@ -5,7 +5,8 @@
 # with -metrics, and compares the outputs byte for byte with the
 # per-site kernel event counters (sim.events.*) masked — a change that
 # only removes or merges kernel events passes; one that moves any
-# simulated value fails. One scenario is also run at two partitions.
+# simulated value fails. The happy path is also run in Mu mode, and one
+# star and one leaf-spine scenario at two partitions.
 #
 #	scripts/sim_parity.sh <git-ref>
 #
@@ -50,6 +51,7 @@ run() {
 }
 
 run happy-path
+run happy-path-mu -mode mu
 for sc in $("$work/p4ce-sim-new" -chaos list | awk '{print $1}'); do
 	case $sc in
 	# The scenarios marked Fabric in internal/chaos/scenarios.go.
@@ -60,6 +62,7 @@ for sc in $("$work/p4ce-sim-new" -chaos list | awk '{print $1}'); do
 	esac
 done
 run lossy-gather-p2 -chaos lossy-gather -chaos-seed 7 -partitions 2
+run tor-failover-p2 -chaos tor-failover-under-load -topology leaf-spine -standby -nodes 5 -partitions 2
 
 if [ $fail -ne 0 ]; then
 	echo "sim_parity: outputs differ from $ref" >&2
