@@ -27,13 +27,14 @@ check:
 	./scripts/check.sh
 
 # Regenerate the machine-readable benchmark report (quick profile) and
-# gate it against the committed baseline: >10% regression fails.
+# gate it against the committed baseline: >10% regression fails. The
+# report's tables are printed too.
 bench-smoke:
 	go test ./internal/bench -run 'TestSmokeReport|TestCompareDetectsRegression' -count=1
 	go run ./cmd/p4ce-bench -json -profile quick -out BENCH_p4ce.json
 	./scripts/bench_compare.sh
 
-# Full paper-shaped benchmark report (takes minutes).
+# Full paper-shaped benchmark report: every EXPERIMENTS.md table.
 bench:
 	go run ./cmd/p4ce-bench -json -profile full -out BENCH_p4ce.json
 
@@ -51,7 +52,7 @@ bench-micro:
 # open in https://ui.perfetto.dev.
 trace-demo:
 	go run ./cmd/p4ce-sim -rate 10000 -duration 50ms -trace-out trace.json
-	go run ./cmd/p4ce-bench -experiment breakdown -ops 2000
+	go run ./cmd/p4ce-bench -experiment breakdown -profile full
 
 # Run every named chaos scenario through the simulator. The fabric
 # scenarios need the leaf-spine topology (with a standby for the ToR

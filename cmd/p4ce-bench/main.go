@@ -1,640 +1,159 @@
-// Command p4ce-bench regenerates the paper's evaluation (§V): every
-// figure and table, printed as the rows/series the paper reports.
+// Command p4ce-bench regenerates the paper's evaluation (§V) and this
+// repository's own sweeps. It builds one bench.Report at a profile and
+// seed and renders every section of it as aligned text tables, and on
+// request as CSV files and as the JSON report itself, so the text, the
+// CSVs and the committed baselines all hold the same numbers.
 //
-//	p4ce-bench -experiment all        # everything (a few minutes)
-//	p4ce-bench -experiment fig5       # goodput vs item size
-//	p4ce-bench -experiment maxcps     # §V-C max consensus/s
-//	p4ce-bench -experiment fig6       # latency vs throughput
-//	p4ce-bench -experiment fig7       # burst latency
-//	p4ce-bench -experiment tab4       # fail-over times
-//	p4ce-bench -experiment lesson1    # ACK-drop placement ablation
-//	p4ce-bench -experiment ablations  # credit + async-reconfig ablations
-//	p4ce-bench -experiment sharded    # shard scaling + adaptive batching
-//	p4ce-bench -experiment breakdown  # per-stage latency decomposition
-//	p4ce-bench -experiment scaling    # parallel kernel: wall-clock vs partitions
-//	p4ce-bench -experiment fabric     # leaf-spine: latency vs racks, fan-in savings
-//	p4ce-bench -experiment timeline   # SLO alerts vs chaos scenarios: detection, all-clear
-//
-// -ops scales the per-point operation count (the paper averages one
-// million operations per point; the default here keeps full sweeps fast).
-//
-// Machine-readable reports and the regression gate:
-//
-//	p4ce-bench -json                         # write BENCH_p4ce.json (quick profile)
-//	p4ce-bench -json -profile full           # paper-shaped sweep (minutes)
-//	p4ce-bench -json -out path.json          # choose the output path
+//	p4ce-bench -profile full                 # every EXPERIMENTS.md table (seconds)
+//	p4ce-bench -experiment burst -profile full   # one section: Fig. 7
+//	p4ce-bench -profile full -csv out/       # also one CSV per table
+//	p4ce-bench -json -profile quick          # also write BENCH_p4ce.json
 //	p4ce-bench compare base.json cand.json   # exit 1 on >10% regression
 //
-// Reports record the seed and configuration of every section and contain
-// no wall-clock values, so a fixed (profile, seed) pair reproduces the
-// same bytes on any machine — which is what makes the committed
-// bench/BENCH_baseline.json comparable.
+// The sections, by -experiment key: goodput (Fig. 5), latency (Fig. 6),
+// burst (Fig. 7), failover (Table IV), ablation (§V-C max consensus/s,
+// §IV-D ACK placement, Lesson 3 async reconfiguration, min-credit),
+// sharded, batch_sweep, breakdown, scaling, fabric and timeline.
+//
+// Reports contain no wall-clock values, so a fixed (profile, seed)
+// pair prints the same bytes on any machine: that is what makes the
+// committed bench/BENCH_baseline.json (quick) and
+// bench/BENCH_smoke_baseline.json (smoke) comparable.
 package main
 
 import (
-	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
-	"text/tabwriter"
-	"time"
+	"slices"
+	"strings"
 
-	"p4ce"
 	"p4ce/internal/bench"
-	"p4ce/internal/otrace"
 )
 
 func main() {
-	var (
-		experiment = flag.String("experiment", "all", "experiment id: all, fig5, maxcps, fig6, fig7, tab4, lesson1, ablations, sharded, breakdown, scaling, fabric, timeline")
-		ops        = flag.Int("ops", 4000, "operations per measured point")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		csvDir     = flag.String("csv", "", "also write one CSV per experiment into this directory (for plotting)")
-		jsonOut    = flag.Bool("json", false, "write the machine-readable report instead of the text experiments")
-		profile    = flag.String("profile", "quick", "report profile for -json: full, quick, smoke")
-		outPath    = flag.String("out", "BENCH_p4ce.json", "output path for -json")
-	)
-	flag.Parse()
-	if flag.Arg(0) == "compare" {
-		if flag.NArg() != 3 {
-			fmt.Fprintln(os.Stderr, "usage: p4ce-bench compare <baseline.json> <candidate.json>")
-			os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it returns 0 on success, 1 when a report cannot
+// be built or written, and 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("p4ce-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", "section to run: all, or one of "+strings.Join(bench.SectionKeys(), ", "))
+	profile := fs.String("profile", "quick", "report profile: full (EXPERIMENTS.md), quick (bench/BENCH_baseline.json), smoke")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	csvDir := fs.String("csv", "", "also write one CSV per table into this directory")
+	jsonOut := fs.Bool("json", false, "also write the report as JSON to -out (needs -experiment all)")
+	outPath := fs.String("out", "BENCH_p4ce.json", "output path for -json")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "p4ce-bench:", err)
+		return code
+	}
+	if fs.Arg(0) == "compare" {
+		if fs.NArg() != 3 {
+			return fail(2, errors.New("usage: p4ce-bench compare <baseline.json> <candidate.json>"))
 		}
-		os.Exit(runCompare(flag.Arg(1), flag.Arg(2)))
+		return compare(fs.Arg(1), fs.Arg(2), stdout, stderr)
+	}
+	if fs.NArg() > 0 {
+		return fail(2, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
+	}
+	p, err := bench.ProfileByName(*profile)
+	if err != nil {
+		return fail(2, err)
+	}
+	var keys []string
+	switch {
+	case *experiment == "all":
+	case !slices.Contains(bench.SectionKeys(), *experiment):
+		return fail(2, fmt.Errorf("unknown experiment %q", *experiment))
+	case *jsonOut:
+		return fail(2, errors.New("-json writes a whole report: use -experiment all"))
+	default:
+		keys = []string{*experiment}
+	}
+
+	rep, err := bench.BuildReport(*seed, p, keys...)
+	if err != nil {
+		return fail(1, err)
+	}
+	tables, err := rep.Tables(keys...)
+	if err != nil {
+		return fail(1, err)
+	}
+	for _, t := range tables {
+		if err := t.WriteText(stdout); err != nil {
+			return fail(1, err)
+		}
+	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			return fail(1, err)
+		}
+		for _, t := range tables {
+			if err := writeFile(filepath.Join(*csvDir, t.Name+".csv"), t.WriteCSV); err != nil {
+				return fail(1, err)
+			}
+		}
 	}
 	if *jsonOut {
-		if err := writeReport(*outPath, *profile, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "p4ce-bench:", err)
-			os.Exit(1)
+		blob, err := rep.Marshal()
+		if err != nil {
+			return fail(1, err)
 		}
-		return
+		if err := os.WriteFile(*outPath, blob, 0o644); err != nil {
+			return fail(1, err)
+		}
 	}
-	csvOut = *csvDir
-	if err := run(*experiment, *ops, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "p4ce-bench:", err)
-		os.Exit(1)
-	}
+	return 0
 }
 
-// writeReport builds the JSON report at the named profile and seed.
-func writeReport(path, profile string, seed int64) error {
-	p, err := bench.ProfileByName(profile)
+// writeFile creates path and fills it with write, reporting the write
+// and close errors.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "p4ce-bench: building %s report (seed %d)...\n", p.Name, seed)
-	rep, err := bench.BuildReport(seed, p)
-	if err != nil {
-		return err
-	}
-	blob, err := rep.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "p4ce-bench: wrote %s (%d goodput, %d latency points)\n",
-		path, len(rep.Goodput.Points), len(rep.Latency.Points))
-	return nil
+	return errors.Join(write(f), f.Close())
 }
 
-// runCompare diffs a candidate report against a baseline, printing any
+// compare diffs a candidate report against a baseline, printing any
 // regressions. Exit codes: 0 clean, 1 regressions, 2 unusable input.
-func runCompare(basePath, candPath string) int {
-	base, err := loadReport(basePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "p4ce-bench:", err)
-		return 2
+func compare(basePath, candPath string, stdout, stderr io.Writer) int {
+	var reps [2]*bench.Report
+	for i, path := range []string{basePath, candPath} {
+		blob, err := os.ReadFile(path)
+		if err == nil {
+			reps[i], err = bench.ParseReport(blob)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "p4ce-bench: %s: %v\n", path, err)
+			return 2
+		}
 	}
-	cand, err := loadReport(candPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "p4ce-bench:", err)
-		return 2
-	}
+	base, cand := reps[0], reps[1]
 	if base.Profile != cand.Profile || base.Seed != cand.Seed {
-		fmt.Fprintf(os.Stderr, "p4ce-bench: comparing (profile=%s seed=%d) against (profile=%s seed=%d): must match for a meaningful diff\n",
+		fmt.Fprintf(stderr, "p4ce-bench: comparing (profile=%s seed=%d) against (profile=%s seed=%d): must match for a meaningful diff\n",
 			cand.Profile, cand.Seed, base.Profile, base.Seed)
 		return 2
 	}
 	regs := bench.CompareReports(base, cand)
 	if len(regs) == 0 {
-		fmt.Printf("p4ce-bench: no regression beyond %.0f%% (%s vs %s)\n",
+		fmt.Fprintf(stdout, "p4ce-bench: no regression beyond %.0f%% (%s vs %s)\n",
 			bench.RegressionThreshold*100, candPath, basePath)
 		return 0
 	}
-	fmt.Printf("p4ce-bench: %d metric(s) regressed beyond %.0f%%:\n", len(regs), bench.RegressionThreshold*100)
+	fmt.Fprintf(stdout, "p4ce-bench: %d metric(s) regressed beyond %.0f%%:\n", len(regs), bench.RegressionThreshold*100)
 	for _, r := range regs {
-		fmt.Println("  " + r.String())
+		fmt.Fprintln(stdout, "  "+r.String())
 	}
 	return 1
-}
-
-func loadReport(path string) (*bench.Report, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := bench.ParseReport(blob)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-func run(experiment string, ops int, seed int64) error {
-	all := experiment == "all"
-	didAny := false
-	for _, exp := range []struct {
-		id string
-		fn func(int, int64) error
-	}{
-		{"fig5", fig5},
-		{"maxcps", maxcps},
-		{"fig6", fig6},
-		{"fig7", fig7},
-		{"tab4", tab4},
-		{"lesson1", lesson1},
-		{"ablations", ablations},
-		{"sharded", sharded},
-		{"breakdown", breakdown},
-		{"scaling", scaling},
-		{"fabric", fabric},
-		{"timeline", timeline},
-	} {
-		if all || experiment == exp.id {
-			didAny = true
-			if err := exp.fn(ops, seed); err != nil {
-				return fmt.Errorf("%s: %w", exp.id, err)
-			}
-		}
-	}
-	if !didAny {
-		return fmt.Errorf("unknown experiment %q", experiment)
-	}
-	return nil
-}
-
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
-}
-
-// csvOut, when non-empty, receives one CSV per experiment so the
-// figures can be re-plotted with any tool.
-var csvOut string
-
-func writeCSV(name string, headerRow []string, rows [][]string) {
-	if csvOut == "" {
-		return
-	}
-	if err := os.MkdirAll(csvOut, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "p4ce-bench: csv:", err)
-		return
-	}
-	f, err := os.Create(filepath.Join(csvOut, name))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "p4ce-bench: csv:", err)
-		return
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	defer w.Flush()
-	_ = w.Write(headerRow)
-	_ = w.WriteAll(rows)
-}
-
-func fig5(ops int, seed int64) error {
-	header("Figure 5 — write goodput vs item size (GB/s of client payload)")
-	cfg := bench.DefaultGoodputConfig()
-	cfg.Ops = ops
-	cfg.Seed = seed
-	points, err := bench.RunGoodput(cfg)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.Mode.String(), strconv.Itoa(p.Replicas), strconv.Itoa(p.ItemSize),
-			strconv.FormatFloat(p.GoodputGBps, 'f', 4, 64),
-			strconv.FormatFloat(p.ThroughputMs, 'f', 4, 64),
-		})
-	}
-	writeCSV("fig5_goodput.csv", []string{"system", "replicas", "item_bytes", "goodput_gbps", "consensus_mps"}, rows)
-	for _, replicas := range cfg.Replicas {
-		fmt.Printf("\n(%c) with %d replicas\n", 'a'+replicas/2-1, replicas)
-		w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-		fmt.Fprintln(w, "item size\tMu GB/s\tP4CE GB/s\tratio")
-		for _, size := range cfg.Sizes {
-			var mu, pc float64
-			for _, p := range points {
-				if p.Replicas != replicas || p.ItemSize != size {
-					continue
-				}
-				if p.Mode == p4ce.ModeMu {
-					mu = p.GoodputGBps
-				} else {
-					pc = p.GoodputGBps
-				}
-			}
-			fmt.Fprintf(w, "%d B\t%.2f\t%.2f\t%.2f×\n", size, mu, pc, pc/mu)
-		}
-		w.Flush()
-	}
-	return nil
-}
-
-func maxcps(ops int, seed int64) error {
-	header("§V-C — maximum consensus/s on 64 B values (leader CPU bound)")
-	rows, err := bench.RunMaxConsensus([]int{2, 4}, ops, seed)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "replicas\tsystem\tconsensus/s\tleader CPU\tspeedup vs Mu")
-	for _, r := range rows {
-		speed := ""
-		if r.SpeedupVsMu > 0 {
-			speed = fmt.Sprintf("%.2f×", r.SpeedupVsMu)
-		}
-		fmt.Fprintf(w, "%d\t%s\t%.2fM\t%.0f%%\t%s\n",
-			r.Replicas, r.Mode, r.ConsensusPerS/1e6, r.LeaderCPU*100, speed)
-	}
-	w.Flush()
-	return nil
-}
-
-func fig6(ops int, seed int64) error {
-	header("Figure 6 — latency vs throughput, 64 B requests")
-	cfg := bench.DefaultLatencyConfig()
-	cfg.Seed = seed
-	points, err := bench.RunLatencyThroughput(cfg)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.Mode.String(), strconv.Itoa(p.Replicas),
-			strconv.FormatFloat(p.OfferedMps, 'f', 3, 64),
-			strconv.FormatFloat(p.AchievedMps, 'f', 3, 64),
-			strconv.FormatInt(p.MeanLat.Nanoseconds(), 10),
-			strconv.FormatInt(p.P99Lat.Nanoseconds(), 10),
-		})
-	}
-	writeCSV("fig6_latency.csv", []string{"system", "replicas", "offered_mps", "achieved_mps", "mean_latency_ns", "p99_latency_ns"}, rows)
-	for _, replicas := range cfg.Replicas {
-		fmt.Printf("\n(%c) with %d replicas\n", 'a'+replicas/2-1, replicas)
-		w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-		fmt.Fprintln(w, "offered M/s\tMu achieved\tMu mean lat\tP4CE achieved\tP4CE mean lat")
-		for _, offered := range cfg.OfferedMps {
-			var mu, pc bench.LatencyPoint
-			for _, p := range points {
-				if p.Replicas != replicas || p.OfferedMps != offered {
-					continue
-				}
-				if p.Mode == p4ce.ModeMu {
-					mu = p
-				} else {
-					pc = p
-				}
-			}
-			fmt.Fprintf(w, "%.1f\t%.2fM\t%v\t%.2fM\t%v\n",
-				offered, mu.AchievedMps, mu.MeanLat, pc.AchievedMps, pc.MeanLat)
-		}
-		w.Flush()
-	}
-	return nil
-}
-
-func fig7(ops int, seed int64) error {
-	header("Figure 7 — burst completion latency, 64 B requests, 2 replicas")
-	rounds := 5
-	points, err := bench.RunBurstLatency(2, nil, rounds, seed)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.Mode.String(), strconv.Itoa(p.BurstSize),
-			strconv.FormatInt(p.BurstLat.Nanoseconds(), 10),
-		})
-	}
-	writeCSV("fig7_burst.csv", []string{"system", "burst_size", "burst_latency_ns"}, rows)
-	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "burst size\tMu\tP4CE\tMu/P4CE")
-	sizes := []int{1, 2, 5, 10, 20, 50, 100}
-	for _, k := range sizes {
-		var mu, pc time.Duration
-		for _, p := range points {
-			if p.BurstSize != k {
-				continue
-			}
-			if p.Mode == p4ce.ModeMu {
-				mu = p.BurstLat
-			} else {
-				pc = p.BurstLat
-			}
-		}
-		fmt.Fprintf(w, "%d\t%v\t%v\t%.2f×\n", k, mu, pc, float64(mu)/float64(pc))
-	}
-	w.Flush()
-	return nil
-}
-
-func tab4(ops int, seed int64) error {
-	header("Table IV — average fail-over times")
-	cfg := bench.DefaultFailoverConfig()
-	cfg.Seed = seed
-	mu, err := bench.RunFailover(p4ce.ModeMu, cfg)
-	if err != nil {
-		return err
-	}
-	pc, err := bench.RunFailover(p4ce.ModeP4CE, cfg)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "event\tMu\tP4CE")
-	fmt.Fprintf(w, "Configuring a communication group\t—\t%v\n", pc.GroupConfig.Round(100*time.Microsecond))
-	fmt.Fprintf(w, "Crashed replica\t%v\t%v\n",
-		mu.ReplicaCrash.Round(10*time.Microsecond), pc.ReplicaCrash.Round(100*time.Microsecond))
-	fmt.Fprintf(w, "Crashed leader\t%v\t%v\n",
-		mu.LeaderCrash.Round(10*time.Microsecond), pc.LeaderCrash.Round(100*time.Microsecond))
-	fmt.Fprintf(w, "Crashed switch\t%v\t%v\n",
-		mu.SwitchCrash.Round(100*time.Microsecond), pc.SwitchCrash.Round(100*time.Microsecond))
-	w.Flush()
-	return nil
-}
-
-func lesson1(ops int, seed int64) error {
-	header("§IV-D Lesson — ACK-drop placement (scaled-down parsers)")
-	res, err := bench.RunAckAggregationAblation(4, ops, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("parser capacity (scaled): %.0f kpps per port\n", res.ParserPPS/1e3)
-	fmt.Printf("drop in leader egress (first implementation): %.0f consensus/s\n", res.EgressDropRate)
-	fmt.Printf("drop in replica ingress (published design):   %.0f consensus/s\n", res.IngressDropRate)
-	fmt.Printf("speedup: %.2f× with %d replicas\n", res.Speedup, res.Replicas)
-	return nil
-}
-
-func sharded(ops int, seed int64) error {
-	header("Sharding — aggregate goodput vs shard count (fixed per-shard load)")
-	scfg := bench.DefaultShardedConfig()
-	scfg.Ops = ops
-	scfg.Seed = seed
-	spoints, err := bench.RunSharded(scfg)
-	if err != nil {
-		return err
-	}
-	var srows [][]string
-	for _, p := range spoints {
-		srows = append(srows, []string{
-			strconv.Itoa(p.Shards),
-			strconv.FormatFloat(p.AggregateOpsPerS, 'f', 0, 64),
-			strconv.FormatFloat(p.AggregateGoodputGBps, 'f', 4, 64),
-			strconv.FormatInt(p.MeanLat.Nanoseconds(), 10),
-			strconv.FormatInt(p.P99Lat.Nanoseconds(), 10),
-		})
-	}
-	writeCSV("sharded_scaling.csv", []string{"shards", "aggregate_ops_per_s", "aggregate_goodput_gbps", "mean_latency_ns", "p99_latency_ns"}, srows)
-	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "shards\taggregate ops/s\tgoodput GB/s\tmean lat\tp99 lat\tscaling")
-	base := spoints[0].AggregateOpsPerS
-	for _, p := range spoints {
-		fmt.Fprintf(w, "%d\t%.2fM\t%.2f\t%v\t%v\t%.2f×\n",
-			p.Shards, p.AggregateOpsPerS/1e6, p.AggregateGoodputGBps,
-			p.MeanLat, p.P99Lat, p.AggregateOpsPerS/base)
-	}
-	w.Flush()
-
-	header("Adaptive batching — saturated closed loop vs batch bound")
-	bcfg := bench.DefaultBatchSweepConfig()
-	bcfg.Ops = ops
-	bcfg.Seed = seed
-	bpoints, err := bench.RunBatchSweep(bcfg)
-	if err != nil {
-		return err
-	}
-	var brows [][]string
-	for _, p := range bpoints {
-		brows = append(brows, []string{
-			strconv.Itoa(p.BatchMaxOps),
-			strconv.FormatFloat(p.ThroughputMops, 'f', 4, 64),
-			strconv.FormatInt(p.MeanLat.Nanoseconds(), 10),
-			strconv.FormatInt(p.P99Lat.Nanoseconds(), 10),
-			strconv.FormatFloat(p.MeanOpsPerEntry, 'f', 2, 64),
-		})
-	}
-	writeCSV("sharded_batch_sweep.csv", []string{"batch_max_ops", "throughput_mops", "mean_latency_ns", "p99_latency_ns", "mean_ops_per_entry"}, brows)
-	w = tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "batch bound\tthroughput\tmean lat\tp99 lat\tops/entry")
-	for _, p := range bpoints {
-		fmt.Fprintf(w, "%d\t%.2fM\t%v\t%v\t%.1f\n",
-			p.BatchMaxOps, p.ThroughputMops, p.MeanLat, p.P99Lat, p.MeanOpsPerEntry)
-	}
-	w.Flush()
-	return nil
-}
-
-func scaling(ops int, seed int64) error {
-	header("Kernel scaling — one simulation, more partitions")
-	cfg := bench.DefaultScalingConfig()
-	cfg.Ops = ops
-	cfg.Seed = seed
-	points, err := bench.RunScaling(cfg)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{
-			strconv.Itoa(p.Partitions), strconv.Itoa(p.Shards),
-			strconv.FormatUint(p.Events, 10),
-			strconv.FormatFloat(p.AggregateOpsPerS, 'f', 0, 64),
-			strconv.FormatInt(p.Wall.Nanoseconds(), 10),
-		})
-	}
-	writeCSV("kernel_scaling.csv", []string{"partitions", "shards", "events", "sim_ops_per_s", "wall_ns"}, rows)
-	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "partitions\tevents\tsim ops/s\twall time\twall events/s\tspeedup")
-	baseWall := points[0].Wall
-	for _, p := range points {
-		fmt.Fprintf(w, "%d\t%d\t%.2fM\t%v\t%.2fM\t%.2f×\n",
-			p.Partitions, p.Events, p.AggregateOpsPerS/1e6,
-			p.Wall.Round(time.Millisecond),
-			float64(p.Events)/p.Wall.Seconds()/1e6,
-			float64(baseWall)/float64(p.Wall))
-	}
-	w.Flush()
-	fmt.Printf("\n(GOMAXPROCS=%d. Events and sim ops/s are identical at every partition count —\n"+
-		" that is the determinism guarantee. Only wall time may change, and speedup\n"+
-		" requires as many free cores as partitions.)\n", runtime.GOMAXPROCS(0))
-	return nil
-}
-
-func fabric(ops int, seed int64) error {
-	header("Fabric — commit latency vs rack count, hierarchical fan-in savings")
-	cfg := bench.DefaultFabricConfig()
-	cfg.Ops = ops
-	cfg.Seed = seed
-	points, err := bench.RunFabric(cfg)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{
-			strconv.Itoa(p.Racks),
-			strconv.FormatFloat(p.Throughput, 'f', 0, 64),
-			strconv.FormatInt(p.MeanLat.Nanoseconds(), 10),
-			strconv.FormatInt(p.P99Lat.Nanoseconds(), 10),
-			strconv.FormatUint(p.AcksUp, 10),
-			strconv.FormatUint(p.Partials, 10),
-			strconv.FormatUint(p.FlatAcksUp, 10),
-		})
-	}
-	writeCSV("fabric_topology.csv", []string{"racks", "throughput_ops_per_s", "mean_latency_ns", "p99_latency_ns", "acks_up_forwarded", "partials_aggregated", "flat_acks_up_forwarded"}, rows)
-	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "racks\tthroughput\tmean lat\tp99 lat\tspine ACKs\tflat spine ACKs\tfan-in saving")
-	for _, p := range points {
-		label := strconv.Itoa(p.Racks)
-		saving := "—"
-		if p.Racks == 0 {
-			label = "1 switch"
-		}
-		if p.FlatAcksUp > 0 {
-			saving = fmt.Sprintf("%.1f×", float64(p.FlatAcksUp)/float64(p.AcksUp))
-		}
-		fmt.Fprintf(w, "%s\t%.2fM\t%v\t%v\t%d\t%d\t%s\n",
-			label, p.Throughput/1e6, p.MeanLat, p.P99Lat, p.AcksUp, p.FlatAcksUp, saving)
-	}
-	w.Flush()
-	fmt.Println("\n(Spine ACKs: ACK-bearing frames crossing leaf→spine→root during the measured run.")
-	fmt.Println(" Hierarchical mode forwards one partial-count ACK per rack per slot; the flat")
-	fmt.Println(" ablation relays every remote replica's ACK individually.)")
-	return nil
-}
-
-func timeline(ops int, seed int64) error {
-	header("SLO timeline — alert detection and all-clear across the chaos scenarios")
-	cfg := bench.DefaultTimelineConfig()
-	cfg.Seed = seed
-	points, err := bench.RunTimeline(cfg)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.Scenario,
-			strconv.FormatInt(p.FaultStartNs, 10),
-			strconv.FormatInt(p.FaultEndNs, 10),
-			strconv.FormatInt(p.DetectionNs, 10),
-			strconv.FormatInt(p.AllClearNs, 10),
-			strconv.Itoa(p.Alerts),
-			strconv.FormatBool(p.Bracketed),
-		})
-	}
-	writeCSV("slo_timeline.csv", []string{"scenario", "fault_start_ns", "fault_end_ns", "detection_ns", "all_clear_ns", "alert_transitions", "bracketed"}, rows)
-	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "scenario\tfault window\tdetection\tall-clear\ttransitions\tbracketed")
-	for _, p := range points {
-		fmt.Fprintf(w, "%s\t%v–%v\t%v\t%v\t%d\t%v\n",
-			p.Scenario,
-			time.Duration(p.FaultStartNs).Round(time.Millisecond),
-			time.Duration(p.FaultEndNs).Round(time.Millisecond),
-			time.Duration(p.DetectionNs).Round(10*time.Microsecond),
-			time.Duration(p.AllClearNs).Round(10*time.Microsecond),
-			p.Alerts, p.Bracketed)
-	}
-	w.Flush()
-	fmt.Println("\n(Detection: fault window opening to the first SLO alert firing. All-clear: fault")
-	fmt.Println(" window opening to the last alert standing down — the on-call's incident span.")
-	fmt.Println(" Bracketed means no page before the fault, first page inside the window, and")
-	fmt.Println(" silence restored by the horizon.)")
-	return nil
-}
-
-func breakdown(ops int, seed int64) error {
-	header("Latency decomposition — where a 64 B operation's time goes")
-	cfg := bench.DefaultBreakdownConfig()
-	cfg.Ops = ops
-	cfg.Seed = seed
-	points, err := bench.RunBreakdown(cfg)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, p := range points {
-		for _, q := range []struct {
-			name string
-			op   bench.BreakdownOp
-		}{{"p50", p.P50}, {"p99", p.P99}} {
-			row := []string{p.Mode.String(), strconv.Itoa(p.Replicas), q.name,
-				strconv.FormatInt(q.op.E2ENs, 10)}
-			for _, ns := range q.op.StageNs {
-				row = append(row, strconv.FormatInt(ns, 10))
-			}
-			rows = append(rows, row)
-		}
-	}
-	csvHeader := []string{"system", "replicas", "quantile", "e2e_ns"}
-	for _, s := range otrace.StageNames {
-		csvHeader = append(csvHeader, s+"_ns")
-	}
-	writeCSV("breakdown_stages.csv", csvHeader, rows)
-	for _, quant := range []string{"p50", "p99"} {
-		fmt.Printf("\n%s operation, per-stage nanoseconds (stages sum to e2e)\n", quant)
-		w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', 0)
-		fmt.Fprint(w, "system\treplicas\te2e")
-		for _, s := range otrace.StageNames {
-			fmt.Fprintf(w, "\t%s", s)
-		}
-		fmt.Fprintln(w, "\thist est")
-		for _, p := range points {
-			op, hist := p.P50, p.HistP50Ns
-			if quant == "p99" {
-				op, hist = p.P99, p.HistP99Ns
-			}
-			fmt.Fprintf(w, "%s\t%d\t%d", p.Mode, p.Replicas, op.E2ENs)
-			for _, ns := range op.StageNs {
-				fmt.Fprintf(w, "\t%d", ns)
-			}
-			fmt.Fprintf(w, "\t%d\n", hist)
-		}
-		w.Flush()
-	}
-	fmt.Println("\n(ModeMu has no switch: its switch-pipeline and gather-wait stages are zero-width,")
-	fmt.Println(" with fabric and replica time folded into the adjacent stages. The hist-est")
-	fmt.Println(" column is the commit-latency quantile as the always-on log2 histogram")
-	fmt.Println(" estimates it — interpolated nearest rank, factor-of-2 error bound — shown")
-	fmt.Println(" against the exact traced quantiles for calibration.)")
-	return nil
-}
-
-func ablations(ops int, seed int64) error {
-	header("Ablation — asynchronous switch reconfiguration (Lesson 3)")
-	ar, err := bench.RunAsyncReconfigAblation(3, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("leader fail-over, synchronous reconfig: %v\n", ar.SyncFailover.Round(100*time.Microsecond))
-	fmt.Printf("leader fail-over, asynchronous reconfig: %v (Mu-equivalent)\n", ar.AsyncFailover.Round(10*time.Microsecond))
-
-	header("Ablation — min-credit aggregation with a slow replica")
-	cr, err := bench.RunCreditAblation(2, ops, 3*time.Microsecond, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("slow replica apply delay: %v\n", cr.ApplyDelay)
-	fmt.Printf("sustained rate: %.0f consensus/s, slow-replica RNR NAKs: %d\n",
-		cr.ThroughputOps, cr.ReplicaRNRs)
-	return nil
 }

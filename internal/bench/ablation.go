@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"p4ce"
@@ -14,11 +15,18 @@ import (
 // pipelines (the published design) versus in the leader's egress (the
 // first implementation).
 type AckPlacementResult struct {
-	Replicas        int
-	ParserPPS       float64 // scaled-down parser capacity used for the run
-	IngressDropRate float64 // consensus/s with ingress-side dropping
-	EgressDropRate  float64 // consensus/s with leader-egress dropping
-	Speedup         float64
+	Replicas        int     `json:"replicas"`
+	ParserPPS       float64 `json:"parser_pps"`         // scaled-down parser capacity used for the run
+	IngressDropRate float64 `json:"ingress_drop_per_s"` // consensus/s with ingress-side dropping
+	EgressDropRate  float64 `json:"egress_drop_per_s"`  // consensus/s with leader-egress dropping
+	Speedup         float64 `json:"speedup"`
+}
+
+func (r AckPlacementResult) check() error {
+	if r.IngressDropRate <= 0 || r.EgressDropRate <= 0 {
+		return fmt.Errorf("ack placement r%d: non-positive rate", r.Replicas)
+	}
+	return nil
 }
 
 // RunAckAggregationAblation reproduces the paper's Lesson: with the
@@ -68,16 +76,24 @@ func RunAckAggregationAblation(replicas, ops int, seed int64) (AckPlacementResul
 // advertised credits, keeping receiver-not-ready NAKs rare while the
 // whole group still commits.
 type CreditAblationResult struct {
-	ApplyDelay    time.Duration
-	ThroughputOps float64
-	ReplicaRNRs   uint64
+	Replicas      int           `json:"replicas"`
+	ApplyDelay    time.Duration `json:"apply_delay_ns"`
+	ThroughputOps float64       `json:"throughput_ops_per_s"`
+	ReplicaRNRs   uint64        `json:"replica_rnrs"`
+}
+
+func (r CreditAblationResult) check() error {
+	if r.ThroughputOps <= 0 {
+		return fmt.Errorf("credit r%d: non-positive rate", r.Replicas)
+	}
+	return nil
 }
 
 // RunCreditAblation drives a group whose last replica consumes inbound
 // messages slowly (draining its advertised credits) and reports the
 // sustained rate and the RNR pressure at the slow member.
 func RunCreditAblation(replicas, ops int, applyDelay time.Duration, seed int64) (CreditAblationResult, error) {
-	res := CreditAblationResult{ApplyDelay: applyDelay}
+	res := CreditAblationResult{Replicas: replicas, ApplyDelay: applyDelay}
 	slow := replicas // node id of the slow replica
 	cl, leader, err := Steady(p4ce.Options{
 		Nodes: replicas + 1,
@@ -105,8 +121,16 @@ func RunCreditAblation(replicas, ops int, applyDelay time.Duration, seed int64) 
 // AsyncReconfigResult compares leader fail-over with and without the
 // Lesson-3 improvement (asynchronous switch reconfiguration).
 type AsyncReconfigResult struct {
-	SyncFailover  time.Duration
-	AsyncFailover time.Duration
+	Nodes         int           `json:"nodes"`
+	SyncFailover  time.Duration `json:"sync_failover_ns"`
+	AsyncFailover time.Duration `json:"async_failover_ns"`
+}
+
+func (r AsyncReconfigResult) check() error {
+	if r.SyncFailover <= 0 || r.AsyncFailover <= 0 {
+		return fmt.Errorf("async reconfig n%d: non-positive fail-over", r.Nodes)
+	}
+	return nil
 }
 
 // RunAsyncReconfigAblation measures P4CE leader fail-over in both
@@ -114,7 +138,7 @@ type AsyncReconfigResult struct {
 // reconfiguration (Table IV's 40.9 ms); asynchronously it replicates
 // directly in the meantime, matching Mu's 0.9 ms.
 func RunAsyncReconfigAblation(nodes int, seed int64) (AsyncReconfigResult, error) {
-	var res AsyncReconfigResult
+	res := AsyncReconfigResult{Nodes: nodes}
 	cfg := FailoverConfig{Nodes: nodes, Seed: seed}
 	d, err := measureLeaderCrash(p4ce.ModeP4CE, cfg)
 	if err != nil {

@@ -122,7 +122,7 @@ func TestGoodputShape(t *testing.T) {
 // Shape check, Fig. 7: Mu's burst latency degrades faster than P4CE's;
 // at bursts of 100 the paper reports P4CE at half of Mu.
 func TestBurstLatencyShape(t *testing.T) {
-	points, err := RunBurstLatency(2, []int{1, 10, 100}, 3, 1)
+	points, err := RunBurstLatency(BurstConfig{Replicas: 2, Sizes: []int{1, 10, 100}, Rounds: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func DefaultBreakdownConfig() BreakdownConfig {
 		ItemSize: 64,
 		Depth:    8,
 		Warmup:   200,
-		Ops:      2000,
+		Ops:      4000,
 		Seed:     1,
 	}
 }

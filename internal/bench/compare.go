@@ -99,6 +99,9 @@ func CompareReports(base, cand *Report) []Regression {
 			higher("achieved_mops", func(p LatencyPoint) float64 { return p.AchievedMps }),
 			lower("mean_ns", func(p LatencyPoint) float64 { return float64(p.MeanLat) }),
 			lower("p99_ns", func(p LatencyPoint) float64 { return float64(p.P99Lat) })),
+		compareRows("burst", base.Burst.Points, cand.Burst.Points,
+			func(p BurstPoint) string { return fmt.Sprintf("%s/r%d/k%d", p.Mode, p.Replicas, p.BurstSize) },
+			lower("burst_lat_ns", func(p BurstPoint) float64 { return float64(p.BurstLat) })),
 		compareRows("failover", base.Failover.Modes, cand.Failover.Modes,
 			func(f FailoverTimes) string { return f.Mode.String() },
 			lower("group_config_ns", func(f FailoverTimes) float64 { return float64(f.GroupConfig) }),
@@ -108,6 +111,18 @@ func CompareReports(base, cand *Report) []Regression {
 		compareRows("ablation", base.Ablation.MaxConsensus, cand.Ablation.MaxConsensus,
 			func(r MaxConsensusResult) string { return fmt.Sprintf("%s/r%d", r.Mode, r.Replicas) },
 			higher("consensus_per_s", func(r MaxConsensusResult) float64 { return r.ConsensusPerS })),
+		// The ablations gate the side the paper's design wins on: the
+		// ingress-drop rate, the asynchronous fail-over and the slow
+		// group's sustained rate.
+		compareRows("ablation/ack_placement", base.Ablation.AckPlacement, cand.Ablation.AckPlacement,
+			func(r AckPlacementResult) string { return fmt.Sprintf("r%d", r.Replicas) },
+			higher("ingress_drop_per_s", func(r AckPlacementResult) float64 { return r.IngressDropRate })),
+		compareRows("ablation/async_reconfig", base.Ablation.AsyncReconfig, cand.Ablation.AsyncReconfig,
+			func(r AsyncReconfigResult) string { return fmt.Sprintf("n%d", r.Nodes) },
+			lower("async_failover_ns", func(r AsyncReconfigResult) float64 { return float64(r.AsyncFailover) })),
+		compareRows("ablation/credit", base.Ablation.Credit, cand.Ablation.Credit,
+			func(r CreditAblationResult) string { return fmt.Sprintf("r%d", r.Replicas) },
+			higher("throughput_ops_per_s", func(r CreditAblationResult) float64 { return r.ThroughputOps })),
 		compareRows("sharded", base.Sharded.Points, cand.Sharded.Points,
 			func(p ShardedPoint) string { return fmt.Sprintf("x%d", p.Shards) },
 			higher("aggregate_ops_per_s", func(p ShardedPoint) float64 { return p.AggregateOpsPerS }),

@@ -8,8 +8,10 @@
 // partitioned-kernel scaling (scaling.go), the leaf-spine fabric sweep
 // with the hierarchical-aggregation fan-in ablation (fabric.go), and
 // SLO alert timelines over the chaos scenarios (timeline.go).
-// cmd/p4ce-bench prints the results in the paper's shape;
-// bench_test.go wraps them as testing.B benchmarks.
+// BuildReport runs them into one Report (report.go), which
+// cmd/p4ce-bench prints as text tables and CSVs through the json tags
+// of its rows (render.go); bench_test.go wraps them as testing.B
+// benchmarks.
 //
 // Reports are machine-readable (report.go, SchemaVersion): each section
 // holds a runner's config and result rows, whose struct tags are the

@@ -51,16 +51,14 @@ type GoodputConfig struct {
 }
 
 // DefaultGoodputConfig mirrors the paper's sweep (each point averages
-// Ops operations; the paper uses one million). The zero-allocation hot
-// path made operations cheap enough to run 40k per point — 10x the
-// original 4k — in comparable wall-clock time.
+// Ops operations; the paper uses one million).
 func DefaultGoodputConfig() GoodputConfig {
 	return GoodputConfig{
 		Replicas:    []int{2, 4},
 		Sizes:       []int{64, 128, 256, 512, 1024, 2048, 4096, 8192},
 		Depth:       16,
 		Warmup:      500,
-		Ops:         40000,
+		Ops:         4000,
 		Seed:        1,
 		LeaderCores: 8,
 	}

@@ -142,34 +142,53 @@ func runOpenLoop(mode p4ce.Mode, replicas int, offeredMps float64, cfg LatencyCo
 	return pt, nil
 }
 
+// BurstConfig parameterizes the Fig. 7 sweep.
+type BurstConfig struct {
+	Replicas int   `json:"replicas"`
+	Sizes    []int `json:"burst_sizes"`
+	// Rounds is the number of bursts averaged into each point.
+	Rounds int   `json:"rounds"`
+	Seed   int64 `json:"-"`
+}
+
+// DefaultBurstConfig is the paper's Fig. 7: bursts of 1 to 100 requests
+// against 2 replicas.
+func DefaultBurstConfig() BurstConfig {
+	return BurstConfig{Replicas: 2, Sizes: []int{1, 2, 5, 10, 20, 50, 100}, Rounds: 5, Seed: 1}
+}
+
 // BurstPoint is one point of Fig. 7: the completion latency of a burst
 // of simultaneous 64 B requests.
 type BurstPoint struct {
-	Mode      p4ce.Mode
-	Replicas  int
-	BurstSize int
+	Mode      p4ce.Mode `json:"mode"`
+	Replicas  int       `json:"replicas"`
+	BurstSize int       `json:"burst_size"`
 	// BurstLat is the time from issuing the burst to the last commit.
-	BurstLat time.Duration
+	BurstLat time.Duration `json:"burst_lat_ns"`
+}
+
+func (p BurstPoint) check() error {
+	if p.BurstLat <= 0 {
+		return fmt.Errorf("%s/r%d/k%d: non-positive burst latency", p.Mode, p.Replicas, p.BurstSize)
+	}
+	return nil
 }
 
 // RunBurstLatency regenerates Fig. 7. For each burst size the leader
 // issues the whole burst at once and waits for every commit; the result
-// averages over rounds.
-func RunBurstLatency(replicas int, burstSizes []int, rounds int, seed int64) ([]BurstPoint, error) {
-	if len(burstSizes) == 0 {
-		burstSizes = []int{1, 2, 5, 10, 20, 50, 100}
-	}
+// averages over cfg.Rounds.
+func RunBurstLatency(cfg BurstConfig) ([]BurstPoint, error) {
 	var out []BurstPoint
 	for _, mode := range []p4ce.Mode{p4ce.ModeMu, p4ce.ModeP4CE} {
-		cl, leader, err := Steady(p4ce.Options{Nodes: replicas + 1, Mode: mode, Seed: seed, BatchMaxOps: 1})
+		cl, leader, err := Steady(p4ce.Options{Nodes: cfg.Replicas + 1, Mode: mode, Seed: cfg.Seed, BatchMaxOps: 1})
 		if err != nil {
 			return nil, err
 		}
 		payload := make([]byte, 64)
 		sh := cl.Shard(0)
-		for _, k := range burstSizes {
+		for _, k := range cfg.Sizes {
 			var total time.Duration
-			for round := 0; round < rounds; round++ {
+			for round := 0; round < cfg.Rounds; round++ {
 				start := sh.Now()
 				var done int
 				for i := 0; i < k; i++ {
@@ -191,9 +210,9 @@ func RunBurstLatency(replicas int, burstSizes []int, rounds int, seed int64) ([]
 			}
 			out = append(out, BurstPoint{
 				Mode:      mode,
-				Replicas:  replicas,
+				Replicas:  cfg.Replicas,
 				BurstSize: k,
-				BurstLat:  total / time.Duration(rounds),
+				BurstLat:  total / time.Duration(cfg.Rounds),
 			})
 		}
 	}

@@ -11,7 +11,9 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"p4ce"
@@ -20,7 +22,7 @@ import (
 // SchemaVersion identifies the BENCH_p4ce.json layout: the keys of
 // Report and of the runner rows and configs it holds. Validate accepts
 // no other version; bump it whenever a key is added, renamed or removed.
-const SchemaVersion = 6
+const SchemaVersion = 7
 
 // Report is the root of BENCH_p4ce.json.
 type Report struct {
@@ -32,9 +34,12 @@ type Report struct {
 	Goodput Section[GoodputConfig, GoodputPoint] `json:"goodput"`
 	// Latency is the Fig. 6 sweep with full percentile columns (the
 	// latency CDF in digest form: p50/p99/p999/max per offered load).
-	Latency  Section[LatencyConfig, LatencyPoint] `json:"latency"`
-	Failover FailoverSection                      `json:"failover"`
-	Ablation AblationSection                      `json:"ablation"`
+	Latency Section[LatencyConfig, LatencyPoint] `json:"latency"`
+	// Burst is the Fig. 7 sweep: completion latency of a burst of
+	// simultaneous requests.
+	Burst    Section[BurstConfig, BurstPoint] `json:"burst"`
+	Failover FailoverSection                  `json:"failover"`
+	Ablation AblationSection                  `json:"ablation"`
 	// Sharded is aggregate goodput against the number of independent
 	// consensus groups on the one switch.
 	Sharded Section[ShardedConfig, ShardedPoint] `json:"sharded"`
@@ -75,11 +80,17 @@ type FailoverSection struct {
 	Modes         []FailoverTimes `json:"modes"`
 }
 
-// AblationSection is the §V-C Mu-vs-P4CE maximum-consensus comparison.
+// AblationSection is the §V-C Mu-vs-P4CE maximum-consensus comparison
+// and the design-choice ablations: §IV-D's ACK-drop placement, Lesson
+// 3's asynchronous reconfiguration and §IV-C's min-credit aggregation,
+// one row each. Ops is the measured count of every closed-loop run.
 type AblationSection struct {
-	Seed         int64                `json:"seed"`
-	Ops          int                  `json:"ops"`
-	MaxConsensus []MaxConsensusResult `json:"max_consensus"`
+	Seed          int64                  `json:"seed"`
+	Ops           int                    `json:"ops"`
+	MaxConsensus  []MaxConsensusResult   `json:"max_consensus"`
+	AckPlacement  []AckPlacementResult   `json:"ack_placement"`
+	AsyncReconfig []AsyncReconfigResult  `json:"async_reconfig"`
+	Credit        []CreditAblationResult `json:"credit"`
 }
 
 // Profile bundles the section configurations of one report flavor.
@@ -87,6 +98,7 @@ type Profile struct {
 	Name             string
 	Goodput          GoodputConfig
 	Latency          LatencyConfig
+	Burst            BurstConfig
 	Failover         FailoverConfig
 	AblationReplicas []int
 	AblationOps      int
@@ -98,16 +110,17 @@ type Profile struct {
 	Timeline         TimelineConfig
 }
 
-// FullProfile is the paper-shaped sweep; it takes a few minutes of
-// wall-clock time.
+// FullProfile is the paper-shaped sweep that EXPERIMENTS.md reports;
+// it takes seconds of wall-clock time.
 func FullProfile() Profile {
 	return Profile{
 		Name:             "full",
 		Goodput:          DefaultGoodputConfig(),
 		Latency:          DefaultLatencyConfig(),
+		Burst:            DefaultBurstConfig(),
 		Failover:         DefaultFailoverConfig(),
 		AblationReplicas: []int{2, 4},
-		AblationOps:      40000,
+		AblationOps:      4000,
 		Sharded:          DefaultShardedConfig(),
 		BatchSweep:       DefaultBatchSweepConfig(),
 		Breakdown:        DefaultBreakdownConfig(),
@@ -138,6 +151,7 @@ func QuickProfile() Profile {
 			Duration:   2 * time.Millisecond,
 			Warmup:     time.Millisecond,
 		},
+		Burst:            BurstConfig{Replicas: 2, Sizes: []int{1, 10, 100}, Rounds: 3},
 		Failover:         FailoverConfig{Nodes: 5},
 		AblationReplicas: []int{2, 4},
 		AblationOps:      1200,
@@ -216,6 +230,7 @@ func SmokeProfile() Profile {
 			Duration:   time.Millisecond,
 			Warmup:     500 * time.Microsecond,
 		},
+		Burst:            BurstConfig{Replicas: 2, Sizes: []int{1, 10}, Rounds: 2},
 		Failover:         FailoverConfig{Nodes: 3},
 		AblationReplicas: []int{2},
 		AblationOps:      600,
@@ -287,62 +302,95 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("bench: unknown profile %q", name)
 }
 
-// BuildReport runs every section of profile p with the given seed.
-func BuildReport(seed int64, p Profile) (*Report, error) {
-	p.Goodput.Seed, p.Latency.Seed, p.Failover.Seed = seed, seed, seed
+// SectionKeys lists the report's sections by json key, in report order.
+func SectionKeys() []string {
+	keys := make([]string, len(builders))
+	for i, b := range builders {
+		keys[i] = b.key
+	}
+	return keys
+}
+
+// BuildReport runs the named sections of profile p with the given seed,
+// or every section when none is named. A section left out keeps its
+// zero value, so only a report of every section validates.
+func BuildReport(seed int64, p Profile, keys ...string) (*Report, error) {
+	for _, k := range keys {
+		if !slices.Contains(SectionKeys(), k) {
+			return nil, fmt.Errorf("bench: unknown section %q", k)
+		}
+	}
+	p.Goodput.Seed, p.Latency.Seed, p.Burst.Seed, p.Failover.Seed = seed, seed, seed, seed
 	p.Sharded.Seed, p.BatchSweep.Seed, p.Breakdown.Seed = seed, seed, seed
 	p.Scaling.Seed, p.Fabric.Seed, p.Timeline.Seed = seed, seed, seed
 
-	rep := &Report{
-		SchemaVersion: SchemaVersion,
-		Tool:          "p4ce-bench",
-		Profile:       p.Name,
-		Seed:          seed,
-		Failover:      FailoverSection{Seed: seed, Nodes: p.Failover.Nodes, AsyncReconfig: p.Failover.AsyncReconfig},
-		Ablation:      AblationSection{Seed: seed, Ops: p.AblationOps},
-	}
-	var err error
-	if rep.Goodput, err = section(seed, p.Goodput, RunGoodput); err != nil {
-		return nil, fmt.Errorf("goodput: %w", err)
-	}
-	if rep.Latency, err = section(seed, p.Latency, RunLatencyThroughput); err != nil {
-		return nil, fmt.Errorf("latency: %w", err)
-	}
-	for _, mode := range []p4ce.Mode{p4ce.ModeMu, p4ce.ModeP4CE} {
-		ft, err := RunFailover(mode, p.Failover)
-		if err != nil {
-			return nil, fmt.Errorf("failover (%v): %w", mode, err)
+	rep := &Report{SchemaVersion: SchemaVersion, Tool: "p4ce-bench", Profile: p.Name, Seed: seed}
+	for _, b := range builders {
+		if len(keys) > 0 && !slices.Contains(keys, b.key) {
+			continue
 		}
-		rep.Failover.Modes = append(rep.Failover.Modes, ft)
-	}
-	if rep.Ablation.MaxConsensus, err = RunMaxConsensus(p.AblationReplicas, p.AblationOps, seed); err != nil {
-		return nil, fmt.Errorf("ablation: %w", err)
-	}
-	if rep.Sharded, err = section(seed, p.Sharded, RunSharded); err != nil {
-		return nil, fmt.Errorf("sharded: %w", err)
-	}
-	if rep.BatchSweep, err = section(seed, p.BatchSweep, RunBatchSweep); err != nil {
-		return nil, fmt.Errorf("batch sweep: %w", err)
-	}
-	if rep.Breakdown, err = section(seed, p.Breakdown, RunBreakdown); err != nil {
-		return nil, fmt.Errorf("breakdown: %w", err)
-	}
-	if rep.Scaling, err = section(seed, p.Scaling, RunScaling); err != nil {
-		return nil, fmt.Errorf("scaling: %w", err)
-	}
-	if rep.Fabric, err = section(seed, p.Fabric, RunFabric); err != nil {
-		return nil, fmt.Errorf("fabric: %w", err)
-	}
-	if rep.Timeline, err = section(seed, p.Timeline, RunTimeline); err != nil {
-		return nil, fmt.Errorf("timeline: %w", err)
+		if err := b.build(rep, p); err != nil {
+			return nil, fmt.Errorf("%s: %w", b.key, err)
+		}
 	}
 	return rep, nil
 }
 
-// section runs one sweep and records the seed and config that produced it.
-func section[C, P any](seed int64, cfg C, run func(C) ([]P, error)) (Section[C, P], error) {
-	points, err := run(cfg)
-	return Section[C, P]{Seed: seed, Config: cfg, Points: points}, err
+// The ablation section's fixed shapes, the paper's: the §IV-D ACK
+// placement at 4 replicas, the min-credit run at 2 replicas with one
+// slow replica, and Lesson 3's leader fail-over at 3 nodes.
+const (
+	ackPlacementReplicas = 4
+	creditReplicas       = 2
+	creditApplyDelay     = 3 * time.Microsecond
+	asyncReconfigNodes   = 3
+)
+
+// builders runs each section of a profile into a report, in report
+// order; key is the section's json key.
+var builders = []struct {
+	key   string
+	build func(r *Report, p Profile) error
+}{
+	{"goodput", func(r *Report, p Profile) error { return build(&r.Goodput, r.Seed, p.Goodput, RunGoodput) }},
+	{"latency", func(r *Report, p Profile) error { return build(&r.Latency, r.Seed, p.Latency, RunLatencyThroughput) }},
+	{"burst", func(r *Report, p Profile) error { return build(&r.Burst, r.Seed, p.Burst, RunBurstLatency) }},
+	{"failover", func(r *Report, p Profile) error {
+		r.Failover = FailoverSection{Seed: r.Seed, Nodes: p.Failover.Nodes, AsyncReconfig: p.Failover.AsyncReconfig}
+		for _, mode := range []p4ce.Mode{p4ce.ModeMu, p4ce.ModeP4CE} {
+			ft, err := RunFailover(mode, p.Failover)
+			if err != nil {
+				return fmt.Errorf("%v: %w", mode, err)
+			}
+			r.Failover.Modes = append(r.Failover.Modes, ft)
+		}
+		return nil
+	}},
+	{"ablation", func(r *Report, p Profile) error {
+		mc, err1 := RunMaxConsensus(p.AblationReplicas, p.AblationOps, r.Seed)
+		ack, err2 := RunAckAggregationAblation(ackPlacementReplicas, p.AblationOps, r.Seed)
+		async, err3 := RunAsyncReconfigAblation(asyncReconfigNodes, r.Seed)
+		credit, err4 := RunCreditAblation(creditReplicas, p.AblationOps, creditApplyDelay, r.Seed)
+		r.Ablation = AblationSection{Seed: r.Seed, Ops: p.AblationOps, MaxConsensus: mc,
+			AckPlacement:  []AckPlacementResult{ack},
+			AsyncReconfig: []AsyncReconfigResult{async},
+			Credit:        []CreditAblationResult{credit}}
+		return errors.Join(err1, err2, err3, err4)
+	}},
+	{"sharded", func(r *Report, p Profile) error { return build(&r.Sharded, r.Seed, p.Sharded, RunSharded) }},
+	{"batch_sweep", func(r *Report, p Profile) error { return build(&r.BatchSweep, r.Seed, p.BatchSweep, RunBatchSweep) }},
+	{"breakdown", func(r *Report, p Profile) error { return build(&r.Breakdown, r.Seed, p.Breakdown, RunBreakdown) }},
+	{"scaling", func(r *Report, p Profile) error { return build(&r.Scaling, r.Seed, p.Scaling, RunScaling) }},
+	{"fabric", func(r *Report, p Profile) error { return build(&r.Fabric, r.Seed, p.Fabric, RunFabric) }},
+	{"timeline", func(r *Report, p Profile) error { return build(&r.Timeline, r.Seed, p.Timeline, RunTimeline) }},
+}
+
+// build runs one sweep into s and records the seed and config that
+// produced it.
+func build[C, P any](s *Section[C, P], seed int64, cfg C, run func(C) ([]P, error)) (err error) {
+	s.Seed, s.Config = seed, cfg
+	s.Points, err = run(cfg)
+	return err
 }
 
 // Marshal renders the report as indented, newline-terminated JSON.
@@ -380,8 +428,12 @@ func (r *Report) Validate() error {
 	for _, err := range []error{
 		checkRows("goodput", r.Goodput.Points),
 		checkRows("latency", r.Latency.Points),
+		checkRows("burst", r.Burst.Points),
 		checkRows("failover", r.Failover.Modes),
 		checkRows("ablation", r.Ablation.MaxConsensus),
+		checkRows("ablation ack_placement", r.Ablation.AckPlacement),
+		checkRows("ablation async_reconfig", r.Ablation.AsyncReconfig),
+		checkRows("ablation credit", r.Ablation.Credit),
 		checkRows("sharded", r.Sharded.Points),
 		checkRows("batch_sweep", r.BatchSweep.Points),
 		checkRows("breakdown", r.Breakdown.Points),

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +50,32 @@ func TestSmokeReport(t *testing.T) {
 			t.Errorf("latency %s/r%d@%.2f: percentiles not ordered: p50=%d p99=%d p999=%d max=%d",
 				pt.Mode, pt.Replicas, pt.OfferedMps, pt.P50Lat, pt.P99Lat, pt.P999Lat, pt.MaxLat)
 		}
+	}
+
+	// Each section key names its own tables, and together they are
+	// every table of the report, in report order.
+	var perKey, all []string
+	for _, key := range SectionKeys() {
+		tables, err := rep.Tables(key)
+		if err != nil || len(tables) == 0 {
+			t.Errorf("Tables(%q) = %d tables, %v", key, len(tables), err)
+		}
+		for _, tb := range tables {
+			if tb.Name != key && !strings.HasPrefix(tb.Name, key+".") {
+				t.Errorf("Tables(%q) rendered %q", key, tb.Name)
+			}
+			perKey = append(perKey, tb.Name)
+		}
+	}
+	tables, err := rep.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range tables {
+		all = append(all, tb.Name)
+	}
+	if !slices.Equal(perKey, all) {
+		t.Errorf("tables by section key %v, want %v", perKey, all)
 	}
 
 	blob, err := rep.Marshal()
@@ -175,6 +203,33 @@ func TestCompareDetectsRegression(t *testing.T) {
 			}
 		}
 	})
+	t.Run("burst and ablation rows fail", func(t *testing.T) {
+		// Fig. 7 and the three single-row ablations each gate one metric:
+		// a 10% degradation of it is exactly one regression.
+		worse := func(d *time.Duration) { *d = time.Duration(math.Ceil(float64(*d) * (1 + RegressionThreshold))) }
+		for _, tc := range []struct {
+			want    string
+			degrade func(r *Report)
+		}{
+			{"burst/Mu/r2/k1/burst_lat_ns", func(r *Report) { worse(&r.Burst.Points[0].BurstLat) }},
+			{"ablation/ack_placement/r4/ingress_drop_per_s", func(r *Report) {
+				r.Ablation.AckPlacement[0].IngressDropRate *= 1 - RegressionThreshold
+			}},
+			{"ablation/async_reconfig/n3/async_failover_ns", func(r *Report) {
+				worse(&r.Ablation.AsyncReconfig[0].AsyncFailover)
+			}},
+			{"ablation/credit/r2/throughput_ops_per_s", func(r *Report) {
+				r.Ablation.Credit[0].ThroughputOps *= 1 - RegressionThreshold
+			}},
+		} {
+			cand := degrade()
+			tc.degrade(cand)
+			regs := CompareReports(base, cand)
+			if len(regs) != 1 || regs[0].Metric != tc.want {
+				t.Errorf("10%% degradation: regressions %v, want exactly one named %s", regs, tc.want)
+			}
+		}
+	})
 	t.Run("missing point fails", func(t *testing.T) {
 		// Drop the first row of each section in turn: exactly one
 		// regression, named <section>/<key> of the dropped row.
@@ -184,8 +239,10 @@ func TestCompareDetectsRegression(t *testing.T) {
 		}{
 			{"goodput/Mu/r2/s64", func(r *Report) { r.Goodput.Points = r.Goodput.Points[1:] }},
 			{"latency/Mu/r2@0.500", func(r *Report) { r.Latency.Points = r.Latency.Points[1:] }},
+			{"burst/Mu/r2/k1", func(r *Report) { r.Burst.Points = r.Burst.Points[1:] }},
 			{"failover/Mu", func(r *Report) { r.Failover.Modes = r.Failover.Modes[1:] }},
 			{"ablation/Mu/r2", func(r *Report) { r.Ablation.MaxConsensus = r.Ablation.MaxConsensus[1:] }},
+			{"ablation/credit/r2", func(r *Report) { r.Ablation.Credit = nil }},
 			{"sharded/x1", func(r *Report) { r.Sharded.Points = r.Sharded.Points[1:] }},
 			{"batch_sweep/b1", func(r *Report) { r.BatchSweep.Points = r.BatchSweep.Points[1:] }},
 			{"breakdown/Mu/r2", func(r *Report) { r.Breakdown.Points = r.Breakdown.Points[1:] }},
@@ -239,7 +296,7 @@ func TestValidateRejectsBadReports(t *testing.T) {
 		t.Error("wrong schema version accepted")
 	}
 	if err := mutate(func(r *Report) { r.SchemaVersion = SchemaVersion - 1 }); err == nil {
-		t.Error("a v5 report accepted: only the current schema is valid")
+		t.Error("a v6 report accepted: only the current schema is valid")
 	}
 	if err := mutate(func(r *Report) { r.Goodput.Points[0].ThroughputMs = 0 }); err == nil {
 		t.Error("zero throughput accepted")

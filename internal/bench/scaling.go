@@ -7,9 +7,8 @@ package bench
 // scheduler replays bit-identically at every partition count, every
 // deterministic field must be equal across the sweep — Validate
 // enforces that on the report — and the only thing partitions may
-// change is wall-clock time. Wall time is measured here for the CLI
-// table (events/s, speedup) but never enters the JSON report, which
-// stays bit-reproducible.
+// change is wall-clock time, which is not measured here: the benchmark
+// module's sim.group_p2_speedup is the wall-clock partition speedup.
 
 import (
 	"fmt"
@@ -50,9 +49,9 @@ func DefaultScalingConfig() ScalingConfig {
 	}
 }
 
-// ScalingPoint is one measured partition count. All fields except Wall
-// are sim-derived and identical across partition counts by the
-// determinism guarantee.
+// ScalingPoint is one measured partition count. Every field but
+// Partitions is sim-derived and identical across partition counts by
+// the determinism guarantee.
 type ScalingPoint struct {
 	Partitions int `json:"partitions"`
 	// AggregateOpsPerS sums the per-shard committed-op rates over each
@@ -68,12 +67,6 @@ type ScalingPoint struct {
 	Events uint64 `json:"events"`
 	// SimDuration is the simulated time the run covered.
 	SimDuration time.Duration `json:"sim_duration_ns"`
-	// Shards repeats the config's shard count for the CLI table.
-	Shards int `json:"-"`
-	// Wall is the host wall-clock time for the run. CLI-only: it is the
-	// one field that partitions are allowed to change, and it must never
-	// be written into a report.
-	Wall time.Duration `json:"-"`
 }
 
 func (p ScalingPoint) check() error {
@@ -104,8 +97,7 @@ func RunScaling(cfg ScalingConfig) ([]ScalingPoint, error) {
 // sharded closed loop, started through Shard.After and driven by Run —
 // Step would execute every partition's events on this goroutine.
 func runScalingPoint(cfg ScalingConfig, partitions int) (ScalingPoint, error) {
-	pt := ScalingPoint{Partitions: partitions, Shards: cfg.Shards}
-	wallStart := time.Now()
+	pt := ScalingPoint{Partitions: partitions}
 	cl := p4ce.NewCluster(p4ce.Options{
 		Nodes:         cfg.Nodes,
 		Shards:        cfg.Shards,
@@ -148,7 +140,6 @@ func runScalingPoint(cfg ScalingConfig, partitions int) (ScalingPoint, error) {
 			return pt, &stalledError{stage: "kernel scaling closed loop"}
 		}
 	}
-	pt.Wall = time.Since(wallStart)
 
 	t, err := totalLoops(loops)
 	if err != nil {

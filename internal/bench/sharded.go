@@ -42,7 +42,7 @@ func DefaultShardedConfig() ShardedConfig {
 		ItemSize: 512,
 		Depth:    16,
 		Warmup:   500,
-		Ops:      8000,
+		Ops:      4000,
 		Seed:     1,
 	}
 }
@@ -152,7 +152,7 @@ func DefaultBatchSweepConfig() BatchSweepConfig {
 		Depth:       64,
 		ItemSize:    64,
 		Warmup:      500,
-		Ops:         8000,
+		Ops:         4000,
 		Seed:        1,
 	}
 }
