@@ -195,7 +195,7 @@ func (n *Node) proposeBatch(payload []byte) {
 	n.Stats.Proposed += ops
 	n.mProposed.Add(ops)
 	n.mGroupProposed.Add(ops)
-	p := n.getProposal()
+	p := n.propFree.Get()
 	p.index = e.Index
 	p.bytes = n.recent.slot(e.Index).bytes
 	p.off = off

@@ -544,7 +544,7 @@ func (n *Node) proposeEntry(data []byte, flags uint8, done func(error)) {
 	n.Stats.Proposed++
 	n.mProposed.Inc()
 	n.mGroupProposed.Inc()
-	p := n.getProposal()
+	p := n.propFree.Get()
 	p.index = e.Index
 	p.bytes = n.recent.slot(e.Index).bytes
 	p.off = off

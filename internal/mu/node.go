@@ -243,10 +243,13 @@ type Node struct {
 	batchArmed bool
 
 	// Hot-path free lists and the callbacks bound once for them (see
-	// dispatch / postStep / ackStep).
-	propFree []*proposal
-	ctxFree  []*dispatchCtx
-	evtFree  []*ackEvt
+	// dispatch / postStep / ackStep). A proposal taken from propFree
+	// keeps only its gen: the taker must set every other field, and gen
+	// carries over so stale acknowledgment contexts cannot mistake the
+	// new incarnation for theirs.
+	propFree sim.FreeList[proposal]
+	ctxFree  sim.FreeList[dispatchCtx]
+	evtFree  sim.FreeList[ackEvt]
 	postFn   func(any)
 	ackAnyFn func(any)
 
@@ -424,19 +427,6 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 	return n
 }
 
-// getProposal pops a recycled proposal (or allocates the pool's first).
-// The caller must set every field except gen; gen carries over so stale
-// acknowledgment contexts cannot mistake the new incarnation for theirs.
-func (n *Node) getProposal() *proposal {
-	if m := len(n.propFree); m > 0 {
-		p := n.propFree[m-1]
-		n.propFree[m-1] = nil
-		n.propFree = n.propFree[:m-1]
-		return p
-	}
-	return &proposal{}
-}
-
 // putProposal recycles a finished proposal. Bumping gen here makes every
 // outstanding context for it inert immediately, even before reuse.
 func (n *Node) putProposal(p *proposal) {
@@ -448,47 +438,33 @@ func (n *Node) putProposal(p *proposal) {
 		p.dones[i] = nil
 	}
 	p.dones = p.dones[:0]
-	n.propFree = append(n.propFree, p)
+	n.propFree.Put(p)
 }
 
 // getDispatchCtx pops a recycled dispatch context. The ack callback is
-// created once per context, on first allocation, and reused across
-// recycles — it resolves the context's current fields when it fires.
+// created once per context, on first use, and reused across recycles —
+// it resolves the context's current fields when it fires.
 func (n *Node) getDispatchCtx() *dispatchCtx {
-	if m := len(n.ctxFree); m > 0 {
-		ctx := n.ctxFree[m-1]
-		n.ctxFree[m-1] = nil
-		n.ctxFree = n.ctxFree[:m-1]
-		return ctx
-	}
-	ctx := &dispatchCtx{}
-	ctx.ackFn = func(err error) {
-		// Processing each acknowledgment costs CPU (§V-C).
-		evt := n.getAckEvt()
-		evt.ctx, evt.err = ctx, err
-		n.cpu.DoArg(n.cfg.CPUAckCost, n.ackAnyFn, evt)
+	ctx := n.ctxFree.Get()
+	if ctx.ackFn == nil {
+		ctx.ackFn = func(err error) {
+			// Processing each acknowledgment costs CPU (§V-C).
+			evt := n.evtFree.Get()
+			evt.ctx, evt.err = ctx, err
+			n.cpu.DoArg(n.cfg.CPUAckCost, n.ackAnyFn, evt)
+		}
 	}
 	return ctx
 }
 
 func (n *Node) putDispatchCtx(ctx *dispatchCtx) {
 	ctx.p, ctx.t = nil, nil
-	n.ctxFree = append(n.ctxFree, ctx)
-}
-
-func (n *Node) getAckEvt() *ackEvt {
-	if m := len(n.evtFree); m > 0 {
-		evt := n.evtFree[m-1]
-		n.evtFree[m-1] = nil
-		n.evtFree = n.evtFree[:m-1]
-		return evt
-	}
-	return &ackEvt{}
+	n.ctxFree.Put(ctx)
 }
 
 func (n *Node) putAckEvt(evt *ackEvt) {
 	evt.ctx, evt.err = nil, nil
-	n.evtFree = append(n.evtFree, evt)
+	n.evtFree.Put(evt)
 }
 
 // setRecent caches the encoded entry idx, evicting the record that fell

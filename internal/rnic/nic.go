@@ -98,7 +98,7 @@ type NIC struct {
 
 	// Hot-path recycling: pooled work requests and a scratch packet the
 	// RX path decodes into (receive is synchronous, so one suffices).
-	wrFree []*workRequest
+	wrFree sim.FreeList[workRequest] // zeroed by putWR
 	rxPkt  roce.Packet
 
 	// Stats counts the datapath events, for tests and experiments.
@@ -175,17 +175,6 @@ func New(k *sim.Kernel, cfg Config, ip simnet.Addr) *NIC {
 	return n
 }
 
-// getWR returns a zeroed work request from the NIC-wide pool.
-func (n *NIC) getWR() *workRequest {
-	if l := len(n.wrFree); l > 0 {
-		wr := n.wrFree[l-1]
-		n.wrFree[l-1] = nil
-		n.wrFree = n.wrFree[:l-1]
-		return wr
-	}
-	return &workRequest{}
-}
-
 // putWR recycles a work request that left the send queues. Clearing the
 // fields drops payload and callback references so they do not outlive
 // the request.
@@ -194,7 +183,7 @@ func (n *NIC) putWR(wr *workRequest) {
 		n.k.Buffers().Put(wr.data)
 	}
 	*wr = workRequest{}
-	n.wrFree = append(n.wrFree, wr)
+	n.wrFree.Put(wr)
 }
 
 // captureData snapshots a caller's write/send payload into a pooled

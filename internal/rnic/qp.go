@@ -41,7 +41,7 @@ const (
 )
 
 // workRequest is one posted operation moving through the send pipeline.
-// Requests are pooled per NIC (see NIC.getWR/putWR) and recycled once
+// Requests are pooled per NIC (see NIC.wrFree/putWR) and recycled once
 // they leave the send queues.
 type workRequest struct {
 	typ wrType
@@ -229,7 +229,7 @@ func (qp *QP) PostWriteTraced(data []byte, remoteVA uint64, rkey uint32, trace o
 	if qp.state != StateReady {
 		return ErrQPState
 	}
-	wr := qp.nic.getWR()
+	wr := qp.nic.wrFree.Get()
 	wr.typ, wr.remoteVA, wr.rkey, wr.done = wrWrite, remoteVA, rkey, done
 	wr.trace = trace
 	wr.data, wr.dataPooled = qp.nic.captureData(data)
@@ -245,7 +245,7 @@ func (qp *QP) PostRead(dst []byte, remoteVA uint64, rkey uint32, done func(error
 	if qp.state != StateReady {
 		return ErrQPState
 	}
-	wr := qp.nic.getWR()
+	wr := qp.nic.wrFree.Get()
 	wr.typ, wr.dst, wr.remoteVA, wr.rkey, wr.done = wrRead, dst, remoteVA, rkey, done
 	return qp.post(wr)
 }
@@ -258,7 +258,7 @@ func (qp *QP) PostSend(payload []byte, done func(error)) error {
 	if qp.state != StateReady {
 		return ErrQPState
 	}
-	wr := qp.nic.getWR()
+	wr := qp.nic.wrFree.Get()
 	wr.typ, wr.done = wrSend, done
 	wr.data, wr.dataPooled = qp.nic.captureData(payload)
 	return qp.post(wr)

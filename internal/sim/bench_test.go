@@ -32,12 +32,16 @@ func BenchmarkTimerChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkCPUWorkItems measures one CPU work item in the form the
+// consensus hot path uses: a persistent callback plus a per-item
+// argument, which must not allocate (0 allocs/op).
 func BenchmarkCPUWorkItems(b *testing.B) {
 	k := NewKernel(1)
 	c := NewCPU(k)
+	fn := func(any) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Do(100, func() {})
+		c.DoArg(100, fn, nil)
 		if i%1024 == 1023 {
 			k.Run()
 		}

@@ -6,9 +6,8 @@ package sim
 // overheads (building work requests, aggregating completions) that make
 // the leader the bottleneck in Mu-style replication.
 type CPU struct {
-	k      *Kernel
-	freeAt Time // instant the core finishes already-queued work
-	busy   Time // total busy time, for utilization accounting
+	k *Kernel
+	Stage
 }
 
 // NewCPU returns an idle core on kernel k.
@@ -16,75 +15,25 @@ func NewCPU(k *Kernel) *CPU {
 	return &CPU{k: k}
 }
 
-// Do queues a work item costing cost core-nanoseconds and runs fn when the
-// item completes. Items run in submission order. A zero cost still
-// serializes behind earlier work.
-func (c *CPU) Do(cost Time, fn func()) {
-	if cost < 0 {
-		cost = 0
-	}
-	start := c.freeAt
-	if now := c.k.Now(); start < now {
-		start = now
-	}
-	c.freeAt = start + cost
-	c.busy += cost
-	if fn == nil {
-		return
-	}
-	c.k.At(c.freeAt, fn)
-}
-
-// DoArg is Do for a callback taking one argument: hot paths pass a
-// persistent function plus a per-item argument instead of allocating a
-// closure per work item.
+// DoArg queues a work item costing cost core-nanoseconds and runs
+// fn(arg) when the item completes. Items run in submission order; a zero
+// cost still serializes behind earlier work. Hot paths pass a persistent
+// function plus a per-item argument instead of allocating a closure per
+// work item.
 func (c *CPU) DoArg(cost Time, fn func(any), arg any) {
-	if cost < 0 {
-		cost = 0
-	}
-	start := c.freeAt
-	if now := c.k.Now(); start < now {
-		start = now
-	}
-	c.freeAt = start + cost
-	c.busy += cost
-	if fn == nil {
-		return
-	}
-	c.k.AtArg(c.freeAt, fn, arg)
+	c.k.AtArg(c.Book(c.k.Now(), max(cost, 0)), fn, arg)
 }
-
-// Charge accounts cost of CPU work with no completion callback.
-func (c *CPU) Charge(cost Time) { c.Do(cost, nil) }
-
-// FreeAt returns the instant the core becomes idle given current queue.
-func (c *CPU) FreeAt() Time { return c.freeAt }
-
-// Busy returns the cumulative busy time of the core.
-func (c *CPU) Busy() Time { return c.busy }
 
 // Utilization returns the fraction of the interval [0, now] the core was
-// busy. It is 0 before any time has passed.
+// busy, excluding work booked beyond now. It is 0 before any time has
+// passed.
 func (c *CPU) Utilization() float64 {
 	now := c.k.Now()
 	if now <= 0 {
 		return 0
 	}
-	b := c.busy
-	if c.freeAt > now {
-		b -= c.freeAt - now // exclude work scheduled beyond "now"
-	}
-	if b < 0 {
-		b = 0
-	}
-	return float64(b) / float64(now)
+	return float64(max(c.busy-c.Stage.Backlog(now), 0)) / float64(now)
 }
 
 // Backlog returns how much queued work (in core-nanoseconds) is pending.
-func (c *CPU) Backlog() Time {
-	now := c.k.Now()
-	if c.freeAt <= now {
-		return 0
-	}
-	return c.freeAt - now
-}
+func (c *CPU) Backlog() Time { return c.Stage.Backlog(c.k.Now()) }

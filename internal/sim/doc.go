@@ -1,10 +1,12 @@
 // Package sim provides the deterministic discrete-event simulation
 // kernel that every other subsystem runs on: a virtual clock, an event
-// queue, cancellable timers, a seeded random source, and a serializing
-// CPU resource used to model host processing costs. It is the bottom of
-// the layer stack — simnet builds links on it, devices (rnic, tofino)
-// build on those, and everything above is ordinary code scheduled on
-// the kernel's clock.
+// queue, cancellable timers, a seeded random source, and Stage, the
+// FIFO server behind every serializing resource. CPU is a Stage that
+// runs a callback when each work item completes, modelling host
+// processing costs; link transmit sides and switch parsers book their
+// own Stages. It is the bottom of the layer stack — simnet builds links
+// on it, devices (rnic, tofino) build on those, and everything above is
+// ordinary code scheduled on the kernel's clock.
 //
 // There is one scheduler: a Group of scheduling domains (one Kernel
 // each: a clock, a sequence counter, a random stream) packed onto one or
@@ -59,7 +61,7 @@
 // # Ownership and pooling
 //
 // The kernel is built for a zero-allocation steady state: event records
-// are recycled through a free list (so schedule/cancel churn such as a
+// are recycled through a FreeList (so schedule/cancel churn such as a
 // NIC re-arming its retransmission timer on every ACK does not grow the
 // heap), ScheduleArg/AtArg let hot paths run a persistent callback with
 // a per-call argument instead of allocating a closure, and the Buffers
@@ -71,4 +73,10 @@
 // obtained from Buffers().Get belongs to the taker until it calls Put;
 // putting a buffer that someone else still aliases is the pool's one
 // cardinal sin (see the roce payload contract).
+//
+// FreeList is the one free list for fixed-size records: the kernel's
+// event records and the device layers' in-flight bookkeeping (work
+// requests, deliveries, pipeline jobs, proposals) all recycle through
+// one. It is a plain stack rather than a sync.Pool, so reuse order is a
+// function of the run alone.
 package sim

@@ -355,7 +355,7 @@ func (g *Group) drainFrom(src *sched) {
 		d := g.parts[dst]
 		for i := range box {
 			x := &box[i]
-			ev := d.alloc()
+			ev := d.free.Get()
 			ev.k = x.k
 			ev.fn, ev.afn, ev.arg, ev.bfn, ev.buf = x.fn, x.afn, x.arg, x.bfn, x.buf
 			d.events.push(qent{at: x.at, seq: x.seq, dom: x.dom, ev: ev})

@@ -79,7 +79,7 @@ const maxTime = Time(1<<62 - 1)
 // the necessary happens-before edges).
 type sched struct {
 	events    eventQueue
-	free      []*event // recycled event records
+	free      FreeList[event] // recycled event records
 	bufs      Buffers
 	live      int // scheduled and not canceled
 	ncanceled int // canceled events still resident in the queue
@@ -118,17 +118,6 @@ type xev struct {
 	buf []byte
 }
 
-// alloc returns a fresh or recycled event record.
-func (sc *sched) alloc() *event {
-	if n := len(sc.free); n > 0 {
-		ev := sc.free[n-1]
-		sc.free[n-1] = nil
-		sc.free = sc.free[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
 // release returns a popped event record to the free list. Bumping gen
 // here is what makes stale Timer handles inert.
 func (sc *sched) release(ev *event) {
@@ -140,7 +129,7 @@ func (sc *sched) release(ev *event) {
 	ev.buf = nil
 	ev.k = nil
 	ev.canceled = false
-	sc.free = append(sc.free, ev)
+	sc.free.Put(ev)
 }
 
 // skim pops canceled records off the top of the queue and reports
@@ -404,7 +393,7 @@ func (k *Kernel) push(t Time, dst *Kernel) *event {
 		t = k.now
 	}
 	sc := k.sc
-	ev := sc.alloc()
+	ev := sc.free.Get()
 	ev.k = dst
 	sc.events.push(qent{at: t, seq: k.seq, dom: k.dom, ev: ev})
 	k.seq++

@@ -195,8 +195,9 @@ func TestCPUSerializes(t *testing.T) {
 	k := NewKernel(1)
 	c := NewCPU(k)
 	var done []Time
-	c.Do(100, func() { done = append(done, k.Now()) })
-	c.Do(50, func() { done = append(done, k.Now()) })
+	record := func(any) { done = append(done, k.Now()) }
+	c.DoArg(100, record, nil)
+	c.DoArg(50, record, nil)
 	k.Run()
 	if done[0] != 100 || done[1] != 150 {
 		t.Fatalf("completion times = %v, want [100 150]", done)
@@ -206,13 +207,13 @@ func TestCPUSerializes(t *testing.T) {
 func TestCPUIdleGap(t *testing.T) {
 	k := NewKernel(1)
 	c := NewCPU(k)
-	c.Do(10, nil)
+	c.DoArg(10, func(any) {}, nil)
 	k.Schedule(1000, func() {
-		c.Do(10, func() {
+		c.DoArg(10, func(any) {
 			if k.Now() != 1010 {
 				t.Fatalf("work after idle gap completed at %v, want 1010", k.Now())
 			}
-		})
+		}, nil)
 	})
 	k.Run()
 	if c.Busy() != 20 {
@@ -223,8 +224,9 @@ func TestCPUIdleGap(t *testing.T) {
 func TestCPUBacklogAndUtilization(t *testing.T) {
 	k := NewKernel(1)
 	c := NewCPU(k)
-	c.Do(100, nil)
-	c.Do(100, nil)
+	nop := func(any) {}
+	c.DoArg(100, nop, nil)
+	c.DoArg(100, nop, nil)
 	if got := c.Backlog(); got != 200 {
 		t.Fatalf("Backlog() = %v, want 200", got)
 	}

@@ -80,8 +80,8 @@ type Port struct {
 	peer    *Port
 	cfg     LinkConfig
 
-	txFreeAt sim.Time // when the transmit side of this port is free
-	rxDelay  sim.Time // latency of the device behind the port (SetRxDelay)
+	tx       sim.Stage // the transmit side: one frame serializes at a time
+	rxDelay  sim.Time  // latency of the device behind the port (SetRxDelay)
 	up       bool
 	lossProb float64
 	lossFn   LossFunc
@@ -92,7 +92,7 @@ type Port struct {
 	// In-flight frame bookkeeping is pooled per sending port, and the
 	// delivery callback is bound once, so a steady packet stream neither
 	// allocates a closure nor a record per frame.
-	dlvFree   []*delivery
+	dlvFree   sim.FreeList[delivery]
 	deliverFn func(any)
 
 	// Metric handles, resolved once in NewPort; all nil (no-op) when
@@ -162,19 +162,9 @@ type delivery struct {
 	frame []byte
 }
 
-func (p *Port) getDelivery() *delivery {
-	if l := len(p.dlvFree); l > 0 {
-		d := p.dlvFree[l-1]
-		p.dlvFree[l-1] = nil
-		p.dlvFree = p.dlvFree[:l-1]
-		return d
-	}
-	return &delivery{}
-}
-
 func (p *Port) putDelivery(d *delivery) {
 	d.dst, d.frame = nil, nil
-	p.dlvFree = append(p.dlvFree, d)
+	p.dlvFree.Put(d)
 }
 
 // Name returns the port's diagnostic name.
@@ -295,7 +285,7 @@ func (p *Port) SendAfter(d sim.Time, frame []byte) bool {
 		p.reserveWire(from, len(frame))
 		return p.drop(frame)
 	}
-	p.mBacklogNs.Observe(int64(max(0, p.txFreeAt-from)))
+	p.mBacklogNs.Observe(int64(p.tx.Backlog(from)))
 	doneAt := p.reserveWire(from, len(frame))
 	p.stats.TxFrames++
 	p.stats.TxBytes += uint64(len(frame))
@@ -317,7 +307,7 @@ func (p *Port) SendAfter(d sim.Time, frame []byte) bool {
 		p.k.SendTo(p.peer.k, arriveAt, deliverRemoteFn, p.peer, frame)
 		return true
 	}
-	dl := p.getDelivery()
+	dl := p.dlvFree.Get()
 	dl.dst, dl.frame = p.peer, frame
 	p.k.AtArg(arriveAt, p.deliverFn, dl)
 	return true
@@ -340,39 +330,32 @@ var deliverRemoteFn = deliverRemote
 // runs on the receiving port's domain, so every touch — stats, taps,
 // the handler, and the buffer pool the frame is released into — stays
 // domain-local.
-func deliverRemote(a any, frame []byte) {
-	dst := a.(*Port)
-	if !dst.up {
-		dst.observe(TapDrop, frame)
-		dst.k.Buffers().Put(frame)
-		return
-	}
-	dst.stats.RxFrames++
-	dst.stats.RxBytes += uint64(len(frame))
-	dst.mRxFrames.Inc()
-	dst.mRxBytes.Add(uint64(len(frame)))
-	dst.observe(TapRx, frame)
-	dst.handler.HandleFrame(dst, frame)
-}
+func deliverRemote(a any, frame []byte) { a.(*Port).receive(frame) }
 
-// deliver completes one in-flight frame at the receiving port.
+// deliver completes one in-flight frame on the sender's domain, which is
+// also the receiving port's.
 func (p *Port) deliver(a any) {
 	d := a.(*delivery)
 	dst, frame := d.dst, d.frame
 	p.putDelivery(d)
-	// Deliver only if the receiving side is still up; a crashed
-	// device drops in-flight frames addressed to it.
-	if !dst.up {
-		dst.observe(TapDrop, frame)
+	dst.receive(frame)
+}
+
+// receive hands a frame whose last bit has arrived to the handler. Only
+// a port that is still up receives; a crashed device drops in-flight
+// frames addressed to it.
+func (p *Port) receive(frame []byte) {
+	if !p.up {
+		p.observe(TapDrop, frame)
 		p.k.Buffers().Put(frame)
 		return
 	}
-	dst.stats.RxFrames++
-	dst.stats.RxBytes += uint64(len(frame))
-	dst.mRxFrames.Inc()
-	dst.mRxBytes.Add(uint64(len(frame)))
-	dst.observe(TapRx, frame)
-	dst.handler.HandleFrame(dst, frame)
+	p.stats.RxFrames++
+	p.stats.RxBytes += uint64(len(frame))
+	p.mRxFrames.Inc()
+	p.mRxBytes.Add(uint64(len(frame)))
+	p.observe(TapRx, frame)
+	p.handler.HandleFrame(p, frame)
 }
 
 func (p *Port) observe(dir TapDirection, frame []byte) {
@@ -385,19 +368,11 @@ func (p *Port) observe(dir TapDirection, frame []byte) {
 // reserveWire books the transmit serialization slot for n bytes ready
 // at from, and returns when the last bit leaves the port.
 func (p *Port) reserveWire(from sim.Time, n int) sim.Time {
-	start := max(p.txFreeAt, from)
 	wire := p.wireTime(n)
 	p.mWireNs.Add(uint64(wire))
-	p.txFreeAt = start + wire
-	return p.txFreeAt
+	return p.tx.Book(from, wire)
 }
 
 // TxBacklog returns how long the transmit queue currently extends past
 // the present instant.
-func (p *Port) TxBacklog() sim.Time {
-	now := p.k.Now()
-	if p.txFreeAt <= now {
-		return 0
-	}
-	return p.txFreeAt - now
-}
+func (p *Port) TxBacklog() sim.Time { return p.tx.Backlog(p.k.Now()) }

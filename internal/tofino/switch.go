@@ -82,10 +82,10 @@ type Stats struct {
 
 // swPort is one front-panel port with its two parsers.
 type swPort struct {
-	id          PortID
-	net         *simnet.Port
-	ingressFree sim.Time
-	egressFree  sim.Time
+	id      PortID
+	net     *simnet.Port
+	ingress sim.Stage
+	egress  sim.Stage
 }
 
 // Switch is one programmable switch.
@@ -108,9 +108,9 @@ type Switch struct {
 	// jobs and frame refcounts, plus persistent stage callbacks, keep the
 	// scatter/gather fast path allocation-free. The scratch rxPkt is safe
 	// because ingress stages run one at a time on the kernel.
-	ingFree   []*ingressJob
-	egrFree   []*egressJob
-	shrFree   []*frameShare
+	ingFree   sim.FreeList[ingressJob]
+	egrFree   sim.FreeList[egressJob]
+	shrFree   sim.FreeList[frameShare]
 	ingressFn func(any)
 	egrEmitFn func(any)
 	rxPkt     roce.Packet
@@ -184,47 +184,20 @@ type frameShare struct {
 	refs  int
 }
 
-func (sw *Switch) getIngressJob() *ingressJob {
-	if l := len(sw.ingFree); l > 0 {
-		j := sw.ingFree[l-1]
-		sw.ingFree[l-1] = nil
-		sw.ingFree = sw.ingFree[:l-1]
-		return j
-	}
-	return &ingressJob{}
-}
-
 func (sw *Switch) putIngressJob(j *ingressJob) {
 	j.p, j.frame = nil, nil
-	sw.ingFree = append(sw.ingFree, j)
-}
-
-func (sw *Switch) getEgressJob() *egressJob {
-	if l := len(sw.egrFree); l > 0 {
-		j := sw.egrFree[l-1]
-		sw.egrFree[l-1] = nil
-		sw.egrFree = sw.egrFree[:l-1]
-		return j
-	}
-	return &egressJob{}
+	sw.ingFree.Put(j)
 }
 
 func (sw *Switch) putEgressJob(j *egressJob) {
 	j.pkt = roce.Packet{} // drop the payload alias
 	j.dst, j.share = nil, nil
-	sw.egrFree = append(sw.egrFree, j)
+	sw.egrFree.Put(j)
 }
 
 // getShare wraps frame with one reference (the caller's hold).
 func (sw *Switch) getShare(frame []byte) *frameShare {
-	var s *frameShare
-	if l := len(sw.shrFree); l > 0 {
-		s = sw.shrFree[l-1]
-		sw.shrFree[l-1] = nil
-		sw.shrFree = sw.shrFree[:l-1]
-	} else {
-		s = &frameShare{}
-	}
+	s := sw.shrFree.Get()
 	s.frame, s.refs = frame, 1
 	return s
 }
@@ -236,7 +209,7 @@ func (sw *Switch) releaseShare(s *frameShare) {
 	}
 	sw.k.Buffers().Put(s.frame)
 	s.frame = nil
-	sw.shrFree = append(sw.shrFree, s)
+	sw.shrFree.Put(s)
 }
 
 // dropEgressJob releases a copy that will not be emitted.
@@ -339,19 +312,19 @@ func (sw *Switch) receive(p *swPort, frame []byte) {
 	// this is the resource whose placement the paper's Lesson in §IV-D is
 	// about.
 	svc, now := sw.cfg.ParserServiceTime, sw.k.Now()
-	p.ingressFree = max(p.ingressFree, now-svc) + svc
+	done := p.ingress.Book(now-svc, svc)
 	// A frame from another domain that met an idle parser is done with it
 	// now, and its delivery already sorts where the ingress step would
 	// have: after every fabric-domain event at this instant. A frame from
 	// the same domain is keyed at its send instant, a cable flight
 	// earlier, so it (like a backlogged frame) keeps the step.
-	if p.ingressFree == now && p.net.Peer().Kernel() != sw.k {
+	if done == now && p.net.Peer().Kernel() != sw.k {
 		sw.ingress(p, frame)
 		return
 	}
-	j := sw.getIngressJob()
+	j := sw.ingFree.Get()
 	j.p, j.frame = p, frame
-	sw.k.AtArg(p.ingressFree, sw.ingressFn, j)
+	sw.k.AtArg(done, sw.ingressFn, j)
 }
 
 // ingressStep is the persistent callback running ingress after the
@@ -437,14 +410,13 @@ func (sw *Switch) toEgress(out PortID, rid uint16, pkt *roce.Packet, share *fram
 		sw.mDrops.Inc()
 		return
 	}
-	j := sw.getEgressJob()
+	j := sw.egrFree.Get()
 	j.dst, j.out, j.rid = sw.ports[out], out, rid
 	j.pkt = *pkt
 	j.share = share
 	share.refs++
-	dst := j.dst
-	dst.egressFree = max(dst.egressFree, sw.k.Now()+sw.cfg.PipelineLatency) + sw.cfg.ParserServiceTime
-	sw.k.AtArg(dst.egressFree, sw.egrEmitFn, j)
+	done := j.dst.egress.Book(sw.k.Now()+sw.cfg.PipelineLatency, sw.cfg.ParserServiceTime)
+	sw.k.AtArg(done, sw.egrEmitFn, j)
 }
 
 // egressEmit runs the egress program and transmits the copy. It is the
@@ -490,10 +462,5 @@ func (sw *Switch) InjectFromCP(pkt *roce.Packet) {
 // booked, including copies still in the match-action pipeline (tests of
 // the parser-bottleneck ablation).
 func (sw *Switch) PortBacklog(id PortID) sim.Time {
-	p := sw.ports[id]
-	now := sw.k.Now()
-	if p.egressFree <= now {
-		return 0
-	}
-	return p.egressFree - now
+	return sw.ports[id].egress.Backlog(sw.k.Now())
 }

@@ -19,8 +19,9 @@ echo "== go test =="
 # package binary headroom over the 10-minute default.
 go test -timeout 20m ./...
 
-echo "== go test (benchmark module) =="
+echo "== go vet + go test (benchmark module) =="
 # benchmark/ is its own module, so ./... above does not reach it.
+(cd benchmark && go vet ./...)
 (cd benchmark && go test ./...)
 
 echo "== go test -race =="
