@@ -50,27 +50,33 @@ func TestZeroAllocSteadyState(t *testing.T) {
 // wall-clock cost scales with, so a change that adds or removes events
 // on the hot path must update the budget here; the sim.events.*
 // counters of a metrics-enabled run say which site moved. Per P4CE op:
-// 10 frame deliveries, 5 egress emits, one leader ACK step and one post
-// step; the NIC's transmit pipeline is booked on the wire, and switch
-// ingress runs inside the host→switch delivery, so neither costs an
-// event. Per Mu op, four writes out and four ACKs back each cross the
-// switch: 16 deliveries, 8 egress emits, 4 ACK steps and one post step.
-// The slack covers the odd timer tick.
+// 10 frame deliveries, 2 egress emits (one per replication instant: the
+// four write copies leave together, the aggregated ACK alone), one
+// leader ACK step and one post step; the NIC's transmit pipeline is
+// booked on the wire, and switch ingress runs inside the host→switch
+// delivery, so neither costs an event. Per Mu op, four writes out and
+// four ACKs back each cross the switch as unicasts: 16 deliveries, 8
+// egress emits, 4 ACK steps and one post step. With three nodes a P4CE
+// op costs 6 deliveries, 2 egress emits, one ACK step and one post
+// step. The slack covers the odd timer tick.
 func TestEventBudgetSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-op warmup")
 	}
 	const ops = 1000
 	cases := []struct {
+		name     string
+		nodes    int
 		mode     p4ce.Mode
 		min, max uint64
 	}{
-		{p4ce.ModeP4CE, 17 * ops, 17*ops + 50},
-		{p4ce.ModeMu, 29 * ops, 29*ops + 50},
+		{"P4CE", 5, p4ce.ModeP4CE, 14 * ops, 14*ops + 50},
+		{"Mu", 5, p4ce.ModeMu, 29 * ops, 29*ops + 50},
+		{"P4CE-3nodes", 3, p4ce.ModeP4CE, 10 * ops, 10*ops + 50},
 	}
 	for _, tc := range cases {
-		t.Run(tc.mode.String(), func(t *testing.T) {
-			cl, oneOp := warmSteady(t, p4ce.Options{Nodes: 5, Mode: tc.mode, Seed: 7})
+		t.Run(tc.name, func(t *testing.T) {
+			cl, oneOp := warmSteady(t, p4ce.Options{Nodes: tc.nodes, Mode: tc.mode, Seed: 7})
 			ev0 := cl.EventsProcessed()
 			for i := 0; i < ops; i++ {
 				oneOp(t)

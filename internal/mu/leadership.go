@@ -500,7 +500,7 @@ func (n *Node) stepDown(cause error) {
 	// from the (rewound) ring position: the next leader's writes land
 	// right after the committed prefix this machine kept.
 	n.discardUncommittedSuffix()
-	n.consumer.readOff = n.ring.Offset()
+	n.consumer.readOff, n.consumer.wrapFrom = n.ring.Offset(), 0
 	n.consumer.nextIndex = n.lastIndex + 1
 	n.consumer.lastTerm = n.lastTerm
 	if n.OnLostLeader != nil {

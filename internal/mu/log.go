@@ -277,6 +277,13 @@ type Consumer struct {
 	// on, never re-processed.
 	markTerm uint32
 	markSeq  uint32
+	// wrapFrom is the offset of the wrap marker the consumer last
+	// followed to offset 0, or 0 once it has consumed an entry since. A
+	// marker names no index, so it may be a leftover of an earlier lap
+	// lying exactly where this lap's entries end; a next entry small
+	// enough to fit there (a no-op) then lands on the marker, not at 0,
+	// and Poll goes back for it.
+	wrapFrom int
 
 	// OnReceive fires for every entry as it becomes visible. The
 	// entry's Data aliases the scanned region and is valid only for the
@@ -326,6 +333,12 @@ func (c *Consumer) Poll() int {
 			}
 			continue
 		}
+		if c.wrapFrom > 0 && c.namesNext(c.wrapFrom) {
+			// The marker followed was stale: go back to the entry that
+			// overwrote it.
+			c.readOff, c.wrapFrom = c.wrapFrom, 0
+			continue
+		}
 		if c.staleAtReadOff() {
 			return n
 		}
@@ -334,7 +347,7 @@ func (c *Consumer) Poll() int {
 			if c.readOff == 0 {
 				return n // empty ring: stay put
 			}
-			c.readOff = 0
+			c.readOff, c.wrapFrom = 0, c.readOff
 			continue
 		}
 		if !ok {
@@ -354,7 +367,7 @@ func (c *Consumer) Poll() int {
 			return n
 		}
 		entryOff := c.readOff
-		c.readOff = next
+		c.readOff, c.wrapFrom = next, 0
 		c.nextIndex++
 		c.lastTerm = e.Term
 		n++
@@ -391,6 +404,17 @@ func (c *Consumer) staleAtReadOff() bool {
 		binary.BigEndian.Uint64(hdr[12:20]) != c.nextIndex
 }
 
+// namesNext reports whether off holds an entry header naming the next
+// expected index. Only Poll's full decode says whether the entry is
+// complete.
+func (c *Consumer) namesNext(off int) bool {
+	hdr := c.buf[off:]
+	return len(hdr) >= entryHeaderBytes &&
+		binary.BigEndian.Uint32(hdr[0:4]) != wrapMark &&
+		binary.BigEndian.Uint32(hdr[0:4]) != rewindMark &&
+		binary.BigEndian.Uint64(hdr[12:20]) == c.nextIndex
+}
+
 // processRewind validates and acts on the rewind marker at the read
 // offset. It returns false when the consumer should park instead: the
 // marker is torn (CRC mismatch mid-write) or already acted on — in both
@@ -411,7 +435,7 @@ func (c *Consumer) processRewind() bool {
 	keptTerm := binary.BigEndian.Uint32(rec[12:16])
 	off := int(binary.BigEndian.Uint32(rec[16:20]))
 	c.pending.Filter(func(e *Entry) bool { return e.Index < target })
-	c.readOff = off
+	c.readOff, c.wrapFrom = off, 0
 	c.nextIndex = target
 	c.lastTerm = keptTerm
 	if c.OnRewind != nil {

@@ -281,6 +281,58 @@ func TestConsumerMixedSizesAcrossLaps(t *testing.T) {
 	}
 }
 
+// TestConsumerFollowsEntryOverStaleWrapMark covers a wrap marker left
+// by an earlier lap. Equal-size entries lay every lap out alike, so the
+// consumer that reads a lap's last entry finds the previous lap's
+// marker right behind it and follows it to offset 0. If the leader's
+// next entry is a no-op small enough to fit in the tail, it lands on
+// that marker instead; the consumer must go back for it and then keep
+// following the log, not wait at 0 for an index that is never written
+// there.
+func TestConsumerFollowsEntryOverStaleWrapMark(t *testing.T) {
+	buf := make([]byte, 1000)
+	ring := NewRing(len(buf))
+	cons := NewConsumer(buf, 1)
+	var got []uint64
+	cons.OnReceive = func(e Entry) { got = append(got, e.Index) }
+	prevTerm, index := uint32(0), uint64(0)
+	put := func(data []byte) int {
+		index++
+		e := &Entry{Term: 1, PrevTerm: prevTerm, Index: index, CommitIndex: index - 1, Data: data}
+		prevTerm = e.Term
+		off, markOff, mark, err := ring.Place(e.EncodedSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if markOff >= 0 && mark {
+			copy(buf[markOff:], WrapMarkBytes())
+		}
+		copy(buf[off:], EncodeEntry(e))
+		cons.Poll()
+		return off
+	}
+	// Two laps of seven 133-byte entries, each lap ending at 931 with a
+	// wrap marker there.
+	for i := 0; i < 14; i++ {
+		put(make([]byte, 100))
+	}
+	if cons.ReadOffset() != 0 {
+		t.Fatalf("read offset %d after the second lap, want 0 (past the old marker)", cons.ReadOffset())
+	}
+	if off := put(nil); off != 931 {
+		t.Fatalf("no-op placed at %d, want 931 (on the old marker)", off)
+	}
+	put(make([]byte, 100)) // wraps: marker at 964, entry at 0
+	for i, idx := range got {
+		if idx != uint64(i+1) {
+			t.Fatalf("consumed %v, want 1..%d in order", got, index)
+		}
+	}
+	if len(got) != int(index) || cons.ReadOffset() != ring.Offset() {
+		t.Fatalf("consumed %d of %d entries, read offset %d, append offset %d", len(got), index, cons.ReadOffset(), ring.Offset())
+	}
+}
+
 // TestConsumerRejectsBrokenChain covers the log-matching guard: an
 // entry whose PrevTerm disagrees with the last consumed term must not
 // be consumed, even when it sits exactly where the next entry is

@@ -16,7 +16,11 @@
 // usual aliasing rule — a stage that rewrites payload bytes must call
 // OwnPayload first, because multicast copies share one buffer.
 //
-// The pipeline costs one kernel event per egress copy (egress), and
+// The pipeline costs one kernel event per replication instant
+// (egress): consecutive copies of one multicast frame whose egress
+// parser slots end together leave on one event, in member order, and a
+// unicast or a copy held back by a backlogged parser leaves on its own.
+// It costs
 // none for a host frame meeting an idle parser: each switch port has a
 // receive delay of one parser service time (simnet.Port.SetRxDelay), so
 // a frame is delivered when its parser slot would end and ingress runs

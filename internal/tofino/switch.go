@@ -49,7 +49,8 @@ type CPUHandler func(in PortID, pkt *roce.Packet)
 // Config holds the ASIC's timing characteristics.
 type Config struct {
 	// ParserServiceTime is the per-packet service time of each per-port
-	// parser. The paper measures 121 Mpps per parser → ≈8.26 ns.
+	// parser. The default, 8 ns, is 125 Mpps, rounded from the paper's
+	// 121 Mpps (8.26 ns); see ROADMAP U.
 	ParserServiceTime sim.Time
 	// PipelineLatency is the fixed match-action traversal time.
 	PipelineLatency sim.Time
@@ -61,7 +62,7 @@ type Config struct {
 // DefaultConfig returns first-generation Tofino timing.
 func DefaultConfig() Config {
 	return Config{
-		ParserServiceTime: 8 * sim.Nanosecond, // ≈121 Mpps
+		ParserServiceTime: 8 * sim.Nanosecond, // 125 Mpps, rounded from the paper's 121 Mpps (8.26 ns); see ROADMAP U
 		PipelineLatency:   400 * sim.Nanosecond,
 		CPUPuntLatency:    10 * sim.Microsecond,
 	}
@@ -167,13 +168,17 @@ type ingressJob struct {
 
 // egressJob carries one outgoing copy through the pipeline and egress
 // parser stages. pkt is the copy's own header struct; its payload
-// aliases the ingress frame held alive by share.
+// aliases the ingress frame held alive by share. at is the booked end
+// of its egress parser slot; next chains the following copy of the same
+// multicast when it leaves at the same instant (see ingress).
 type egressJob struct {
 	dst   *swPort
 	out   PortID
 	rid   uint16
+	at    sim.Time
 	pkt   roce.Packet
 	share *frameShare
+	next  *egressJob
 }
 
 // frameShare refcounts an ingress frame across the egress copies whose
@@ -191,7 +196,7 @@ func (sw *Switch) putIngressJob(j *ingressJob) {
 
 func (sw *Switch) putEgressJob(j *egressJob) {
 	j.pkt = roce.Packet{} // drop the payload alias
-	j.dst, j.share = nil, nil
+	j.dst, j.share, j.next = nil, nil, nil
 	sw.egrFree.Put(j)
 }
 
@@ -367,7 +372,9 @@ func (sw *Switch) ingress(p *swPort, frame []byte) {
 		sw.Stats.Forwarded++
 		sw.mForwarded.Inc()
 		share := sw.getShare(frame)
-		sw.toEgress(res.OutPort, 0, pkt, share)
+		if j := sw.toEgress(res.OutPort, 0, pkt, share); j != nil {
+			sw.k.AtArg(j.at, sw.egrEmitFn, j)
+		}
 		sw.releaseShare(share) // drop the ingress hold
 	case VerdictMulticast:
 		sw.Stats.MulticastIn++
@@ -375,12 +382,26 @@ func (sw *Switch) ingress(p *swPort, frame []byte) {
 		members := sw.mcast[res.Group]
 		sw.mFanout.Observe(int64(len(members)))
 		share := sw.getShare(frame)
+		var prev *egressJob
 		for _, m := range members {
 			sw.Stats.Copies++
 			sw.mCopies.Inc()
 			// The replication engine hands each port its own copy; the
 			// copies share the payload buffer copy-on-write.
-			sw.toEgress(m.Port, m.RID, pkt, share)
+			j := sw.toEgress(m.Port, m.RID, pkt, share)
+			if j == nil {
+				continue
+			}
+			if prev != nil && prev.at == j.at {
+				// A copy leaving with the previous one rides its emit
+				// event: its own would have fired right after it (same
+				// instant, same domain, next seq), so nothing could sort
+				// between them and the chain keeps every order.
+				prev.next = j
+			} else {
+				sw.k.AtArg(j.at, sw.egrEmitFn, j)
+			}
+			prev = j
 		}
 		sw.releaseShare(share) // drop the ingress hold
 	case VerdictToCPU:
@@ -403,28 +424,38 @@ func (sw *Switch) ingress(p *swPort, frame []byte) {
 // shares the payload (and the ingress frame, via share) copy-on-write.
 // It books the port's egress parser, which every copy consumes even if
 // the program drops it, from the end of the constant pipeline traversal:
-// this switch replicates in nondecreasing time, so that is exact.
-func (sw *Switch) toEgress(out PortID, rid uint16, pkt *roce.Packet, share *frameShare) {
+// this switch replicates in nondecreasing time, so that is exact. It
+// returns the booked copy for the caller to schedule at j.at, or nil if
+// out is no port.
+func (sw *Switch) toEgress(out PortID, rid uint16, pkt *roce.Packet, share *frameShare) *egressJob {
 	if int(out) >= len(sw.ports) {
 		sw.Stats.DroppedEgress++
 		sw.mDrops.Inc()
-		return
+		return nil
 	}
 	j := sw.egrFree.Get()
 	j.dst, j.out, j.rid = sw.ports[out], out, rid
 	j.pkt = *pkt
 	j.share = share
 	share.refs++
-	done := j.dst.egress.Book(sw.k.Now()+sw.cfg.PipelineLatency, sw.cfg.ParserServiceTime)
-	sw.k.AtArg(done, sw.egrEmitFn, j)
+	j.at = j.dst.egress.Book(sw.k.Now()+sw.cfg.PipelineLatency, sw.cfg.ParserServiceTime)
+	return j
 }
 
-// egressEmit runs the egress program and transmits the copy. It is the
-// one gate for copies caught in flight by a Crash: a copy is dropped if
-// the switch is down at its emit instant (its parser slot stays booked)
-// and sent if a Restore came first.
+// egressEmit runs the egress program and transmits each copy of a
+// chain, in order. It is the one gate for copies caught in flight by a
+// Crash: a copy is dropped if the switch is down at its emit instant
+// (its parser slot stays booked) and sent if a Restore came first.
 func (sw *Switch) egressEmit(a any) {
-	j := a.(*egressJob)
+	for j := a.(*egressJob); j != nil; {
+		next := j.next
+		sw.emit(j)
+		j = next
+	}
+}
+
+// emit runs the egress program for one copy and transmits it.
+func (sw *Switch) emit(j *egressJob) {
 	if sw.crashed {
 		sw.dropEgressJob(j)
 		return

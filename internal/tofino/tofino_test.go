@@ -440,6 +440,106 @@ func TestEgressBookingMatchesTwoStageModel(t *testing.T) {
 	}
 }
 
+// TestMulticastCopiesShareOneEmit checks that the copies of one
+// multicast frame that leave the switch at the same instant fire one
+// egress event between them, that a copy held back by a backlogged
+// egress parser gets its own, and that either way every copy leaves at
+// the instant of the per-copy two-stage model.
+func TestMulticastCopiesShareOneEmit(t *testing.T) {
+	// newFabric returns a five-host switch with metrics on, in which a
+	// frame for the switch with PSN p multicasts to group p%3+1.
+	newFabric := func(groups map[GroupID][]GroupMember) (*testFabric, *recordingProgram, *metrics.Registry) {
+		prog := &recordingProgram{egress: make(map[PortID][]copyRec)}
+		tf := newTestFabricN(t, prog, 5)
+		reg := metrics.New()
+		tf.k.SetMetrics(reg)
+		for g, members := range groups {
+			tf.sw.SetMulticastGroup(g, members)
+		}
+		return tf, prog, reg
+	}
+	send := func(tf *testFabric, at sim.Time, src int, psn uint32) {
+		tf.k.At(at, func() {
+			pkt := testPacket(tf.addrs[src], tf.sw.IP())
+			pkt.PSN = psn
+			tf.hosts[src].port.Send(pkt.Marshal())
+		})
+	}
+	check := func(tf *testFabric, prog *recordingProgram, reg *metrics.Registry, copies, events int) {
+		t.Helper()
+		got := 0
+		for port, w := range twoStageModel(prog.ingress) {
+			if !slices.Equal(prog.egress[port], w) {
+				t.Fatalf("port %d: emitted %v, two-stage model %v", port, prog.egress[port], w)
+			}
+			if n := len(tf.hosts[port].frames); n != len(w) {
+				t.Fatalf("host on port %d received %d copies, want %d", port, n, len(w))
+			}
+			got += len(w)
+		}
+		if got != copies {
+			t.Fatalf("%d copies emitted, want %d", got, copies)
+		}
+		if n := reg.Counter("sim.events.tofino.(*Switch).egressEmit").Value(); n != uint64(events) {
+			t.Fatalf("%d egress events for %d copies, want %d", n, copies, events)
+		}
+	}
+	group := []GroupMember{{Port: 2, RID: 1}, {Port: 3, RID: 2}, {Port: 4, RID: 3}}
+
+	// Idle parsers: the three copies leave together on one event.
+	tf, prog, reg := newFabric(map[GroupID][]GroupMember{1: group})
+	send(tf, 0, 0, 3)
+	tf.k.Run()
+	check(tf, prog, reg, 3, 1)
+
+	// Three copies of an earlier frame queue on port 4's parser, so
+	// the second frame's port-4 copy leaves after its siblings and gets
+	// an event of its own; the siblings still share one.
+	svc := DefaultConfig().ParserServiceTime
+	tf, prog, reg = newFabric(map[GroupID][]GroupMember{
+		1: group,
+		2: {{Port: 4, RID: 4}, {Port: 4, RID: 5}, {Port: 4, RID: 6}},
+	})
+	send(tf, 0, 1, 1)
+	send(tf, svc, 0, 3)
+	tf.k.Run()
+	check(tf, prog, reg, 6, 3+2)
+	at := func(port PortID) sim.Time { return prog.egress[port][len(prog.egress[port])-1].at }
+	if !(at(2) == at(3) && at(4) > at(2)) {
+		t.Fatalf("second frame's copies left at %v, %v, %v: want port 4 alone and last", at(2), at(3), at(4))
+	}
+}
+
+// twoStageModel is the per-copy reference of
+// TestEgressBookingMatchesTwoStageModel: each copy enters its port's
+// egress queue one pipeline traversal after its ingress, in instant and
+// then scheduling order, and books the port's parser from there. It
+// returns every port's copies in the order and at the instants they
+// leave.
+func twoStageModel(ingress []ingressRec) map[PortID][]copyRec {
+	cfg := DefaultConfig()
+	type enq struct {
+		at   sim.Time
+		port PortID
+		copy copyRec
+	}
+	var queue []enq
+	for _, in := range ingress {
+		for i, port := range in.ports {
+			queue = append(queue, enq{in.at + cfg.PipelineLatency, port, copyRec{psn: in.psn, rid: in.rids[i]}})
+		}
+	}
+	slices.SortStableFunc(queue, func(a, b enq) int { return cmp.Compare(a.at, b.at) })
+	free := make(map[PortID]sim.Time)
+	want := make(map[PortID][]copyRec)
+	for _, e := range queue {
+		free[e.port] = max(free[e.port], e.at) + cfg.ParserServiceTime
+		e.copy.at = free[e.port]
+		want[e.port] = append(want[e.port], e.copy)
+	}
+	return want
+}
+
 // TestIngressBookingMatchesParserQueue checks that running ingress at
 // delivery is exact: random bursts of minimum-size frames from hosts on
 // a shard domain and on the switch's own domain, some backing up their

@@ -6,7 +6,9 @@
 # per-site kernel event counters (sim.events.*) masked — a change that
 # only removes or merges kernel events passes; one that moves any
 # simulated value fails. The happy path is also run in Mu mode, and one
-# star and one leaf-spine scenario at two partitions.
+# star and one leaf-spine scenario at two partitions. Each run's line
+# shows its sim.events.* total at the ref and in the working tree
+# (old -> new), the census of an event cut.
 #
 #	scripts/sim_parity.sh <git-ref>
 #
@@ -29,6 +31,11 @@ git archive "$ref" | tar -x -C "$work/src"
 (cd "$work/src" && go build -o "$work/p4ce-sim-old" ./cmd/p4ce-sim)
 go build -o "$work/p4ce-sim-new" ./cmd/p4ce-sim
 
+# events <file>: the sum of the sim.events.* counters in a -metrics dump.
+events() {
+	awk -F': ' '/"sim\.events\./ { sub(/,$/, "", $2); n += $2 } END { printf "%d", n }' "$1"
+}
+
 # run <name> <args...>: one invocation on both builds, metrics masked.
 fail=0
 run() {
@@ -41,10 +48,11 @@ run() {
 		fi
 		grep -v '"sim\.events\.' "$work/$side/$name.raw" >"$work/$side/$name.txt" || true
 	done
+	census="events $(events "$work/old/$name.raw") -> $(events "$work/new/$name.raw")"
 	if cmp -s "$work/old/$name.txt" "$work/new/$name.txt"; then
-		echo "same    $name"
+		echo "same    $name ($census)"
 	else
-		echo "DIFFERS $name: p4ce-sim $*"
+		echo "DIFFERS $name ($census): p4ce-sim $*"
 		diff "$work/old/$name.txt" "$work/new/$name.txt" | head -20
 		fail=1
 	fi
