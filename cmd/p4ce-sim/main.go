@@ -60,25 +60,25 @@ import (
 
 func main() {
 	var (
-		nodes    = flag.Int("nodes", 3, "total machines (leader + replicas)")
-		mode     = flag.String("mode", "p4ce", "communication mode: p4ce or mu")
-		duration = flag.Duration("duration", 100*time.Millisecond, "simulated run length")
-		rate     = flag.Float64("rate", 50_000, "offered load, consensus/s (0 = idle)")
-		size     = flag.Int("size", 64, "value size in bytes")
-		seed     = flag.Int64("seed", 42, "simulation seed")
-		parts    = flag.Int("partitions", 1, "kernel worker lanes; results never depend on it (same-seed runs are bit-identical at any N)")
-		backup   = flag.Bool("backup", false, "cable a backup fabric")
-		topology = flag.String("topology", "single", "switch layer: single (one ToR) or leaf-spine (multi-rack fabric)")
-		racks    = flag.Int("racks", 2, "leaf-spine: number of racks (leaf ToR switches)")
-		spines   = flag.Int("spines", 2, "leaf-spine: number of spine switches")
-		standby  = flag.Bool("standby", false, "leaf-spine: cable a standby switch that adopts a failed ToR")
-		async    = flag.Bool("async-reconfig", false, "reconfigure the switch asynchronously (Lesson 3)")
-		crash    = flag.String("crash", "", "failure schedule, e.g. leader@50ms,replica4@80ms,switch@120ms")
-		chaosSc  = flag.String("chaos", "", "named fault scenario (\"list\" to enumerate)")
-		chaosSd  = flag.Int64("chaos-seed", 1, "seed for the chaos engine's fault draws")
-		doTrace  = flag.Bool("trace", false, "stream decoded packet summaries to stderr")
-		traceOut = flag.String("trace-out", "", "enable causal tracing and write Perfetto trace-event JSON here at the end")
-		metricsF = flag.Bool("metrics", false, "attach the sim-wide metrics registry and dump it as JSON at the end")
+		nodes     = flag.Int("nodes", 3, "total machines (leader + replicas)")
+		mode      = flag.String("mode", "p4ce", "communication mode: p4ce or mu")
+		duration  = flag.Duration("duration", 100*time.Millisecond, "simulated run length")
+		rate      = flag.Float64("rate", 50_000, "offered load, consensus/s (0 = idle)")
+		size      = flag.Int("size", 64, "value size in bytes")
+		seed      = flag.Int64("seed", 42, "simulation seed")
+		parts     = flag.Int("partitions", 1, "kernel worker lanes; results never depend on it (same-seed runs are bit-identical at any N)")
+		backup    = flag.Bool("backup", false, "cable a backup fabric")
+		topology  = flag.String("topology", "single", "switch layer: single (one ToR) or leaf-spine (multi-rack fabric)")
+		racks     = flag.Int("racks", 2, "leaf-spine: number of racks (leaf ToR switches)")
+		spines    = flag.Int("spines", 2, "leaf-spine: number of spine switches")
+		standby   = flag.Bool("standby", false, "leaf-spine: cable a standby switch that adopts a failed ToR")
+		async     = flag.Bool("async-reconfig", false, "reconfigure the switch asynchronously (Lesson 3)")
+		crash     = flag.String("crash", "", "failure schedule, e.g. leader@50ms,replica4@80ms,switch@120ms")
+		chaosSc   = flag.String("chaos", "", "named fault scenario (\"list\" to enumerate)")
+		chaosSd   = flag.Int64("chaos-seed", 1, "seed for the chaos engine's fault draws")
+		doTrace   = flag.Bool("trace", false, "stream decoded packet summaries to stderr")
+		traceOut  = flag.String("trace-out", "", "enable causal tracing and write Perfetto trace-event JSON here at the end")
+		metricsF  = flag.Bool("metrics", false, "attach the sim-wide metrics registry and dump it as JSON at the end")
 		metricsEv = flag.Duration("metrics-every", 0, "with telemetry enabled, also print a metrics delta every interval of sim time (shares the telemetry ticker; implies -metrics)")
 		telOut    = flag.String("telemetry-out", "", "enable time-series telemetry and write the timeline here at the end (.om/.prom = OpenMetrics text, else JSON)")
 		telEvery  = flag.Duration("telemetry-interval", 0, "telemetry sampling interval in sim time (0 = the 100µs default)")

@@ -42,6 +42,14 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			}
 		})
 	}
+	// Mu's direct transport posts one write per replica: its per-path
+	// completions ride pooled records, not a closure per path per op.
+	t.Run("mu", func(t *testing.T) {
+		_, oneOp := warmSteady(t, p4ce.Options{Nodes: 5, Mode: p4ce.ModeMu, Seed: 7, EnableMetrics: true})
+		if avg := testing.AllocsPerRun(500, func() { oneOp(t) }); avg != 0 {
+			t.Fatalf("steady-state committed Mu op allocates %.3f objects/op, want 0", avg)
+		}
+	})
 }
 
 // TestEventBudgetSteadyState pins the kernel events one committed
@@ -86,6 +94,56 @@ func TestEventBudgetSteadyState(t *testing.T) {
 			}
 		})
 	}
+	// A 4 KiB Mu op: each of the four writes crosses the wire as five
+	// segments, so 40 deliveries and 20 egress emits carry the writes,
+	// 8 and 4 the ACKs, plus 4 ACK steps and one post step. A 4 KiB op
+	// takes longer, so the timer ticks take more of the slack. Touching
+	// payload bytes fewer times must not move an event.
+	t.Run("Mu-4KiB", func(t *testing.T) {
+		cl, oneOp := warmSteadySize(t, p4ce.Options{Nodes: 5, Mode: p4ce.ModeMu, Seed: 7}, 4096)
+		ev0 := cl.EventsProcessed()
+		for i := 0; i < ops; i++ {
+			oneOp(t)
+		}
+		if n, lo, hi := cl.EventsProcessed()-ev0, uint64(77*ops), uint64(77*ops+100); n < lo || n > hi {
+			t.Fatalf("%d committed 4 KiB Mu ops took %d events, want [%d, %d]", ops, n, lo, hi)
+		}
+	})
+}
+
+// TestEntryChecksumCensus counts the full-entry checksums Mu's log
+// consumers compute per committed 4 KiB op on five nodes. Each of the
+// four replicas receives the 4 129-byte entry as five segments. A
+// replica that re-checked the entry on every landed segment would
+// compute 5 × 4 = 20; checking it on the segment that lands its header
+// and again on the one that lands its trailer is 2 × 4 = 8. The one
+// exception is the entry after a ring wrap: while a followed wrap
+// marker is pending the consumer skips nothing, so that entry costs
+// 3 × 4 = 12 more, and 1 000 ops of 4 129 bytes cross at most one wrap
+// of the 4 MiB ring.
+func TestEntryChecksumCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-thousand-op warmup")
+	}
+	const ops = 1000
+	cl, oneOp := warmSteadySize(t, p4ce.Options{Nodes: 5, Mode: p4ce.ModeMu, Seed: 7}, 4096)
+	sums := func() (n uint64) {
+		for _, node := range cl.Nodes() {
+			n += node.Protocol().EntryChecksums()
+		}
+		return n
+	}
+	pool := cl.Node(0).Protocol().NIC().Kernel().Buffers()
+	sum0, zeroed0 := sums(), pool.ZeroedBytes()
+	for i := 0; i < ops; i++ {
+		oneOp(t)
+	}
+	n := sums() - sum0
+	t.Logf("per committed 4 KiB Mu op: %.3f full-entry checksums, %.0f zero-filled pool bytes",
+		float64(n)/ops, float64(pool.ZeroedBytes()-zeroed0)/ops)
+	if limit := uint64(8*ops + 12); n > limit {
+		t.Fatalf("%d committed ops computed %d full-entry checksums, want at most %d", ops, n, limit)
+	}
 }
 
 // warmSteady builds a steady-state cluster and returns it with a
@@ -98,11 +156,17 @@ func TestEventBudgetSteadyState(t *testing.T) {
 // returned a buffer to the pool.
 func warmSteady(t *testing.T, opts p4ce.Options) (*p4ce.Cluster, func(*testing.T)) {
 	t.Helper()
+	return warmSteadySize(t, opts, 64)
+}
+
+// warmSteadySize is warmSteady with operations of size bytes.
+func warmSteadySize(t *testing.T, opts p4ce.Options, size int) (*p4ce.Cluster, func(*testing.T)) {
+	t.Helper()
 	cl, leader, err := Steady(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, 64)
+	payload := make([]byte, size)
 	outstanding := 0
 	var failed error
 	done := func(err error) {

@@ -113,8 +113,7 @@ func (n *Node) batchMaxBytes() int {
 // enqueueBatch parks one proposal in the batch queue, flushing when a
 // size bound is hit and arming the age-bound timer otherwise.
 func (n *Node) enqueueBatch(data []byte, done func(error)) {
-	buf := n.k.Buffers().Get(len(data))
-	copy(buf, data)
+	buf := n.k.Buffers().Clone(data)
 	n.batchQ = append(n.batchQ, batchedOp{data: buf, done: done})
 	n.batchBytes += batchOpHeaderBytes + len(buf)
 	if len(n.batchQ) >= n.cfg.BatchMaxOps || n.batchBytes >= n.batchMaxBytes() {

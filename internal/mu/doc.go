@@ -23,6 +23,17 @@
 // hit, or the oldest op has waited long enough. Appliers walk FlagBatch
 // payloads with BatchIter.
 //
+// # Inbound validation
+//
+// A replica finds new entries the way Mu's polling thread does: every
+// write that lands in its log region wakes the Consumer, which checks
+// the entry at its read offset against the CRC-32 in the entry's
+// trailer. A writer lays an entry down header first and trailer last,
+// so once the awaited entry has failed its check, a write that touches
+// neither its header nor its trailer cannot complete it and is not
+// checked again (Consumer.PollWrite): a 4 KiB entry arriving as five
+// segments costs two checksums, not five.
+//
 // # Buffer ownership
 //
 // Propose copies the caller's bytes before returning, so callers reuse

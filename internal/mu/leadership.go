@@ -163,10 +163,9 @@ func (n *Node) catchUp(seq int, granted map[int]*cm.Conn) {
 			return
 		}
 		scan := NewConsumer(snapshot, n.lastIndex+1)
-		scan.readOff = myOff
 		// The donor's first missing entry chains off this machine's own
 		// last entry (both extend the same prefix).
-		scan.lastTerm = n.lastTerm
+		scan.seek(myOff, n.lastIndex+1, n.lastTerm)
 		scan.OnReceive = func(e Entry) { n.adoptEntry(&e) }
 		scan.Poll()
 		n.finishTakeover(seq, granted)
@@ -281,8 +280,8 @@ func (n *Node) suffixDiverged(ps *peerState) bool {
 	if !ok {
 		return false // below the cache window: not checkable here
 	}
-	e, _, _, decOK := decodeEntryView(ent.bytes, 0)
-	if !decOK {
+	e, _, st := decodeEntry(ent.bytes, 0)
+	if st != entryValid {
 		return false
 	}
 	return uint64(e.Term) != ps.lastTerm
@@ -328,8 +327,8 @@ func (n *Node) repairReplica(ps *peerState, c *cm.Conn) {
 			n.direct.RemovePath(id)
 			return
 		}
-		e, _, _, decOK := decodeEntryView(ent.bytes, 0)
-		if !decOK {
+		e, _, st := decodeEntry(ent.bytes, 0)
+		if st != entryValid {
 			n.direct.RemovePath(id)
 			return
 		}
@@ -500,9 +499,7 @@ func (n *Node) stepDown(cause error) {
 	// from the (rewound) ring position: the next leader's writes land
 	// right after the committed prefix this machine kept.
 	n.discardUncommittedSuffix()
-	n.consumer.readOff, n.consumer.wrapFrom = n.ring.Offset(), 0
-	n.consumer.nextIndex = n.lastIndex + 1
-	n.consumer.lastTerm = n.lastTerm
+	n.consumer.seek(n.ring.Offset(), n.lastIndex+1, n.lastTerm)
 	if n.OnLostLeader != nil {
 		n.OnLostLeader()
 	}

@@ -106,38 +106,56 @@ func EncodeEntryInto(buf []byte, e *Entry) {
 // (yet) hold a complete valid entry. A wrap marker returns ok=false with
 // wrapped=true. The returned entry's Data is a private copy.
 func DecodeEntryAt(buf []byte, off int) (e Entry, next int, wrapped, ok bool) {
-	e, next, wrapped, ok = decodeEntryView(buf, off)
-	if ok && len(e.Data) > 0 {
+	e, next, st := decodeEntry(buf, off)
+	if st == entryValid && len(e.Data) > 0 {
 		e.Data = append([]byte(nil), e.Data...)
 	}
-	return e, next, wrapped, ok
+	return e, next, st == entryWrap, st == entryValid
 }
 
-// decodeEntryView is DecodeEntryAt without the defensive payload copy:
-// the returned entry's Data aliases buf and is only valid while those
-// bytes stay untouched. The consumer hot path uses it and copies into a
-// pooled buffer itself.
-func decodeEntryView(buf []byte, off int) (e Entry, next int, wrapped, ok bool) {
+// entryStatus is what decodeEntry found at an offset.
+type entryStatus uint8
+
+const (
+	// entryNone: no entry to check there — a rewind marker, or a length
+	// that runs past the ring.
+	entryNone entryStatus = iota
+	// entryWrap: a wrap marker, or no room left for one.
+	entryWrap
+	// entryTorn: the entry fits but its checksum does not match (yet);
+	// next is the offset just past its trailer.
+	entryTorn
+	// entryValid: a complete entry; next is the offset of the record
+	// after it.
+	entryValid
+)
+
+// decodeEntry is DecodeEntryAt without the defensive payload copy: the
+// returned entry's Data aliases buf and is only valid while those bytes
+// stay untouched. The consumer hot path uses it and copies into a
+// pooled buffer itself. Only entryTorn and entryValid cost a checksum
+// of the whole entry.
+func decodeEntry(buf []byte, off int) (e Entry, next int, st entryStatus) {
 	if len(buf)-off < 4 {
-		return Entry{}, 0, true, false // implicit wrap: no room for a marker
+		return Entry{}, 0, entryWrap // implicit wrap: no room for a marker
 	}
 	length := binary.BigEndian.Uint32(buf[off : off+4])
 	if length == wrapMark {
-		return Entry{}, 0, true, false
+		return Entry{}, 0, entryWrap
 	}
 	if length == rewindMark {
 		// A rewind marker is not an entry; only Poll (with rewinds
 		// enabled) interprets it. Everyone else stops scanning here.
-		return Entry{}, 0, false, false
+		return Entry{}, 0, entryNone
 	}
 	total := entryHeaderBytes + int(length) + entryTrailerBytes
 	if int(length) > len(buf) || off+total > len(buf) {
-		return Entry{}, 0, false, false
+		return Entry{}, 0, entryNone
 	}
 	end := off + entryHeaderBytes + int(length)
 	want := binary.BigEndian.Uint32(buf[end : end+4])
 	if crc32.ChecksumIEEE(buf[off:end]) != want {
-		return Entry{}, 0, false, false
+		return Entry{}, off + total, entryTorn
 	}
 	e = Entry{
 		Term:        binary.BigEndian.Uint32(buf[off+4 : off+8]),
@@ -149,7 +167,7 @@ func decodeEntryView(buf []byte, off int) (e Entry, next int, wrapped, ok bool) 
 	if length > 0 {
 		e.Data = buf[off+entryHeaderBytes : end]
 	}
-	return e, off + total, false, true
+	return e, off + total, entryValid
 }
 
 // ErrLogFull reports an entry that cannot fit in the ring at all.
@@ -284,6 +302,18 @@ type Consumer struct {
 	// enough to fit there (a no-op) then lands on the marker, not at 0,
 	// and Poll goes back for it.
 	wrapFrom int
+	// torn is set while the entry at the read offset names the next
+	// index but failed its checksum: it is still landing. Its bytes
+	// change only by writes, and a writer lays an entry down header
+	// first and trailer last, so PollWrite skips the full decode until a
+	// write touches the header or the trailer (at tornTrailer). Poll
+	// clears it on entry and sets it only on the way out, so every move
+	// of readOff or nextIndex inside Poll drops it; seek drops it for
+	// the moves made from outside.
+	torn        bool
+	tornTrailer int
+	// checksums counts the full-entry checksums Poll computed.
+	checksums uint64
 
 	// OnReceive fires for every entry as it becomes visible. The
 	// entry's Data aliases the scanned region and is valid only for the
@@ -321,9 +351,35 @@ func (c *Consumer) CommitIndex() uint64 { return c.commit }
 // ReadOffset returns the ring position of the next expected entry.
 func (c *Consumer) ReadOffset() int { return c.readOff }
 
+// seek moves the consumer to ring offset off, expecting entry index
+// next whose predecessor carries term lastTerm.
+func (c *Consumer) seek(off int, next uint64, lastTerm uint32) {
+	c.readOff, c.wrapFrom, c.torn = off, 0, false
+	c.nextIndex, c.lastTerm = next, lastTerm
+}
+
+// PollWrite is Poll for a write of n bytes that just landed at off: it
+// delivers exactly what Poll would. While the entry at the read offset
+// is still landing (see Consumer.torn), a write that touches neither its
+// header nor its trailer cannot complete it, so PollWrite returns 0
+// without checksumming the entry again.
+func (c *Consumer) PollWrite(off, n int) int {
+	if c.torn && !overlaps(off, n, c.readOff, entryHeaderBytes) &&
+		!overlaps(off, n, c.tornTrailer, entryTrailerBytes) {
+		return 0
+	}
+	return c.Poll()
+}
+
+// overlaps reports whether [off, off+n) and [at, at+size) intersect.
+func overlaps(off, n, at, size int) bool {
+	return off < at+size && at < off+n
+}
+
 // Poll scans forward from the read offset, delivering every complete
 // entry. It returns how many entries were consumed.
 func (c *Consumer) Poll() int {
+	c.torn = false
 	n := 0
 	for {
 		if c.allowRewind && len(c.buf)-c.readOff >= rewindMarkBytes &&
@@ -342,17 +398,25 @@ func (c *Consumer) Poll() int {
 		if c.staleAtReadOff() {
 			return n
 		}
-		e, next, wrapped, ok := decodeEntryView(c.buf, c.readOff)
-		if wrapped {
+		e, next, st := decodeEntry(c.buf, c.readOff)
+		switch st {
+		case entryWrap:
 			if c.readOff == 0 {
 				return n // empty ring: stay put
 			}
 			c.readOff, c.wrapFrom = 0, c.readOff
 			continue
-		}
-		if !ok {
+		case entryNone:
+			return n
+		case entryTorn:
+			c.checksums++
+			// staleAtReadOff let it through, so its header names the
+			// next index. A followed wrap marker is checked on every
+			// Poll (above), so no write may be skipped while one is.
+			c.torn, c.tornTrailer = c.wrapFrom == 0, next-entryTrailerBytes
 			return n
 		}
+		c.checksums++
 		if e.Index != c.nextIndex {
 			// Stale bytes from a previous lap (or an overwrite racing the
 			// scan): not our entry yet.
@@ -435,9 +499,7 @@ func (c *Consumer) processRewind() bool {
 	keptTerm := binary.BigEndian.Uint32(rec[12:16])
 	off := int(binary.BigEndian.Uint32(rec[16:20]))
 	c.pending.Filter(func(e *Entry) bool { return e.Index < target })
-	c.readOff, c.wrapFrom = off, 0
-	c.nextIndex = target
-	c.lastTerm = keptTerm
+	c.seek(off, target, keptTerm)
 	if c.OnRewind != nil {
 		c.OnRewind(target, keptTerm, off)
 	}

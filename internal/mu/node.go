@@ -375,9 +375,7 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 	// bytes are already in the ring at the reported offset, so the cache
 	// copy is a memcpy into a pooled buffer, not a re-encode.
 	n.consumer.OnReceiveAt = func(e Entry, off int) {
-		size := e.EncodedSize()
-		enc := n.k.Buffers().Get(size)
-		copy(enc, n.logBuf[off:off+size])
+		enc := n.k.Buffers().Clone(n.logBuf[off : off+e.EncodedSize()])
 		if old, dup := n.recent.get(e.Index); dup && e.Index > n.appliedIdx {
 			// Re-consumption after a rewind repair replaces the cache
 			// record; its pendingApply alias was filtered by OnRewind, so
@@ -411,7 +409,7 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 		n.Stats.SuffixRewinds++
 		n.publishState()
 	}
-	n.logMR.SetOnWrite(func(int, int) { n.consumeInbound() })
+	n.logMR.SetOnWrite(n.consumeInbound)
 	n.postFn = n.postStep
 	n.ackAnyFn = n.ackStep
 	for _, p := range peers {
@@ -978,13 +976,13 @@ func (n *Node) fenceTo(leaderID int) {
 	}
 }
 
-// consumeInbound drains newly written log entries (the replica's
-// polling thread in the real system).
-func (n *Node) consumeInbound() {
+// consumeInbound drains the log entries a write of length bytes at off
+// completed (the replica's polling thread in the real system).
+func (n *Node) consumeInbound(off, length int) {
 	if n.role == RoleLeader {
 		return // leaders append locally; nothing arrives by RDMA
 	}
-	if n.consumer.Poll() > 0 {
+	if n.consumer.PollWrite(off, length) > 0 {
 		n.lastIndex = n.consumer.NextIndex() - 1
 		n.lastTerm = n.consumer.LastTerm()
 		if c := n.consumer.CommitIndex(); c > n.commitIndex {
@@ -1013,6 +1011,10 @@ func (n *Node) applyUpTo(commit uint64) {
 		}
 	}
 }
+
+// EntryChecksums returns how many full-entry checksums this machine's
+// log consumer has computed while validating inbound entries.
+func (n *Node) EntryChecksums() uint64 { return n.consumer.checksums }
 
 // AppliedIndex returns the highest applied entry index.
 func (n *Node) AppliedIndex() uint64 { return n.appliedIdx }

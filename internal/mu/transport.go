@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"p4ce/internal/otrace"
+	"p4ce/internal/sim"
 )
 
 // Transport errors.
@@ -47,12 +48,24 @@ type replPath struct {
 	healthy bool
 }
 
+// pathAck carries one posted write's completion back to its path and
+// to the entry's ack callback. fn is bound once, when the record is
+// first made, and survives recycling, so replicating an entry builds no
+// closure per path.
+type pathAck struct {
+	t   *DirectTransport
+	p   *replPath
+	ack func(error)
+	fn  func(error)
+}
+
 // DirectTransport is Mu's communication plane: the leader divides its
 // link between the replicas, posting one RDMA write per replica per
 // entry and aggregating their acknowledgments itself.
 type DirectTransport struct {
-	f     int // cluster majority minus the leader itself
-	paths []*replPath
+	f       int // cluster majority minus the leader itself
+	paths   []*replPath
+	ackFree sim.FreeList[pathAck]
 }
 
 var _ Transport = (*DirectTransport)(nil)
@@ -112,16 +125,39 @@ func (t *DirectTransport) Replicate(data []byte, off int, trace otrace.ID, ack f
 		if !p.healthy {
 			continue
 		}
-		p := p
-		if err := p.qpWrite(data, off, trace, func(err error) {
-			if err != nil {
-				p.healthy = false
-			}
-			ack(err)
-		}); err != nil {
+		r := t.getPathAck(p, ack)
+		if err := p.qpWrite(data, off, trace, r.fn); err != nil {
+			// A write refused at post time never completes.
+			t.putPathAck(r)
 			p.healthy = false
 			ack(err)
 		}
 	}
 	return nil
+}
+
+func (t *DirectTransport) getPathAck(p *replPath, ack func(error)) *pathAck {
+	r := t.ackFree.Get()
+	if r.fn == nil {
+		r.t = t
+		r.fn = r.done
+	}
+	r.p, r.ack = p, ack
+	return r
+}
+
+func (t *DirectTransport) putPathAck(r *pathAck) {
+	r.p, r.ack = nil, nil
+	t.ackFree.Put(r)
+}
+
+// done completes one write: a failed write takes its path out of
+// service, and the entry's callback hears the verdict either way.
+func (r *pathAck) done(err error) {
+	p, ack := r.p, r.ack
+	r.t.putPathAck(r)
+	if err != nil {
+		p.healthy = false
+	}
+	ack(err)
 }

@@ -196,9 +196,7 @@ func (n *NIC) captureData(data []byte) ([]byte, bool) {
 	if len(data) == 0 {
 		return nil, false
 	}
-	buf := n.k.Buffers().Get(len(data))
-	copy(buf, data)
-	return buf, true
+	return n.k.Buffers().Clone(data), true
 }
 
 // IP returns the NIC's address.

@@ -1,6 +1,7 @@
 package roce
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,6 +31,46 @@ func (p *Packet) MarshalInto(buf []byte) {
 	if len(buf) != p.WireSize() {
 		panic(fmt.Sprintf("roce: MarshalInto buffer %d bytes, need %d", len(buf), p.WireSize()))
 	}
+	off := p.putHeaders(buf)
+	copy(buf[off:], p.Payload)
+	off += len(p.Payload)
+
+	// Invariant CRC over the transport headers and payload.
+	binary.BigEndian.PutUint32(buf[off:off+4], crc32.ChecksumIEEE(buf[42:off]))
+}
+
+// MarshalInPlace is MarshalInto over the frame p was decoded from: it
+// re-encodes p's headers over frame and leaves the payload bytes where
+// they are. It applies only when frame is exactly p's wire size and
+// p.Payload still aliases frame at p's payload offset, and reports
+// whether it did; otherwise frame is untouched and the caller marshals
+// into a fresh buffer. frame must have passed UnmarshalInto and its
+// payload bytes must not have changed since, because the ICRC is
+// recomputed only if a header byte it covers changed. On success frame
+// holds exactly what MarshalInto would have written.
+func (p *Packet) MarshalInPlace(frame []byte) bool {
+	n := p.WireSize()
+	off := n - ICRCBytes - len(p.Payload) // payload offset
+	if len(frame) != n || len(p.Payload) > 0 && &p.Payload[0] != &frame[off] {
+		return false
+	}
+	// The received ICRC sits at the end of frame only if the received
+	// IPv4 length says frame ends there.
+	icrcValid := int(binary.BigEndian.Uint16(frame[16:18])) == n-EthernetBytes
+	var old [BTHBytes + RETHBytes + AETHBytes]byte
+	covered := frame[42:off]
+	copy(old[:], covered)
+	p.putHeaders(frame)
+	if !icrcValid || !bytes.Equal(old[:len(covered)], covered) {
+		binary.BigEndian.PutUint32(frame[n-ICRCBytes:], crc32.ChecksumIEEE(frame[42:n-ICRCBytes]))
+	}
+	return true
+}
+
+// putHeaders writes every header byte in front of the payload — zero
+// fields included, so buf need not be zeroed — and returns the payload
+// offset.
+func (p *Packet) putHeaders(buf []byte) int {
 	// Ethernet: locally administered MACs derived from the IP addresses.
 	putMAC(buf[0:6], p.DstIP)
 	putMAC(buf[6:12], p.SrcIP)
@@ -40,9 +81,10 @@ func (p *Packet) MarshalInto(buf []byte) {
 	ip[0] = 0x45 // version 4, IHL 5
 	ip[1] = 0    // DSCP/ECN
 	binary.BigEndian.PutUint16(ip[2:4], uint16(p.WireSize()-EthernetBytes))
-	// identification, flags, fragment offset left zero (DF semantics).
-	ip[8] = 64 // TTL
+	clear(ip[4:8]) // identification, flags, fragment offset (DF semantics)
+	ip[8] = 64     // TTL
 	ip[9] = ProtoUDP
+	clear(ip[10:12]) // the checksum is computed over a zero field
 	binary.BigEndian.PutUint32(ip[12:16], uint32(p.SrcIP))
 	binary.BigEndian.PutUint32(ip[16:20], uint32(p.DstIP))
 	binary.BigEndian.PutUint16(ip[10:12], ipChecksum(ip))
@@ -56,13 +98,16 @@ func (p *Packet) MarshalInto(buf []byte) {
 	}
 	binary.BigEndian.PutUint16(udp[2:4], dstPort)
 	binary.BigEndian.PutUint16(udp[4:6], uint16(p.WireSize()-EthernetBytes-IPv4Bytes))
+	clear(udp[6:8])
 
 	// BTH.
 	bth := buf[42:54]
 	bth[0] = byte(p.OpCode)
 	bth[1] = 0x40                                // migration state bit, as real HCAs set it
 	binary.BigEndian.PutUint16(bth[2:4], 0xFFFF) // default partition key
+	bth[4] = 0                                   // reserved
 	putUint24(bth[5:8], p.DestQP)
+	bth[8] = 0
 	if p.AckReq {
 		bth[8] = 0x80
 	}
@@ -82,11 +127,7 @@ func (p *Packet) MarshalInto(buf []byte) {
 		putUint24(aeth[1:4], p.MSN)
 		off += AETHBytes
 	}
-	copy(buf[off:], p.Payload)
-	off += len(p.Payload)
-
-	// Invariant CRC over the transport headers and payload.
-	binary.BigEndian.PutUint32(buf[off:off+4], crc32.ChecksumIEEE(buf[42:off]))
+	return off
 }
 
 // Unmarshal parses an Ethernet frame into a Packet. The payload slice

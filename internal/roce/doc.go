@@ -31,4 +31,10 @@
 //     or it will corrupt the sibling copies and the original frame.
 //   - Marshal/MarshalInto read the payload synchronously, so handing a
 //     shared-payload packet to them is always safe.
+//   - A forwarded frame may leave in the buffer it arrived in:
+//     MarshalInPlace re-encodes a decoded packet's headers over its own
+//     frame when the size is unchanged and the payload still aliases
+//     the frame, and recomputes the ICRC only if a header byte it covers
+//     changed. The bytes are those MarshalInto would write; the caller
+//     must be the frame's only holder.
 package roce

@@ -15,9 +15,11 @@ import "math/bits"
 //
 // The pool is a pure recycling optimization: it has no effect on event
 // order, and because Get zeroes the slice a recycled buffer is
-// indistinguishable from a fresh make([]byte, n).
+// indistinguishable from a fresh make([]byte, n). Clone skips that
+// zero-fill: its copy writes every byte anyway.
 type Buffers struct {
 	classes [bufClasses][][]byte
+	zeroed  uint64 // bytes Get cleared in recycled buffers
 }
 
 const (
@@ -45,23 +47,44 @@ func bufClass(n int) int {
 
 // Get returns a zeroed slice of length n.
 func (b *Buffers) Get(n int) []byte {
+	buf, recycled := b.get(n)
+	if recycled {
+		clear(buf)
+		b.zeroed += uint64(n)
+	}
+	return buf
+}
+
+// Clone returns a pooled copy of src. The copy writes every byte, so
+// unlike Get it does not zero a recycled buffer first.
+func (b *Buffers) Clone(src []byte) []byte {
+	buf, _ := b.get(len(src))
+	copy(buf, src)
+	return buf
+}
+
+// ZeroedBytes returns how many bytes Get has cleared in recycled
+// buffers (fresh ones come zeroed from the allocator).
+func (b *Buffers) ZeroedBytes() uint64 { return b.zeroed }
+
+// get returns a slice of length n and whether it is a recycled buffer,
+// whose bytes are whatever its previous holder left.
+func (b *Buffers) get(n int) ([]byte, bool) {
 	if n < 0 {
 		panic("sim: Buffers.Get with negative length")
 	}
 	c := bufClass(n)
 	if c < 0 {
-		return make([]byte, n) // oversize: fall back to the allocator
+		return make([]byte, n), false // oversize: fall back to the allocator
 	}
 	list := b.classes[c]
 	if m := len(list); m > 0 {
 		buf := list[m-1]
 		list[m-1] = nil
 		b.classes[c] = list[:m-1]
-		buf = buf[:n]
-		clear(buf)
-		return buf
+		return buf[:n], true
 	}
-	return make([]byte, n, 1<<(c+bufMinShift))
+	return make([]byte, n, 1<<(c+bufMinShift)), false
 }
 
 // Put recycles a slice previously returned by Get. Slices whose capacity

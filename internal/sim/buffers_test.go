@@ -60,3 +60,40 @@ func TestBuffersClassCap(t *testing.T) {
 		}
 	}
 }
+
+// TestBuffersClone: Clone is Get plus a full copy, without the
+// zero-fill, so a recycled buffer holding an earlier frame's bytes must
+// come back holding exactly the source's, and a warm pool serves it
+// without allocating.
+func TestBuffersClone(t *testing.T) {
+	var pool Buffers
+	for _, size := range []int{0, 1, 64, 65, 1100, 4129} {
+		dirty := pool.Get(size)
+		dirty = dirty[:cap(dirty)] // the whole class-sized array
+		for i := range dirty {
+			dirty[i] = 0xA5
+		}
+		pool.Put(dirty)
+		src := make([]byte, size)
+		for i := range src {
+			src[i] = byte(i*7 + 1)
+		}
+		zeroed := pool.ZeroedBytes()
+		got := pool.Clone(src)
+		if pool.ZeroedBytes() != zeroed {
+			t.Errorf("Clone(%d B) zero-filled %d bytes", size, pool.ZeroedBytes()-zeroed)
+		}
+		want := pool.Get(size)
+		copy(want, src)
+		if string(got) != string(want) || len(got) != size {
+			t.Errorf("Clone(%d B) = %d bytes differing from Get+copy", size, len(got))
+		}
+		pool.Put(got)
+		pool.Put(want)
+	}
+	src := make([]byte, 4129)
+	pool.Put(pool.Clone(src))
+	if allocs := testing.AllocsPerRun(100, func() { pool.Put(pool.Clone(src)) }); allocs != 0 {
+		t.Errorf("warm Clone allocates %v objects, want 0", allocs)
+	}
+}

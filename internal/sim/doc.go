@@ -69,8 +69,10 @@
 // partition, next to the event free list: every domain packed into a
 // partition shares it, so a frame released by the domain that consumed
 // it is the next one its sender obtains, and each size class keeps a
-// bounded number of free buffers. A buffer
-// obtained from Buffers().Get belongs to the taker until it calls Put;
+// bounded number of free buffers. Get zeroes a recycled buffer; Clone,
+// for a caller that copies a whole slice into the pool, skips that
+// zero-fill because the copy writes every byte. A buffer obtained from
+// Buffers().Get or Clone belongs to the taker until it calls Put;
 // putting a buffer that someone else still aliases is the pool's one
 // cardinal sin (see the roce payload contract).
 //

@@ -16,6 +16,16 @@
 // usual aliasing rule — a stage that rewrites payload bytes must call
 // OwnPayload first, because multicast copies share one buffer.
 //
+// A forwarded frame may leave in the buffer it arrived in. When a copy
+// reaches transmission as its frame's last holder — a unicast forward,
+// or the last copy of a multicast — with its size unchanged and its
+// payload still aliasing the frame, the egress re-encodes its headers
+// in place (roce.Packet.MarshalInPlace) and hands the frame to the
+// wire: no pooled frame, no payload copy, and no ICRC unless the
+// program rewrote a header byte the ICRC covers. Every other copy is
+// marshalled into a fresh frame. Both ways put the same bytes on the
+// wire.
+//
 // The pipeline costs one kernel event per replication instant
 // (egress): consecutive copies of one multicast frame whose egress
 // parser slots end together leave on one event, in member order, and a

@@ -34,7 +34,9 @@ type IngressResult struct {
 // packet; Egress runs once per outgoing copy (rid identifies the copy
 // for multicast packets, and is zero for unicast). Egress returns false
 // to drop the copy. Programs may mutate the packet's header fields in
-// place; the switch re-marshals it on transmission. The payload is
+// place; the switch re-encodes them on transmission, over the received
+// frame when the copy is that frame's last holder and its payload and
+// size are unchanged, into a fresh frame otherwise. The payload is
 // shared copy-on-write between the multicast copies and the original
 // frame buffer, so a program that rewrites payload *bytes* must call
 // Packet.OwnPayload first (header rewrites need nothing).
@@ -118,6 +120,8 @@ type Switch struct {
 
 	// Stats counts data-plane events.
 	Stats Stats
+	// remarshals counts copies marshalled into a fresh frame (see emit).
+	remarshals uint64
 
 	// Metric handles; nil no-ops when the kernel has no registry.
 	mIngress     *metrics.Counter
@@ -183,7 +187,7 @@ type egressJob struct {
 
 // frameShare refcounts an ingress frame across the egress copies whose
 // packet payloads alias it; the frame returns to the buffer pool when
-// the last copy is marshaled or dropped.
+// the last copy is marshaled or dropped, unless that copy leaves in it.
 type frameShare struct {
 	frame []byte
 	refs  int
@@ -468,11 +472,24 @@ func (sw *Switch) emit(j *egressJob) {
 		sw.dropEgressJob(j)
 		return
 	}
-	frame := sw.k.Buffers().Get(j.pkt.WireSize())
-	j.pkt.MarshalInto(frame)
+	frame := j.share.frame
+	if j.share.refs == 1 && j.pkt.MarshalInPlace(frame) {
+		// The copy is its frame's last holder and still fits it: the
+		// frame leaves as received, headers re-encoded in place, and the
+		// wire takes it over from the share.
+		j.share.frame = nil
+	} else {
+		sw.remarshals++
+		frame = sw.k.Buffers().Get(j.pkt.WireSize())
+		j.pkt.MarshalInto(frame)
+	}
 	j.dst.net.Send(frame)
 	sw.dropEgressJob(j)
 }
+
+// Remarshals returns how many copies the egress marshalled into a fresh
+// frame: every copy but those that left in the frame they arrived in.
+func (sw *Switch) Remarshals() uint64 { return sw.remarshals }
 
 // InjectFromCP transmits a control-plane-crafted packet out of the port
 // that routes to dst, after the CPU injection latency.

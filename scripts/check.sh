@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full verification gate: vet, build, the plain test suite, the
+# Full verification gate: gofmt, vet, build, the plain test suite, the
 # race-detector pass, and the benchmark regression gate. CI and
 # `make check` both run this. Every test runs once per flavor here:
 # `go test ./...` already covers the alloc gate, the trace, telemetry and
@@ -7,6 +7,16 @@
 # are only the ones whose flags or entry point differ.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+# Both modules: any file gofmt would rewrite fails the gate. Hidden
+# directories (.git, the benchmark's .bench_build cache) are not ours.
+unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
