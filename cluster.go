@@ -27,23 +27,22 @@ var (
 	ErrNoLeader = errors.New("p4ce: no leader elected")
 )
 
-// Cluster is a simulated testbed: n machines star-cabled to a
-// programmable switch (and optionally to a plain backup fabric), running
-// the consensus engine. All activity happens on a deterministic virtual
-// clock that only advances through the Run methods.
+// Cluster is a simulated testbed: n machines cabled to a switch fabric
+// of programmable switches (and optionally to a plain backup fabric),
+// running the consensus engine. All activity happens on a deterministic
+// virtual clock that only advances through the Run methods.
 type Cluster struct {
 	opts   Options
 	kernel *sim.Kernel // fabric domain (0); shard s runs on domain 1+s
 	group  *sim.Group
-	sw     *tofino.Switch
 	backup *tofino.Switch
-	dp     *swp4ce.Dataplane
 	cp     *swp4ce.ControlPlane
 	nodes  []*Node  // all machines, shard-major
-	shards []*Shard // one consensus group each, sharing the switch
+	shards []*Shard // one consensus group each, sharing the fabric
 
-	// Leaf-spine fabric state (Options.Topology != nil); sw/dp above are
-	// nil in this mode and every per-switch access goes through these.
+	// The switch fabric: one ToR and no spine for the paper's testbed,
+	// Options.Topology otherwise. dps holds each leaf-tier switch's
+	// program instance.
 	fabric       *fabric.Topology
 	dps          map[*tofino.Switch]*swp4ce.Dataplane
 	reconfig     sim.Time // control-plane reconfiguration delay (40 ms)
@@ -88,35 +87,25 @@ func NewCluster(opts Options) *Cluster {
 	}
 	cpCfg := swp4ce.DefaultCPConfig()
 	c.reconfig = cpCfg.ReconfigDelay
+	spec := fabric.Spec{Racks: 1}
 	if t := opts.Topology; t != nil {
-		// Leaf-spine fabric: every ToR (and the standby, which must be
-		// ready the instant it adopts a rack) runs its own instance of
-		// the P4CE program; the spines stay plain L3. One control plane
-		// spans them all, the way one operator drives every BfRt target.
-		c.fabric = fabric.Build(k, fabric.Spec{Racks: t.Racks, Spines: t.Spines, Standby: t.Standby}, swCfg)
-		c.dps = make(map[*tofino.Switch]*swp4ce.Dataplane)
-		for r := 0; r < c.fabric.Racks(); r++ {
-			dp := swp4ce.NewDataplane(dropMode)
-			c.fabric.ToR(r).SetProgram(dp)
-			c.dps[c.fabric.ToR(r)] = dp
-		}
-		if sb := c.fabric.Standby(); sb != nil {
-			dp := swp4ce.NewDataplane(dropMode)
-			sb.SetProgram(dp)
-			c.dps[sb] = dp
-		}
+		spec = fabric.Spec{Racks: t.Racks, Spines: t.Spines, Standby: t.Standby}
 		cpCfg.FlatGather = t.FlatGather
-		c.cp = swp4ce.NewFabricControlPlane(c.fabric, func(sw *tofino.Switch) *swp4ce.Dataplane { return c.dps[sw] }, cpCfg)
-		c.spineHandled = make([]bool, c.fabric.SpineCount())
-		c.rackHandled = make([]bool, c.fabric.Racks())
-	} else {
-		c.sw = tofino.New(k, "tofino", simnet.AddrFrom(10, 0, 0, 254), swCfg)
-		c.dp = swp4ce.NewDataplane(dropMode)
-		c.sw.SetProgram(c.dp)
-		c.cp = swp4ce.NewControlPlane(c.sw, c.dp, cpCfg)
 	}
+	// Every ToR (and the standby, which must be ready the instant it
+	// adopts a rack) runs its own instance of the P4CE program; the
+	// spines stay plain L3. One control plane spans them all, the way one
+	// operator drives every BfRt target.
+	c.fabric = fabric.Build(k, spec, swCfg)
+	c.dps = make(map[*tofino.Switch]*swp4ce.Dataplane)
+	for _, sw := range c.fabric.LeafTier() {
+		dp := swp4ce.NewDataplane(dropMode)
+		sw.SetProgram(dp)
+		c.dps[sw] = dp
+	}
+	c.cp = swp4ce.NewControlPlane(c.fabric, func(sw *tofino.Switch) *swp4ce.Dataplane { return c.dps[sw] }, cpCfg)
 
-	if opts.BackupFabric && c.fabric == nil {
+	if opts.BackupFabric && opts.Topology == nil {
 		c.backup = tofino.New(k, "backup", simnet.AddrFrom(10, 0, 1, 254), tofino.DefaultConfig())
 		c.backup.SetProgram(&tofino.L3Program{})
 	}
@@ -132,18 +121,21 @@ func NewCluster(opts Options) *Cluster {
 	for _, n := range c.nodes {
 		n.mu.Start()
 	}
-	if c.fabric != nil {
+	if c.fabric.SpineCount() > 0 || c.fabric.Standby() != nil {
+		// Only a spine or a standby gives the supervisor a move to make;
+		// on the one-switch testbed its poll would be events and nothing
+		// else.
 		c.startFabricSupervisor()
 	}
 	return c
 }
 
 // buildShard wires one consensus group: its own machines, NICs and mu
-// nodes, star-cabled to the shared switch (and backup fabric). Shard s
-// lives in the 10.0.s.0/24 address block, so shard 0 of a single-group
-// cluster is byte-identical to the pre-sharding topology. Machine
-// identifiers are shard-local (0..Nodes-1); TuneNIC/TuneNode receive
-// the global machine index s*Nodes+i.
+// nodes, cabled into the fabric (and backup fabric). Shard s lives in
+// the 10.0.s.0/24 address block, so shard 0 of a single-group cluster
+// is byte-identical to the pre-sharding topology. Machine identifiers
+// are shard-local (0..Nodes-1); TuneNIC/TuneNode receive the global
+// machine index s*Nodes+i.
 func (c *Cluster) buildShard(s int) {
 	// Each shard's machines — NICs, host ports, protocol nodes — live on
 	// the shard's own scheduling domain; only the switch side of each
@@ -169,38 +161,29 @@ func (c *Cluster) buildShard(s int) {
 		}
 		nic := rnic.New(k, nicCfg, peers[i].Addr)
 
-		rack := -1
+		// Machines are dealt round-robin onto racks, so every rack holds
+		// a near-equal share of each shard and a single rack never holds
+		// a majority of a 2-rack, odd-sized group.
+		rack := i % c.fabric.Racks()
 		hostPort := simnet.NewPort(k, peers[i].Addr.String(), nil)
+		c.fabric.AttachHost(rack, peers[i].Addr, hostPort)
+		nic.AttachPort(hostPort)
 		var backupPort, standbyPort *simnet.Port
-		if c.fabric != nil {
-			// Machines are dealt round-robin onto racks, so every rack
-			// holds a near-equal share of each shard and a single rack
-			// never holds a majority of a 2-rack, odd-sized group.
-			rack = i % c.fabric.Racks()
-			c.fabric.AttachHost(rack, peers[i].Addr, hostPort)
-			nic.AttachPort(hostPort)
-			if c.fabric.Standby() != nil {
-				// Dual-homed spare leg; stays dark until a ToR dies and
-				// the supervisor flips this NIC onto it. Attach after
-				// AttachHost: the standby's local binding must win over
-				// its via-spine route for this host.
-				standbyPort = simnet.NewPort(k, peers[i].Addr.String()+"-sb", nil)
-				c.fabric.AttachStandbyHost(peers[i].Addr, standbyPort)
-				nic.AttachStandbyPort(standbyPort)
-			}
-		} else {
-			pid, swPort := c.sw.AddPort(fmt.Sprintf("eth%d", g))
-			simnet.Connect(hostPort, swPort, simnet.DefaultLinkConfig())
-			c.sw.BindAddr(peers[i].Addr, pid)
-			nic.AttachPort(hostPort)
-
-			if c.backup != nil {
-				backupPort = simnet.NewPort(k, peers[i].Addr.String()+"-bk", nil)
-				bpid, bswPort := c.backup.AddPort(fmt.Sprintf("eth%d", g))
-				simnet.Connect(backupPort, bswPort, simnet.DefaultLinkConfig())
-				c.backup.BindAddr(peers[i].Addr, bpid)
-				nic.AttachBackupPort(backupPort)
-			}
+		if c.fabric.Standby() != nil {
+			// Dual-homed spare leg; stays dark until a ToR dies and the
+			// supervisor flips this NIC onto it. Attach after AttachHost:
+			// the standby's local binding must win over its via-spine
+			// route for this host.
+			standbyPort = simnet.NewPort(k, peers[i].Addr.String()+"-sb", nil)
+			c.fabric.AttachStandbyHost(peers[i].Addr, standbyPort)
+			nic.AttachStandbyPort(standbyPort)
+		}
+		if c.backup != nil {
+			backupPort = simnet.NewPort(k, peers[i].Addr.String()+"-bk", nil)
+			bpid, bswPort := c.backup.AddPort(fmt.Sprintf("eth%d", g))
+			simnet.Connect(backupPort, bswPort, simnet.DefaultLinkConfig())
+			c.backup.BindAddr(peers[i].Addr, bpid)
+			nic.AttachBackupPort(backupPort)
 		}
 
 		muCfg := mu.DefaultConfig()
@@ -243,14 +226,10 @@ func (c *Cluster) buildShard(s int) {
 
 		engCfg := core.Config{}
 		if opts.Mode == ModeP4CE {
-			switchAddr := fabric.ToRIP(rack)
-			if c.fabric == nil {
-				switchAddr = c.sw.IP()
-			}
-			// On a fabric each machine talks management to its own rack's
-			// ToR *identity* address — which survives a standby adoption,
-			// so re-acceleration after a ToR failover dials unchanged.
-			engCfg = core.DefaultConfig(switchAddr)
+			// Each machine talks management to its own rack's ToR
+			// *identity* address — which survives a standby adoption, so
+			// re-acceleration after a ToR failover dials unchanged.
+			engCfg = core.DefaultConfig(fabric.ToRIP(rack))
 			engCfg.AsyncReconfig = opts.AsyncReconfig
 			// The control plane lives on the fabric domain; membership
 			// RPCs hop domains instead of calling in.
@@ -423,68 +402,31 @@ func (c *Cluster) ForceLeader(id int) {
 	}
 }
 
-// CrashSwitch powers the programmable switch off. On a fabric it
-// crashes rack 0's ToR — the switch serving the default leader, whose
-// loss exercises the standby adoption path.
-func (c *Cluster) CrashSwitch() {
-	if c.fabric != nil {
-		c.fabric.OriginalToR(0).Crash()
-		return
-	}
-	c.sw.Crash()
-}
+// CrashSwitch powers rack 0's ToR off: the programmable switch of the
+// one-switch testbed, and on a leaf-spine fabric the switch serving the
+// default leader, whose loss exercises the standby adoption path.
+func (c *Cluster) CrashSwitch() { c.fabric.OriginalToR(0).Crash() }
 
-// RestoreSwitch powers it back on.
-func (c *Cluster) RestoreSwitch() {
-	if c.fabric != nil {
-		c.fabric.OriginalToR(0).Restore()
-		return
-	}
-	c.sw.Restore()
-}
+// SwitchCrashed reports whether rack 0's ToR is down.
+func (c *Cluster) SwitchCrashed() bool { return c.fabric.OriginalToR(0).Crashed() }
 
-// SwitchCrashed reports the programmable switch's state (on a fabric:
-// rack 0's ToR).
-func (c *Cluster) SwitchCrashed() bool {
-	if c.fabric != nil {
-		return c.fabric.OriginalToR(0).Crashed()
-	}
-	return c.sw.Crashed()
-}
-
-// Fabric returns the leaf-spine topology, or nil on the classic
-// single-switch testbed.
+// Fabric returns the switch topology: one rack and no spine unless
+// Options.Topology asked for a leaf-spine fabric.
 func (c *Cluster) Fabric() *fabric.Topology { return c.fabric }
 
-// CrashToR powers rack r's original ToR switch off (fabric mode).
+// CrashToR powers rack r's original ToR switch off.
 func (c *Cluster) CrashToR(r int) { c.fabric.OriginalToR(r).Crash() }
 
-// CrashSpine powers spine m off (fabric mode).
+// CrashSpine powers spine m off (leaf-spine fabric).
 func (c *Cluster) CrashSpine(m int) { c.fabric.Spine(m).Crash() }
 
-// fabricDataplanes lists every P4CE program instance on the fabric in
-// a fixed order: ToRs by rack, then the standby.
-func (c *Cluster) fabricDataplanes() []*swp4ce.Dataplane {
-	var dps []*swp4ce.Dataplane
-	for r := 0; r < c.fabric.Racks(); r++ {
-		dps = append(dps, c.dps[c.fabric.OriginalToR(r)])
-	}
-	if sb := c.fabric.Standby(); sb != nil {
-		dps = append(dps, c.dps[sb])
-	}
-	return dps
-}
-
-// SwitchStats returns the data-plane program counters — on a fabric,
-// summed across every ToR and the standby, so AcksUpForwarded counts
-// all spine crossings fabric-wide.
+// SwitchStats returns the data-plane program counters summed across
+// every ToR and the standby, so AcksUpForwarded counts all spine
+// crossings fabric-wide.
 func (c *Cluster) SwitchStats() swp4ce.DataplaneStats {
-	if c.fabric == nil {
-		return c.dp.Stats
-	}
 	var sum swp4ce.DataplaneStats
-	for _, dp := range c.fabricDataplanes() {
-		s := dp.Stats
+	for _, sw := range c.fabric.LeafTier() {
+		s := c.dps[sw].Stats
 		sum.Scattered += s.Scattered
 		sum.ScatterRetransmits += s.ScatterRetransmits
 		sum.AcksAggregated += s.AcksAggregated
@@ -499,17 +441,9 @@ func (c *Cluster) SwitchStats() swp4ce.DataplaneStats {
 	return sum
 }
 
-// ToRStats returns rack r's data-plane counters alone (fabric mode).
-func (c *Cluster) ToRStats(r int) swp4ce.DataplaneStats {
-	return c.dps[c.fabric.OriginalToR(r)].Stats
-}
-
-// FabricStats returns the switch pipeline counters — on a fabric,
-// summed across every switch (ToRs, spines, standby).
+// FabricStats returns the switch pipeline counters summed across every
+// switch of the fabric (ToRs, spines, standby).
 func (c *Cluster) FabricStats() tofino.Stats {
-	if c.fabric == nil {
-		return c.sw.Stats
-	}
 	var sum tofino.Stats
 	for _, sw := range c.fabric.Switches() {
 		s := sw.Stats
@@ -535,6 +469,8 @@ func (c *Cluster) FabricStats() tofino.Stats {
 // is a plain deterministic event regardless of partition count.
 func (c *Cluster) startFabricSupervisor() {
 	const poll = 5 * sim.Millisecond
+	c.spineHandled = make([]bool, c.fabric.SpineCount())
+	c.rackHandled = make([]bool, c.fabric.Racks())
 	var tick func()
 	tick = func() {
 		c.superviseFabric()
@@ -610,47 +546,36 @@ func (c *Cluster) Groups() []swp4ce.GroupInfo { return c.cp.Groups() }
 // its shadow state after one reconfiguration delay. logf may be nil.
 func (c *Cluster) ChaosEngine(seed int64, logf func(string, ...any)) *chaos.Engine {
 	cfg := chaos.Config{Seed: seed, Logf: logf}
-	if c.fabric != nil {
-		// Power-cycling "the switch" on a fabric means rack 0's ToR (the
-		// default leader's): wipe its program state, reboot, reinstall.
-		tor0 := c.fabric.OriginalToR(0)
-		cfg.PowerOffSwitch = func() {
-			c.dps[tor0].Reset()
-			tor0.Reboot()
-		}
-		cfg.PowerOnSwitch = func() {
-			tor0.Restore()
-			c.cp.ReinstallGroups(nil)
-		}
-		for r := 0; r < c.fabric.Racks(); r++ {
-			sw := c.fabric.OriginalToR(r)
-			cfg.Switches = append(cfg.Switches, chaos.SwitchTarget{
-				Name: fmt.Sprintf("tor%d", r), Rack: r, Spine: -1,
-				Crash: sw.Crash, Restore: sw.Restore,
-			})
-		}
-		for m := 0; m < c.fabric.SpineCount(); m++ {
-			sw := c.fabric.Spine(m)
-			cfg.Switches = append(cfg.Switches, chaos.SwitchTarget{
-				Name: fmt.Sprintf("spine%d", m), Rack: -1, Spine: m,
-				Crash: sw.Crash, Restore: sw.Restore,
-			})
-		}
-		for _, il := range c.fabric.InterLinks() {
-			cfg.InterLinks = append(cfg.InterLinks, chaos.FabricLink{
-				Link: chaos.Link{Name: il.Name, Host: il.A, Fabric: il.B},
-				Rack: il.Rack, Spine: il.Spine,
-			})
-		}
-	} else {
-		cfg.PowerOffSwitch = func() {
-			c.dp.Reset()
-			c.sw.Reboot()
-		}
-		cfg.PowerOnSwitch = func() {
-			c.sw.Restore()
-			c.cp.ReinstallGroups(nil)
-		}
+	// Power-cycling "the switch" means rack 0's ToR (the default
+	// leader's): wipe its program state, reboot, reinstall.
+	tor0 := c.fabric.OriginalToR(0)
+	cfg.PowerOffSwitch = func() {
+		c.dps[tor0].Reset()
+		tor0.Reboot()
+	}
+	cfg.PowerOnSwitch = func() {
+		tor0.Restore()
+		c.cp.ReinstallGroups(nil)
+	}
+	for r := 0; r < c.fabric.Racks(); r++ {
+		sw := c.fabric.OriginalToR(r)
+		cfg.Switches = append(cfg.Switches, chaos.SwitchTarget{
+			Name: fmt.Sprintf("tor%d", r), Rack: r, Spine: -1,
+			Crash: sw.Crash, Restore: sw.Restore,
+		})
+	}
+	for m := 0; m < c.fabric.SpineCount(); m++ {
+		sw := c.fabric.Spine(m)
+		cfg.Switches = append(cfg.Switches, chaos.SwitchTarget{
+			Name: fmt.Sprintf("spine%d", m), Rack: -1, Spine: m,
+			Crash: sw.Crash, Restore: sw.Restore,
+		})
+	}
+	for _, il := range c.fabric.InterLinks() {
+		cfg.InterLinks = append(cfg.InterLinks, chaos.FabricLink{
+			Link: chaos.Link{Name: il.Name, Host: il.A, Fabric: il.B},
+			Rack: il.Rack, Spine: il.Spine,
+		})
 	}
 	for _, n := range c.nodes {
 		name := fmt.Sprintf("node%d", n.ID())

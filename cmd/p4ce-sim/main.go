@@ -198,7 +198,12 @@ func run(nodes int, modeStr string, duration time.Duration, rate float64, size i
 	setupTime := cl.Now()
 	fmt.Printf("cluster up: %d machines, %v mode, node %d leads after %v (accelerated=%v)\n",
 		nodes, mode, leader.ID(), setupTime.Round(10*time.Microsecond), leader.Accelerated())
-	if f := cl.Fabric(); f != nil {
+	// Every cluster is built on a fabric; the leaf-spine lines and crash
+	// targets follow the -topology choice, so the one-switch testbed
+	// prints and crashes what it always did.
+	leafSpine := topo != nil
+	if leafSpine {
+		f := cl.Fabric()
 		standbyNote := "no standby"
 		if f.Standby() != nil {
 			standbyNote = "standby cabled"
@@ -290,14 +295,14 @@ func run(nodes int, modeStr string, duration time.Duration, rate float64, size i
 			})
 		case "tor":
 			cl.After(ev.at, func() {
-				if f := cl.Fabric(); f != nil && ev.id < f.Racks() {
+				if leafSpine && ev.id < cl.Fabric().Racks() {
 					fmt.Printf("[%9v] crash: rack %d ToR\n", cl.Now().Round(10*time.Microsecond), ev.id)
 					cl.CrashToR(ev.id)
 				}
 			})
 		case "spine":
 			cl.After(ev.at, func() {
-				if f := cl.Fabric(); f != nil && ev.id < f.SpineCount() {
+				if leafSpine && ev.id < cl.Fabric().SpineCount() {
 					fmt.Printf("[%9v] crash: spine %d\n", cl.Now().Round(10*time.Microsecond), ev.id)
 					cl.CrashSpine(ev.id)
 				}
@@ -377,7 +382,8 @@ func run(nodes int, modeStr string, duration time.Duration, rate float64, size i
 	fab := cl.FabricStats()
 	fmt.Printf("switch fabric: %d in, %d out, %d multicast copies, %d punted to CPU\n",
 		fab.IngressPackets, fab.EgressPackets, fab.Copies, fab.Punted)
-	if f := cl.Fabric(); f != nil {
+	if leafSpine {
+		f := cl.Fabric()
 		liveSpines := 0
 		for m := 0; m < f.SpineCount(); m++ {
 			if !f.Spine(m).Crashed() {

@@ -43,8 +43,14 @@ func main() {
 	}
 	stamp("node %d leads, in-network acceleration active", leader.ID())
 
+	// Each commit must land within this much simulated time; a hand-off
+	// that never completes fails the walkthrough instead of hanging it.
+	const commitBound = 10 * time.Millisecond
 	commit := func(tag string) {
 		l := cluster.Leader()
+		if l == nil {
+			log.Fatalf("%s: no leader", tag)
+		}
 		start := shard.Now()
 		done := false
 		_ = l.Propose([]byte(tag), func(err error) {
@@ -53,7 +59,10 @@ func main() {
 				done = true
 			}
 		})
-		for !done && cluster.Step() {
+		for !done && shard.Now()-start < commitBound && cluster.Step() {
+		}
+		if !done {
+			log.Fatalf("%s did not commit within %v of simulated time", tag, commitBound)
 		}
 	}
 	commit("baseline")

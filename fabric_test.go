@@ -338,6 +338,30 @@ func TestFabricSingleRackDegenerate(t *testing.T) {
 	}
 }
 
+// TestSingleSwitchIsOneRackFabric: without a Topology the cluster is
+// the one-rack, spine-less fabric — one ToR, every machine in rack 0 —
+// and its group has no remote rack to aggregate.
+func TestSingleSwitchIsOneRackFabric(t *testing.T) {
+	cl := NewCluster(Options{Nodes: 3})
+	f := cl.Fabric()
+	if f.Racks() != 1 || f.SpineCount() != 0 || f.Standby() != nil {
+		t.Fatalf("fabric has %d racks, %d spines, standby %v; want 1, 0, none",
+			f.Racks(), f.SpineCount(), f.Standby())
+	}
+	for _, n := range cl.Nodes() {
+		if n.Rack() != 0 {
+			t.Fatalf("node %d in rack %d, want 0", n.ID(), n.Rack())
+		}
+	}
+	if _, err := cl.RunUntilLeader(300 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	gs := cl.Groups()
+	if len(gs) != 1 || len(gs[0].Replicas) != 2 || len(gs[0].Racks) != 0 {
+		t.Fatalf("groups %+v; want one group of 2 replicas and no racks", gs)
+	}
+}
+
 func TestFabricReplicasConverge(t *testing.T) {
 	cl := NewCluster(fabricOptions(3))
 	stores := make([]*KV, 5)

@@ -66,8 +66,8 @@ type Config struct {
 	Seed int64
 	// Nodes lists the machines, in identifier order.
 	Nodes []NodeTarget
-	// Switches lists the leaf-spine fabric's switches (empty on the
-	// classic single-switch testbed). Scenarios marked Fabric pick
+	// Switches lists the fabric's ToRs, then its spines (one ToR and no
+	// spine on the single-switch testbed). Scenarios marked Fabric pick
 	// their victims here.
 	Switches []SwitchTarget
 	// InterLinks lists the fabric core's cables (ToR-spine, standby-
@@ -144,8 +144,8 @@ func (e *Engine) Kernel() *sim.Kernel { return e.k }
 // Nodes returns the machines the engine can target.
 func (e *Engine) Nodes() []NodeTarget { return e.cfg.Nodes }
 
-// Switches returns the fabric switches the engine can target (empty on
-// a single-switch testbed).
+// Switches returns the fabric switches the engine can target (rack 0's
+// ToR alone on a single-switch testbed).
 func (e *Engine) Switches() []SwitchTarget { return e.cfg.Switches }
 
 // Switch finds a fabric switch target by role: the ToR of the given

@@ -24,9 +24,9 @@ type Scenario struct {
 	// FaultStart, and every alert has cleared by the horizon.
 	FaultStart, FaultEnd sim.Time
 	// Fabric marks scenarios that need a leaf-spine multi-switch
-	// topology (Config.Switches/InterLinks populated); they no-op on
-	// the classic single-switch testbed, and harnesses should build a
-	// fabric cluster for them.
+	// topology (a spine, a second rack, core InterLinks); they no-op on
+	// the single-switch testbed, whose one ToR they never target, and
+	// harnesses should build a fabric cluster for them.
 	Fabric bool
 	Apply  func(*Engine)
 }

@@ -1,6 +1,9 @@
 // Package fabric builds the leaf-spine switch topology: N ToR (leaf)
 // switches with hosts racked behind them, M spine switches every ToR
 // uplinks to, and an optional standby switch dual-homed to every host.
+// One rack and no spine is the degenerate case, and the paper's
+// testbed: a single ToR with every host behind it, no inter-switch
+// cable, and nothing for RerouteAroundSpine or AdoptRack to do.
 //
 // The package is deliberately dumb about consensus. It owns switches,
 // cables, and exact-match L3 route tables — who reaches whom across

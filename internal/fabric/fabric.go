@@ -34,7 +34,9 @@ type Spec struct {
 	// to racks by the topology owner. Must be >= 1.
 	Racks int
 	// Spines is the spine-switch count; every ToR uplinks to every
-	// spine. Must be >= 1 (2 gives the fabric a spine to lose).
+	// spine (2 gives the fabric a spine to lose). Zero is the one-rack,
+	// spine-less fabric — a single ToR with every host behind it, the
+	// paper's testbed — and needs Racks == 1 and no Standby.
 	Spines int
 	// Standby cables one spare switch to every spine and (dual-homed) to
 	// every host, ready to adopt a dead ToR's identity.
@@ -87,8 +89,9 @@ type Topology struct {
 // AttachHost/AttachStandbyHost; every attach updates the route tables
 // fabric-wide.
 func Build(k *sim.Kernel, spec Spec, swCfg tofino.Config) *Topology {
-	if spec.Racks < 1 || spec.Spines < 1 {
-		panic("fabric: Spec needs at least one rack and one spine")
+	if spec.Racks < 1 || spec.Spines < 0 ||
+		spec.Spines == 0 && (spec.Racks > 1 || spec.Standby) {
+		panic("fabric: Spec needs a rack, and a spine when several racks or a standby share the fabric")
 	}
 	t := &Topology{
 		k:         k,
@@ -110,7 +113,9 @@ func Build(k *sim.Kernel, spec Spec, swCfg tofino.Config) *Topology {
 		tor := tofino.New(k, fmt.Sprintf("tor%d", r), ToRIP(r), swCfg)
 		t.tors = append(t.tors, tor)
 		t.active = append(t.active, tor)
-		t.viaSpine[r] = r % spec.Spines
+		if spec.Spines > 0 {
+			t.viaSpine[r] = r % spec.Spines
+		}
 		for m := 0; m < spec.Spines; m++ {
 			t.cableToSpine(tor, r, m)
 		}
@@ -148,9 +153,10 @@ func (t *Topology) cableToSpine(sw *tofino.Switch, rack, m int) {
 	t.links = append(t.links, InterLink{Name: name, A: upPort, B: downPort, Rack: rack, Spine: m})
 }
 
-// leafTier returns every switch holding leaf-side route tables, in a
-// fixed order.
-func (t *Topology) leafTier() []*tofino.Switch {
+// LeafTier returns every switch holding leaf-side route tables — the
+// ToR built for each rack, then the standby — in a fixed order. These
+// are the switches that run a consensus program.
+func (t *Topology) LeafTier() []*tofino.Switch {
 	sws := append([]*tofino.Switch(nil), t.tors...)
 	if t.standby != nil {
 		sws = append(sws, t.standby)
@@ -162,8 +168,9 @@ func (t *Topology) leafTier() []*tofino.Switch {
 // in rack r: spines route it down to the rack's serving switch, and
 // every other leaf-tier switch routes it up across the rack's spine.
 // Local bindings (the serving switch's own access port, the standby's
-// dual-homed host ports) are installed separately and take precedence
-// because they are bound after these.
+// dual-homed host ports) are installed separately and take precedence:
+// the first are bound after these, and a rebind never overwrites the
+// second.
 func (t *Topology) bindRackRoute(addr simnet.Addr, r int) {
 	for m, sp := range t.spines {
 		if t.adopted == r {
@@ -172,12 +179,20 @@ func (t *Topology) bindRackRoute(addr simnet.Addr, r int) {
 			sp.BindAddr(addr, t.spineDown[m][r])
 		}
 	}
-	for _, sw := range t.leafTier() {
-		if sw == t.active[r] {
-			continue // the serving switch delivers locally
+	for _, sw := range t.LeafTier() {
+		if sw == t.active[r] || sw == t.standby && t.onHostLeg(sw, addr) {
+			continue // the serving switch, or the host's own leg, delivers locally
 		}
 		sw.BindAddr(addr, t.uplink[sw][t.viaSpine[r]])
 	}
+}
+
+// onHostLeg reports whether sw already routes addr out of an access
+// port. Build cables every uplink before any host attaches, so a
+// switch's uplinks are its lowest port ids.
+func (t *Topology) onHostLeg(sw *tofino.Switch, addr simnet.Addr) bool {
+	p, ok := sw.L3Lookup(addr)
+	return ok && int(p) >= len(t.uplink[sw])
 }
 
 // AttachHost cables a host's primary access port into rack r: a new

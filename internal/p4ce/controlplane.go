@@ -27,15 +27,16 @@ type CPConfig struct {
 	ReconfigDelay sim.Time
 	// FlatGather disables hierarchical aggregation on a fabric (the
 	// fan-in ablation): leaves relay every replica ACK across the spine
-	// untouched and the leader's ToR counts alone. No effect on a
-	// single switch.
+	// untouched and the leader's ToR counts alone. No effect when every
+	// replica sits in the leader's rack.
 	FlatGather bool
 }
 
-// FabricView is what the control plane needs to know about a
-// leaf-spine topology: which rack serves an address, which switch
-// serves a rack, and the spare. internal/fabric's Topology satisfies
-// it; the interface keeps this package free of a fabric dependency.
+// FabricView is what the control plane needs to know about the switch
+// topology: which rack serves an address, which switch serves a rack,
+// and the spare. internal/fabric's Topology satisfies it — a single
+// switch is its one-rack case — and the interface keeps this package
+// free of a fabric dependency.
 type FabricView interface {
 	RackOf(addr simnet.Addr) (int, bool)
 	ToR(rack int) *tofino.Switch
@@ -70,13 +71,11 @@ type setup struct {
 // opens the per-replica connections, and programs the data plane.
 type ControlPlane struct {
 	k   *sim.Kernel
-	sw  *tofino.Switch // classic single-switch home; nil on a fabric
-	dp  *Dataplane     // classic program instance; nil on a fabric
 	cfg CPConfig
 
-	// fabric, when set, spreads the control plane across a leaf-spine
-	// topology: CM punts arrive from every ToR, groups are homed per
-	// switch, and dpOf resolves each switch's program instance.
+	// fabric spreads the control plane across the topology: CM punts
+	// arrive from every ToR, groups are homed per switch, and dpOf
+	// resolves each switch's program instance.
 	fabric FabricView
 	dpOf   func(*tofino.Switch) *Dataplane
 
@@ -97,30 +96,12 @@ type setupKey struct {
 	commID uint32
 }
 
-// NewControlPlane wires a control plane to a switch running dp.
-func NewControlPlane(sw *tofino.Switch, dp *Dataplane, cfg CPConfig) *ControlPlane {
-	cp := &ControlPlane{
-		k:           sw.Kernel(),
-		sw:          sw,
-		dp:          dp,
-		cfg:         cfg,
-		nextGroupID: 1,
-		nextQPN:     0x800,
-		nextCommID:  0x5000,
-		setups:      make(map[setupKey]*setup),
-		replicaWait: make(map[uint32]*setup),
-		groups:      make(map[simnet.Addr]*group),
-	}
-	sw.SetCPUHandler(cp.handlePunt)
-	return cp
-}
-
-// NewFabricControlPlane wires one control plane across a leaf-spine
-// fabric (one management endpoint spanning several switches, as BfRt
-// presents one gRPC target per device but one operator drives them
-// all). It terminates CM on every ToR and the standby, and homes each
-// group's tables and registers on the switch its members sit behind.
-func NewFabricControlPlane(view FabricView, dpOf func(*tofino.Switch) *Dataplane, cfg CPConfig) *ControlPlane {
+// NewControlPlane wires one control plane across a switch fabric (one
+// management endpoint spanning several switches, as BfRt presents one
+// gRPC target per device but one operator drives them all). It
+// terminates CM on every ToR and the standby, and homes each group's
+// tables and registers on the switch its members sit behind.
+func NewControlPlane(view FabricView, dpOf func(*tofino.Switch) *Dataplane, cfg CPConfig) *ControlPlane {
 	cp := &ControlPlane{
 		k:           view.ToR(0).Kernel(),
 		cfg:         cfg,
@@ -142,14 +123,10 @@ func NewFabricControlPlane(view FabricView, dpOf func(*tofino.Switch) *Dataplane
 	return cp
 }
 
-// switchFor picks the switch nearest an address: the classic Tofino,
-// or the ToR currently serving the address's rack. CM replies must
-// leave from that switch — each host fences group handshakes by its
-// own ToR's identity address.
+// switchFor picks the switch nearest an address: the ToR currently
+// serving the address's rack. CM replies must leave from that switch —
+// each host fences group handshakes by its own ToR's identity address.
 func (cp *ControlPlane) switchFor(addr simnet.Addr) *tofino.Switch {
-	if cp.fabric == nil {
-		return cp.sw
-	}
 	if r, ok := cp.fabric.RackOf(addr); ok {
 		return cp.fabric.ToR(r)
 	}
@@ -225,12 +202,7 @@ func (cp *ControlPlane) handleLeaderRequest(msg *roce.CMMessage, from simnet.Add
 		cp.rejectLeader(from, msg.LocalCommID, 2)
 		return
 	}
-	var s *setup
-	if cp.fabric != nil {
-		s = cp.buildFabricSetup(msg, from, rs)
-	} else {
-		s = cp.buildClassicSetup(msg, from, rs)
-	}
+	s := cp.buildSetup(msg, from, rs)
 	if s == nil {
 		return // the builder already rejected the leader
 	}
@@ -261,63 +233,17 @@ func shardOf(addr simnet.Addr) int {
 	return int(s)
 }
 
-// buildClassicSetup creates the single-switch group of the original
-// design: every replica a direct member, homed on the one Tofino.
-func (cp *ControlPlane) buildClassicSetup(msg *roce.CMMessage, from simnet.Addr, rs *roce.ReplicaSet) *setup {
-	leaderPort, ok := cp.sw.L3Lookup(from)
-	if !ok {
-		cp.rejectLeader(from, msg.LocalCommID, 3)
-		return nil
-	}
-	gid := cp.nextGroupID
-	cp.nextGroupID++
-	g := &group{
-		id:            gid,
-		bcastQP:       cp.allocQPN(),
-		aggrQP:        cp.allocQPN(),
-		leaderIP:      from,
-		leaderPort:    leaderPort,
-		leaderQPN:     msg.QPN,
-		leaderPSNBase: msg.StartPSN,
-		virtualRKey:   cp.k.Rand().Uint32(),
-		f:             quorumOf(rs),
-		sw:            cp.sw,
-		dp:            cp.dp,
-		homeRack:      -1,
-		shardID:       shardOf(from),
-	}
-	for i, rip := range rs.Replicas {
-		port, ok := cp.sw.L3Lookup(rip)
-		if !ok {
-			cp.rejectLeader(from, msg.LocalCommID, 3)
-			return nil
-		}
-		g.replicas = append(g.replicas, replicaEntry{
-			EpID:    uint8(i),
-			Port:    port,
-			IP:      rip,
-			PSNBase: cp.k.Rand().Uint32() & roce.PSNMask,
-		})
-	}
-	cp.allocGroupRegisters(g)
-	s := &setup{g: g, leaderCommID: msg.LocalCommID, outstanding: make(map[uint32]int)}
-	for i := range g.replicas {
-		s.entries = append(s.entries, &g.replicas[i])
-	}
-	return s
-}
-
-// buildFabricSetup creates the hierarchical group family of the
-// leaf-spine fabric: a root group on the leader's ToR holding the
-// leader-rack replicas plus one rackEntry per remote rack, and a leaf
-// group on each remote rack's ToR holding that rack's replicas. The
-// root and every leaf share the BCast/Aggr queue-pair numbers and the
-// virtual R_key — tables are per switch, so the values never collide —
-// which keeps the leader's and the replicas' view of the group
-// identical to single-switch mode. Under CPConfig.FlatGather the root
-// instead holds every replica directly and leaves become stateless
-// relays (the fan-in ablation).
-func (cp *ControlPlane) buildFabricSetup(msg *roce.CMMessage, from simnet.Addr, rs *roce.ReplicaSet) *setup {
+// buildSetup creates a group family: a root group on the leader's ToR
+// holding the leader-rack replicas plus one rackEntry per remote rack,
+// and a leaf group on each remote rack's ToR holding that rack's
+// replicas. When every replica shares the leader's rack — always, on a
+// single switch — the root is the whole group. The root and every leaf
+// share the BCast/Aggr queue-pair numbers and the virtual R_key —
+// tables are per switch, so the values never collide — which keeps the
+// leader's and the replicas' view of the group the same whatever the
+// racks. Under CPConfig.FlatGather the root instead holds every replica
+// directly and leaves become stateless relays (the fan-in ablation).
+func (cp *ControlPlane) buildSetup(msg *roce.CMMessage, from simnet.Addr, rs *roce.ReplicaSet) *setup {
 	leaderRack, ok := cp.fabric.RackOf(from)
 	if !ok {
 		cp.rejectLeader(from, msg.LocalCommID, 3)
@@ -745,7 +671,7 @@ func (cp *ControlPlane) DestroyGroup(leader simnet.Addr, done func(error)) {
 // them again. Every teardown path (destroy, setup reject, replacement)
 // funnels here — register isolation across group reboots depends on it.
 // FreeRegister ignores names never allocated (a flat leaf's, or the
-// rack arrays of a classic group).
+// rack arrays of a group with no remote rack).
 func (cp *ControlPlane) freeGroupRegisters(g *group) {
 	g.sw.FreeRegister(fmt.Sprintf("p4ce/g%d/numRecv", g.id))
 	g.sw.FreeRegister(fmt.Sprintf("p4ce/g%d/slotPSN", g.id))
@@ -763,9 +689,6 @@ func (cp *ControlPlane) freeGroupRegisters(g *group) {
 // re-fill them. The caller schedules this behind the ReconfigDelay, as
 // with every other control-plane reprogramming.
 func (cp *ControlPlane) RehomeRack(rack int) {
-	if cp.fabric == nil {
-		return
-	}
 	newSw := cp.fabric.ToR(rack)
 	for _, leader := range cp.sortedGroupLeaders() {
 		root := cp.groups[leader]
@@ -789,9 +712,6 @@ func (cp *ControlPlane) RehomeRack(rack int) {
 // and reprograms the multicast memberships, without touching register
 // state — in-flight gather rounds survive a spine loss.
 func (cp *ControlPlane) ReresolveFabricPorts() {
-	if cp.fabric == nil {
-		return
-	}
 	for _, leader := range cp.sortedGroupLeaders() {
 		root := cp.groups[leader]
 		for _, g := range append([]*group{root}, root.leaves...) {
@@ -827,7 +747,8 @@ type GroupInfo struct {
 	F        int
 	Replicas []simnet.Addr
 	// Racks lists the leaf ToR identity addresses aggregating for this
-	// group's remote racks (empty on a single switch or a flat fabric).
+	// group's remote racks (empty when every replica shares the leader's
+	// rack, or on a flat fabric).
 	Racks []simnet.Addr
 }
 

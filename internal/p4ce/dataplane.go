@@ -74,12 +74,12 @@ type group struct {
 	replicas []replicaEntry
 
 	// Fabric homing: the switch and program instance holding this
-	// group's tables and registers. Classic single-switch mode homes
-	// every group on the one Tofino; a leaf-spine fabric homes the root
-	// group on the leader's ToR and one leaf group per remote rack.
+	// group's tables and registers. The root group lives on the
+	// leader's ToR (the one switch of a single-switch testbed) and one
+	// leaf group on each remote rack's ToR.
 	sw       *tofino.Switch
 	dp       *Dataplane
-	homeRack int // rack whose ToR the group is homed on (-1 classic)
+	homeRack int // rack whose ToR the group is homed on
 	shardID  int // consensus shard, for trace-annotation keys
 
 	// leaf marks a rack-local aggregation group: it counts ACKs from the
@@ -693,8 +693,8 @@ func (dp *Dataplane) gatherAggregate(g *group, rep *replicaEntry, leaderPSN uint
 		dp.mDupAckDrops.Inc()
 	}
 	// On a fabric root the quorum test also counts the rack partials
-	// merged so far (gatherTotal); classic groups have no racks and the
-	// total is just the local bitmap's population count.
+	// merged so far (gatherTotal); a group with no remote rack has none
+	// and the total is just the local bitmap's population count.
 	if set&gatherForwarded != 0 || g.gatherTotal(slot, withBit) < g.f {
 		dp.Stats.AcksAggregated++
 		dp.mAcksAbsorbed.Inc()

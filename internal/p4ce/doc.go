@@ -27,13 +27,15 @@
 //
 // # Multi-switch fabrics
 //
-// The same program also runs on every ToR of a leaf-spine fabric
-// (package fabric). NewFabricControlPlane installs each group
-// hierarchically: the leader's ToR is the root (real gather registers,
-// majority decision), each remote rack's ToR holds a leaf group that
-// counts its rack's ACKs locally and forwards one partial-count ACK
-// toward the root — the count rides the ACK's MSN field, which only
-// the requester side writes, so the wire format is unchanged.
+// The control plane always sees the switches through a FabricView
+// (package fabric builds it); a single switch is the one-rack fabric.
+// The same program runs on every ToR of a leaf-spine fabric, and
+// NewControlPlane installs each group hierarchically: the leader's ToR
+// is the root (real gather registers, majority decision), and each
+// remote rack's ToR holds a leaf group that counts its rack's ACKs
+// locally and forwards one partial-count ACK toward the root — the
+// count rides the ACK's MSN field, which only the requester side
+// writes, so the wire format is unchanged.
 // CPConfig.FlatGather is the ablation: leaves become stateless relays
 // and the root counts every remote ACK individually. RehomeRack and
 // ReresolveFabricPorts are the failover hooks the fabric supervisor

@@ -31,6 +31,18 @@ type fabric struct {
 	swPorts   []*simnet.Port
 }
 
+// oneSwitch is the single-switch FabricView: one rack, served by sw,
+// holding every address sw has a route for.
+type oneSwitch struct{ sw *tofino.Switch }
+
+func (v oneSwitch) RackOf(addr simnet.Addr) (int, bool) {
+	_, ok := v.sw.L3Lookup(addr)
+	return 0, ok
+}
+func (v oneSwitch) ToR(int) *tofino.Switch  { return v.sw }
+func (v oneSwitch) Racks() int              { return 1 }
+func (v oneSwitch) Standby() *tofino.Switch { return nil }
+
 func newFabric(t *testing.T, nReplicas int, mode DropMode) *fabric {
 	t.Helper()
 	k := sim.NewKernel(11)
@@ -38,7 +50,7 @@ func newFabric(t *testing.T, nReplicas int, mode DropMode) *fabric {
 	f.sw = tofino.New(k, "tofino", simnet.AddrFrom(10, 0, 0, 254), tofino.DefaultConfig())
 	f.dp = NewDataplane(mode)
 	f.sw.SetProgram(f.dp)
-	f.cp = NewControlPlane(f.sw, f.dp, DefaultCPConfig())
+	f.cp = NewControlPlane(oneSwitch{f.sw}, func(*tofino.Switch) *Dataplane { return f.dp }, DefaultCPConfig())
 
 	attach := func(ip simnet.Addr) *rnic.NIC {
 		nic := rnic.New(k, rnic.DefaultConfig(), ip)

@@ -8,8 +8,10 @@
 // A frame handed to Port.Send is serialized onto the link at the link's
 // bandwidth (frames queue FIFO behind one another), then propagates for
 // the configured delay, and is finally delivered to the peer port's
-// handler. Links can be cut and repaired to model crashes, and can drop
-// frames probabilistically to model a lossy fabric.
+// handler by one kernel event. That event carries the sender's (time,
+// domain, sequence) key whether or not the two ports share a
+// scheduling domain. Links can be cut and repaired to model crashes,
+// and can drop frames probabilistically to model a lossy fabric.
 //
 // Port.SendAfter hands a frame over with a device pipeline delay still
 // to run: the frame books the wire from max(busy-until, now + delay)

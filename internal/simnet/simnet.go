@@ -89,12 +89,6 @@ type Port struct {
 	stats    PortStats
 	taps     []TapFunc
 
-	// In-flight frame bookkeeping is pooled per sending port, and the
-	// delivery callback is bound once, so a steady packet stream neither
-	// allocates a closure nor a record per frame.
-	dlvFree   sim.FreeList[delivery]
-	deliverFn func(any)
-
 	// Metric handles, resolved once in NewPort; all nil (no-op) when
 	// the kernel carries no registry. Ports share the fabric-wide
 	// instruments rather than minting per-port names, keeping
@@ -151,20 +145,7 @@ func NewPort(k *sim.Kernel, name string, h Handler) *Port {
 		mWireNs:    m.Counter("simnet.wire_busy_ns"),
 		mBacklogNs: m.Histogram("simnet.tx_backlog_ns"),
 	}
-	p.deliverFn = p.deliver
 	return p
-}
-
-// delivery is the bookkeeping record for one frame in flight on the
-// link; records are recycled through the sending port's free list.
-type delivery struct {
-	dst   *Port
-	frame []byte
-}
-
-func (p *Port) putDelivery(d *delivery) {
-	d.dst, d.frame = nil, nil
-	p.dlvFree.Put(d)
 }
 
 // Name returns the port's diagnostic name.
@@ -296,20 +277,15 @@ func (p *Port) SendAfter(d sim.Time, frame []byte) bool {
 	if p.delayFn != nil {
 		jitter = p.delayFn(frame)
 	}
+	// Hand the frame to the peer's domain with the sender's (time,
+	// domain, sequence) key, whether or not it is the sender's own.
+	// Across domains the link's propagation delay is what funds the
+	// group's lookahead, so the arrival always clears the window
+	// horizon; the peer's receive delay only moves it later.
+	// Receive-side bookkeeping runs on the peer's domain (see
+	// deliverRemote).
 	arriveAt := doneAt + p.cfg.Propagation + jitter + p.peer.rxDelay
-	if p.k != p.peer.k {
-		// The peer lives on another scheduling domain: hand the frame
-		// across with the sender's (time, domain, sequence) key. The
-		// link's propagation delay is what funds the group's lookahead,
-		// so the arrival always clears the window horizon; the peer's
-		// receive delay only moves it later. Receive-side bookkeeping
-		// runs on the peer's domain (see deliverRemote).
-		p.k.SendTo(p.peer.k, arriveAt, deliverRemoteFn, p.peer, frame)
-		return true
-	}
-	dl := p.dlvFree.Get()
-	dl.dst, dl.frame = p.peer, frame
-	p.k.AtArg(arriveAt, p.deliverFn, dl)
+	p.k.SendTo(p.peer.k, arriveAt, deliverRemoteFn, p.peer, frame)
 	return true
 }
 
@@ -322,24 +298,15 @@ func (p *Port) drop(frame []byte) bool {
 	return false
 }
 
-// deliverRemoteFn is deliverRemote as a reusable func value, so a
-// cross-domain send does not allocate per frame.
+// deliverRemoteFn is deliverRemote as a reusable func value, so a send
+// does not allocate per frame.
 var deliverRemoteFn = deliverRemote
 
-// deliverRemote completes a frame that crossed scheduling domains. It
-// runs on the receiving port's domain, so every touch — stats, taps,
-// the handler, and the buffer pool the frame is released into — stays
-// domain-local.
+// deliverRemote completes one in-flight frame. It runs on the receiving
+// port's domain, whichever domain sent the frame, so every touch —
+// stats, taps, the handler, and the buffer pool the frame is released
+// into — stays domain-local.
 func deliverRemote(a any, frame []byte) { a.(*Port).receive(frame) }
-
-// deliver completes one in-flight frame on the sender's domain, which is
-// also the receiving port's.
-func (p *Port) deliver(a any) {
-	d := a.(*delivery)
-	dst, frame := d.dst, d.frame
-	p.putDelivery(d)
-	dst.receive(frame)
-}
 
 // receive hands a frame whose last bit has arrived to the handler. Only
 // a port that is still up receives; a crashed device drops in-flight

@@ -396,34 +396,14 @@ func TestEgressBookingMatchesTwoStageModel(t *testing.T) {
 	}
 	tf.k.Run()
 
-	// Stage one: each copy enters its port's egress queue one pipeline
-	// traversal after its ingress, in the order the queue events would
-	// fire — by instant, then by scheduling order.
 	cfg := DefaultConfig()
-	type enq struct {
-		at   sim.Time
-		port PortID
-		copy copyRec
+	want := twoStageModel(prog.ingress)
+	copies := 0
+	for _, w := range want {
+		copies += len(w)
 	}
-	var queue []enq
-	for _, in := range prog.ingress {
-		for i, port := range in.ports {
-			queue = append(queue, enq{in.at + cfg.PipelineLatency, port, copyRec{psn: in.psn, rid: in.rids[i]}})
-		}
-	}
-	slices.SortStableFunc(queue, func(a, b enq) int { return int(a.at - b.at) })
-	// Stage two: each queued copy books the port's parser.
-	free := make(map[PortID]sim.Time)
-	want := make(map[PortID][]copyRec)
-	for _, e := range queue {
-		start := max(free[e.port], e.at)
-		free[e.port] = start + cfg.ParserServiceTime
-		e.copy.at = free[e.port]
-		want[e.port] = append(want[e.port], e.copy)
-	}
-
-	if len(queue) < 200 {
-		t.Fatalf("only %d copies; the bursts must contend", len(queue))
+	if copies < 200 {
+		t.Fatalf("only %d copies; the bursts must contend", copies)
 	}
 	contended := false
 	for port, w := range want {
@@ -511,11 +491,11 @@ func TestMulticastCopiesShareOneEmit(t *testing.T) {
 }
 
 // twoStageModel is the per-copy reference of
-// TestEgressBookingMatchesTwoStageModel: each copy enters its port's
-// egress queue one pipeline traversal after its ingress, in instant and
-// then scheduling order, and books the port's parser from there. It
-// returns every port's copies in the order and at the instants they
-// leave.
+// TestEgressBookingMatchesTwoStageModel and
+// TestMulticastCopiesShareOneEmit: each copy enters its port's egress
+// queue one pipeline traversal after its ingress, in instant and then
+// scheduling order, and books the port's parser from there. It returns
+// every port's copies in the order and at the instants they leave.
 func twoStageModel(ingress []ingressRec) map[PortID][]copyRec {
 	cfg := DefaultConfig()
 	type enq struct {

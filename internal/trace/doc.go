@@ -2,8 +2,8 @@
 // fabric: it taps simnet ports, decodes RoCE v2 frames, and renders
 // one-line summaries of the form
 //
-//	[  41.207µs] host0 TX  10.0.0.1→10.0.0.254 RDMA_WRITE_ONLY qp=0x800 psn=0x52ca31 va=0x40 len=64
-//	[  41.845µs] host0 RX  10.0.0.254→10.0.0.1 ACKNOWLEDGE qp=0x30 psn=0x52ca31 ack(credits=31)
+//	[  41.207µs] host0 TX  10.0.0.1→10.254.0.254 RDMA_WRITE_ONLY qp=0x800 psn=0x52ca31 va=0x40 len=64
+//	[  41.845µs] host0 RX  10.254.0.254→10.0.0.1 ACKNOWLEDGE qp=0x30 psn=0x52ca31 ack(credits=31)
 //
 // so protocol exchanges — the CM handshake, the switch's scatter and
 // rewritten copies, aggregated ACKs, NAKs — can be read straight off

@@ -17,11 +17,11 @@ type Node struct {
 	port    *simnet.Port
 	backup  *simnet.Port
 	standby *simnet.Port // dual-homed leg to the fabric's standby switch
-	rack    int          // fabric rack, or -1 on the classic single switch
+	rack    int          // fabric rack (0 on the single-switch testbed)
 }
 
-// Rack returns the fabric rack this machine sits in, or -1 on the
-// classic single-switch testbed.
+// Rack returns the fabric rack this machine sits in: always 0 on the
+// single-switch testbed, whose one ToR is rack 0's.
 func (n *Node) Rack() int { return n.rack }
 
 // Shard returns the index of the consensus group this machine belongs

@@ -73,16 +73,16 @@ func (m *Mode) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Topology sizes an optional leaf-spine switch fabric. Nil keeps the
-// classic testbed — every machine star-cabled to one programmable
-// switch — whose event schedule and fingerprints are untouched. Non-nil
-// replaces the single switch with Racks ToR switches fully meshed to
-// Spines spine switches: machines are dealt round-robin onto racks,
-// each ToR runs the P4CE program for its local replicas, and the
-// leader's writes scatter leader ToR → spines → remote ToRs → replicas
-// while acknowledgments aggregate hierarchically (each remote ToR
-// counts its rack locally and forwards one partial-count ACK across
-// the spine; the leader's ToR makes the majority decision).
+// Topology sizes an optional leaf-spine switch fabric. Every cluster is
+// built as a fabric; nil builds the paper's testbed as its degenerate
+// case — one rack, no spine, every machine cabled to one programmable
+// ToR. Non-nil builds Racks ToR switches fully meshed to Spines spine
+// switches: machines are dealt round-robin onto racks, each ToR runs
+// the P4CE program for its local replicas, and the leader's writes
+// scatter leader ToR → spines → remote ToRs → replicas while
+// acknowledgments aggregate hierarchically (each remote ToR counts its
+// rack locally and forwards one partial-count ACK across the spine;
+// the leader's ToR makes the majority decision).
 type Topology struct {
 	// Racks is the ToR (leaf) switch count; machines of every shard are
 	// assigned to racks round-robin by machine index. Zero means 2.
@@ -147,15 +147,14 @@ type Options struct {
 	// Shard.After/Shard.Now (not Cluster.After), so generator callbacks
 	// run on — and only observe — their shard's domain.
 	Partitions int
-	// Topology, when non-nil, builds a leaf-spine multi-switch fabric
-	// instead of the single star-cabled switch. See Topology. Mutually
-	// exclusive with BackupFabric (the standby switch plays the spare's
-	// role on a fabric) and only meaningful in ModeP4CE or ModeMu over
-	// the fabric's routed paths.
+	// Topology, when non-nil, builds a leaf-spine multi-switch fabric;
+	// nil builds the one-rack, spine-less fabric of the paper's testbed.
+	// See Topology. BackupFabric is ignored when it is set: the standby
+	// switch plays the spare's role on a leaf-spine fabric.
 	Topology *Topology
 	// BackupFabric cables every host to a second, plain switch — the
 	// "alternative network route" used when the programmable switch
-	// dies (§III-A).
+	// dies (§III-A). Only on the single-switch testbed (nil Topology).
 	BackupFabric bool
 	// AckDropInLeaderEgress selects the paper's first (slower) ACK
 	// aggregation placement for the §IV-D ablation.

@@ -48,12 +48,15 @@ echo "== parallel kernel determinism gate =="
 go test -race -timeout 20m ./internal/chaos -run TestParallelSeedSweep -short -count=1
 
 echo "== examples =="
-# Every example must build; the two that exercise the public surface
-# end to end (single-group and sharded) must also run clean. Each
-# exits nonzero if its own invariants fail.
+# Every example must build; the four that exercise the public surface
+# end to end (single-group, sharded, fail-over over the backup fabric,
+# and the replicated store through a leader crash) must also run clean.
+# Each exits nonzero if its own invariants fail.
 go build ./examples/...
 go run ./examples/quickstart >/dev/null
 go run ./examples/sharded >/dev/null
+go run ./examples/failover >/dev/null
+go run ./examples/kvstore >/dev/null
 
 echo "== trace export gate =="
 # The CLI path end to end: a simulator run writes a Perfetto trace.

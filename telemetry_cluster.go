@@ -43,15 +43,11 @@ func (c *Cluster) buildTelemetry() {
 		fd.RateFn(label+".acks_forwarded", func() uint64 { return dp.Stats.AcksForwarded })
 		fd.RateFn(label+".acks_up_forwarded", func() uint64 { return dp.Stats.AcksUpForwarded })
 	}
-	if c.fabric != nil {
-		for r := 0; r < c.fabric.Racks(); r++ {
-			registerDP(fmt.Sprintf("rack%d", r), c.dps[c.fabric.OriginalToR(r)])
-		}
-		if sb := c.fabric.Standby(); sb != nil {
-			registerDP("standby", c.dps[sb])
-		}
-	} else if c.dp != nil {
-		registerDP("switch", c.dp)
+	for r := 0; r < c.fabric.Racks(); r++ {
+		registerDP(fmt.Sprintf("rack%d", r), c.dps[c.fabric.OriginalToR(r)])
+	}
+	if sb := c.fabric.Standby(); sb != nil {
+		registerDP("standby", c.dps[sb])
 	}
 
 	// Shard domains (1+s): the consensus view. Every instrument here is
