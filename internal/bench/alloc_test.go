@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"p4ce"
@@ -121,6 +122,11 @@ func TestEventBudgetSteadyState(t *testing.T) {
 // marker is pending the consumer skips nothing, so that entry costs
 // 3 × 4 = 12 more, and 1 000 ops of 4 129 bytes cross at most one wrap
 // of the 4 MiB ring.
+//
+// It also counts the bytes the buffer pool zero-fills. Every pooled
+// buffer on the 4 KiB Mu path is written in full before it is read —
+// the NIC's transmit frames by MarshalInto, the leader's cache copy by
+// EncodeEntryInto, the replica copies by Clone — so none is zeroed.
 func TestEntryChecksumCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-op warmup")
@@ -138,11 +144,38 @@ func TestEntryChecksumCensus(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		oneOp(t)
 	}
-	n := sums() - sum0
+	n, zeroed := sums()-sum0, pool.ZeroedBytes()-zeroed0
 	t.Logf("per committed 4 KiB Mu op: %.3f full-entry checksums, %.0f zero-filled pool bytes",
-		float64(n)/ops, float64(pool.ZeroedBytes()-zeroed0)/ops)
+		float64(n)/ops, float64(zeroed)/ops)
 	if limit := uint64(8*ops + 12); n > limit {
 		t.Fatalf("%d committed ops computed %d full-entry checksums, want at most %d", ops, n, limit)
+	}
+	if zeroed != 0 {
+		t.Fatalf("%d committed ops zero-filled %d pooled bytes, want 0", ops, zeroed)
+	}
+}
+
+// TestMuLargeFootprint bounds the host memory a warm five-node 4 KiB Mu
+// cluster keeps live, in MB of 2^20 bytes as the benchmark's host_mem_mb
+// counts them. Each node's CatchUpWindow caches 4 096 encoded 4 129-byte
+// entries in pooled buffers, about 81 MB of payload over five nodes.
+// With one size class per doubling each entry held an 8 KiB array and
+// the heap read 181.5 MB; with eight per doubling it holds a 4 608-byte
+// one and the heap reads about 118 MB.
+func TestMuLargeFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-thousand-op warmup")
+	}
+	const limit = 140 << 20
+	cl, _ := warmSteadySize(t, p4ce.Options{Nodes: 5, Mode: p4ce.ModeMu, Seed: 7}, 4096)
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(cl)
+	mb := float64(ms.HeapInuse) / (1 << 20)
+	t.Logf("warm 5-node 4 KiB Mu cluster: HeapInuse %.1f MB", mb)
+	if ms.HeapInuse > limit {
+		t.Fatalf("warm 5-node 4 KiB Mu cluster keeps %.1f MB of heap in use, want at most 140 MB", mb)
 	}
 }
 

@@ -159,7 +159,9 @@ func (n *Node) flushBatch() {
 		n.k.Buffers().Put(op.data)
 		return
 	}
-	payload := n.k.Buffers().Get(n.batchBytes)
+	// batchBytes is the length of the framed ops written below, so they
+	// fill every byte of the payload.
+	payload := n.k.Buffers().GetUnzeroed(n.batchBytes)
 	off := 0
 	for i := range n.batchQ {
 		op := n.batchQ[i].data

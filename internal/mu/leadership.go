@@ -763,7 +763,7 @@ func entryData(encoded []byte) []byte {
 // from the kernel's buffer pool; setRecent returns it there.
 func (n *Node) appendLocal(e *Entry) (off, markOff int) {
 	size := e.EncodedSize()
-	bytes := n.k.Buffers().Get(size)
+	bytes := n.k.Buffers().GetUnzeroed(size) // EncodeEntryInto writes every byte
 	EncodeEntryInto(bytes, e)
 	off, markOff, mark, err := n.ring.Place(size)
 	if err != nil {

@@ -27,6 +27,24 @@ func TestEntryEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestEncodeEntryIntoWritesEveryByte: EncodeEntryInto over a buffer of
+// exactly EncodedSize junk bytes yields what EncodeEntry writes into a
+// zeroed one, so appendLocal may take an unzeroed pooled buffer.
+func TestEncodeEntryIntoWritesEveryByte(t *testing.T) {
+	for _, e := range []*Entry{
+		{Term: 3, PrevTerm: 2, Index: 42, CommitIndex: 40, Flags: FlagBatch, Data: []byte("payload")},
+		{Term: 1, Index: 1, Flags: FlagNoop},
+	} {
+		for _, junk := range []byte{0xA5, 0xFF} {
+			buf := bytes.Repeat([]byte{junk}, e.EncodedSize())
+			EncodeEntryInto(buf, e)
+			if want := EncodeEntry(e); !bytes.Equal(buf, want) {
+				t.Errorf("entry %d: EncodeEntryInto over 0x%02X junk differs from EncodeEntry", e.Index, junk)
+			}
+		}
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	e := &Entry{Term: 1, Index: 1, Data: []byte("abcdef")}
 	buf := EncodeEntry(e)

@@ -279,7 +279,7 @@ func (n *NIC) transmit(p *roce.Packet) {
 	if port == nil {
 		return
 	}
-	frame := n.k.Buffers().Get(p.WireSize())
+	frame := n.k.Buffers().GetUnzeroed(p.WireSize()) // MarshalInto writes every byte
 	p.MarshalInto(frame)
 	port.SendAfter(n.cfg.ProcessingDelay, frame)
 }

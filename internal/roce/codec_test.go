@@ -74,6 +74,21 @@ func TestMarshalRoundtrip(t *testing.T) {
 	}
 }
 
+// TestMarshalIntoWritesEveryByte: MarshalInto into a buffer full of
+// junk yields the bytes Marshal writes into a zeroed one, so transmit
+// paths may take an unzeroed pooled buffer.
+func TestMarshalIntoWritesEveryByte(t *testing.T) {
+	for _, p := range samplePackets() {
+		for _, junk := range []byte{0x00, 0xA5, 0xFF} {
+			buf := bytes.Repeat([]byte{junk}, p.WireSize())
+			p.MarshalInto(buf)
+			if want := p.Marshal(); !bytes.Equal(buf, want) {
+				t.Errorf("%v: MarshalInto over 0x%02X junk differs from Marshal", p.OpCode, junk)
+			}
+		}
+	}
+}
+
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	p := samplePackets()[0]
 	frame := p.Marshal()

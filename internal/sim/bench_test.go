@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -126,6 +127,24 @@ func BenchmarkQueueDepth(b *testing.B) {
 			}
 			if allocs := testing.AllocsPerRun(1000, func() { k.Step() }); allocs != 0 {
 				b.Fatalf("%v allocs per pop+push at depth %d, want 0", allocs, bc.depth)
+			}
+		})
+	}
+}
+
+// BenchmarkBuffersGetPut measures one pooled buffer round trip at sizes
+// the workloads take: a 64 B op as the batcher copies it, the 171 B
+// write frame of a 64 B op, the 1 082 B middle segment of a 4 KiB write
+// and the 4 129 B encoded 4 KiB Mu entry. Each pays a class lookup in
+// Get and another in Put.
+func BenchmarkBuffersGetPut(b *testing.B) {
+	for _, size := range []int{64, 171, 1082, 4129} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			var pool Buffers
+			pool.Put(pool.GetUnzeroed(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pool.Put(pool.GetUnzeroed(size))
 			}
 		})
 	}

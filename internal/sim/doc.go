@@ -68,13 +68,16 @@
 // pool recycles wire frames and payload scratch. The pool belongs to the
 // partition, next to the event free list: every domain packed into a
 // partition shares it, so a frame released by the domain that consumed
-// it is the next one its sender obtains, and each size class keeps a
-// bounded number of free buffers. Get zeroes a recycled buffer; Clone,
-// for a caller that copies a whole slice into the pool, skips that
-// zero-fill because the copy writes every byte. A buffer obtained from
-// Buffers().Get or Clone belongs to the taker until it calls Put;
-// putting a buffer that someone else still aliases is the pool's one
-// cardinal sin (see the roce payload contract).
+// it is the next one its sender obtains. Its size classes step by an
+// eighth (eight per doubling, 64 B to 4 MiB), so a buffer holding more
+// than 64 B wastes at most an eighth of it, and each doubling keeps at
+// most 4 MiB of free buffers. Get zeroes a recycled buffer; GetUnzeroed,
+// for a writer that fills every byte (a frame marshal, an entry
+// encode), and Clone, for a caller that copies a whole slice into the
+// pool, skip that zero-fill. A buffer obtained from Buffers().Get,
+// GetUnzeroed or Clone belongs to the taker until it calls Put; putting
+// a buffer that someone else still aliases is the pool's one cardinal
+// sin (see the roce payload contract).
 //
 // FreeList is the one free list for fixed-size records: the kernel's
 // event records and the device layers' in-flight bookkeeping (work

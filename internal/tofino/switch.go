@@ -480,7 +480,7 @@ func (sw *Switch) emit(j *egressJob) {
 		j.share.frame = nil
 	} else {
 		sw.remarshals++
-		frame = sw.k.Buffers().Get(j.pkt.WireSize())
+		frame = sw.k.Buffers().GetUnzeroed(j.pkt.WireSize()) // MarshalInto writes every byte
 		j.pkt.MarshalInto(frame)
 	}
 	j.dst.net.Send(frame)
