@@ -28,14 +28,14 @@ var (
 )
 
 // Cluster is a simulated testbed: n machines cabled to a switch fabric
-// of programmable switches (and optionally to a plain backup fabric),
-// running the consensus engine. All activity happens on a deterministic
-// virtual clock that only advances through the Run methods.
+// of programmable switches (and optionally to a spare switch: a
+// standby, or a plain backup), running the consensus engine. All
+// activity happens on a deterministic virtual clock that only advances
+// through the Run methods.
 type Cluster struct {
 	opts   Options
 	kernel *sim.Kernel // fabric domain (0); shard s runs on domain 1+s
 	group  *sim.Group
-	backup *tofino.Switch
 	cp     *swp4ce.ControlPlane
 	nodes  []*Node  // all machines, shard-major
 	shards []*Shard // one consensus group each, sharing the fabric
@@ -47,7 +47,7 @@ type Cluster struct {
 	dps          map[*tofino.Switch]*swp4ce.Dataplane
 	reconfig     sim.Time // control-plane reconfiguration delay (40 ms)
 	spineHandled []bool   // supervisor: spine failovers already scheduled
-	rackHandled  []bool   // supervisor: rack adoptions already scheduled
+	rackHandled  []bool   // supervisor: rack failovers already scheduled
 
 	tl *telemetry.Timeline // non-nil with Options.EnableTelemetry
 }
@@ -87,15 +87,15 @@ func NewCluster(opts Options) *Cluster {
 	}
 	cpCfg := swp4ce.DefaultCPConfig()
 	c.reconfig = cpCfg.ReconfigDelay
-	spec := fabric.Spec{Racks: 1}
+	spec := fabric.Spec{Racks: 1, Backup: opts.BackupFabric}
 	if t := opts.Topology; t != nil {
 		spec = fabric.Spec{Racks: t.Racks, Spines: t.Spines, Standby: t.Standby}
 		cpCfg.FlatGather = t.FlatGather
 	}
 	// Every ToR (and the standby, which must be ready the instant it
 	// adopts a rack) runs its own instance of the P4CE program; the
-	// spines stay plain L3. One control plane spans them all, the way one
-	// operator drives every BfRt target.
+	// spines (and a plain backup) stay L3. One control plane spans them
+	// all, the way one operator drives every BfRt target.
 	c.fabric = fabric.Build(k, spec, swCfg)
 	c.dps = make(map[*tofino.Switch]*swp4ce.Dataplane)
 	for _, sw := range c.fabric.LeafTier() {
@@ -104,11 +104,6 @@ func NewCluster(opts Options) *Cluster {
 		c.dps[sw] = dp
 	}
 	c.cp = swp4ce.NewControlPlane(c.fabric, func(sw *tofino.Switch) *swp4ce.Dataplane { return c.dps[sw] }, cpCfg)
-
-	if opts.BackupFabric && opts.Topology == nil {
-		c.backup = tofino.New(k, "backup", simnet.AddrFrom(10, 0, 1, 254), tofino.DefaultConfig())
-		c.backup.SetProgram(&tofino.L3Program{})
-	}
 
 	for s := 0; s < opts.Shards; s++ {
 		c.buildShard(s)
@@ -121,21 +116,21 @@ func NewCluster(opts Options) *Cluster {
 	for _, n := range c.nodes {
 		n.mu.Start()
 	}
-	if c.fabric.SpineCount() > 0 || c.fabric.Standby() != nil {
-		// Only a spine or a standby gives the supervisor a move to make;
-		// on the one-switch testbed its poll would be events and nothing
-		// else.
+	if c.fabric.SpineCount() > 0 || c.fabric.Standby() != nil || c.fabric.Backup() != nil {
+		// Only a spine or a spare switch gives the supervisor a move to
+		// make; on the bare one-switch testbed its poll would be events
+		// and nothing else.
 		c.startFabricSupervisor()
 	}
 	return c
 }
 
 // buildShard wires one consensus group: its own machines, NICs and mu
-// nodes, cabled into the fabric (and backup fabric). Shard s lives in
-// the 10.0.s.0/24 address block, so shard 0 of a single-group cluster
-// is byte-identical to the pre-sharding topology. Machine identifiers
-// are shard-local (0..Nodes-1); TuneNIC/TuneNode receive the global
-// machine index s*Nodes+i.
+// nodes, cabled into the fabric (and onto its spare switch). Shard s
+// lives in the 10.0.s.0/24 address block, so shard 0 of a single-group
+// cluster is byte-identical to the pre-sharding topology. Machine
+// identifiers are shard-local (0..Nodes-1); TuneNIC/TuneNode receive
+// the global machine index s*Nodes+i.
 func (c *Cluster) buildShard(s int) {
 	// Each shard's machines — NICs, host ports, protocol nodes — live on
 	// the shard's own scheduling domain; only the switch side of each
@@ -153,9 +148,6 @@ func (c *Cluster) buildShard(s int) {
 		if opts.PipelineDepth > 0 {
 			nicCfg.MaxOutstanding = opts.PipelineDepth
 		}
-		if opts.ResponderApplyDelay > 0 {
-			nicCfg.ApplyDelay = simDuration(opts.ResponderApplyDelay)
-		}
 		if opts.TuneNIC != nil {
 			opts.TuneNIC(g, &nicCfg)
 		}
@@ -168,29 +160,16 @@ func (c *Cluster) buildShard(s int) {
 		hostPort := simnet.NewPort(k, peers[i].Addr.String(), nil)
 		c.fabric.AttachHost(rack, peers[i].Addr, hostPort)
 		nic.AttachPort(hostPort)
-		var backupPort, standbyPort *simnet.Port
-		if c.fabric.Standby() != nil {
-			// Dual-homed spare leg; stays dark until a ToR dies and the
-			// supervisor flips this NIC onto it. Attach after AttachHost:
-			// the standby's local binding must win over its via-spine
-			// route for this host.
-			standbyPort = simnet.NewPort(k, peers[i].Addr.String()+"-sb", nil)
-			c.fabric.AttachStandbyHost(peers[i].Addr, standbyPort)
-			nic.AttachStandbyPort(standbyPort)
-		}
-		if c.backup != nil {
-			backupPort = simnet.NewPort(k, peers[i].Addr.String()+"-bk", nil)
-			bpid, bswPort := c.backup.AddPort(fmt.Sprintf("eth%d", g))
-			simnet.Connect(backupPort, bswPort, simnet.DefaultLinkConfig())
-			c.backup.BindAddr(peers[i].Addr, bpid)
-			nic.AttachBackupPort(backupPort)
+		// The spare leg, when the fabric has a spare switch, stays dark
+		// until the rack's ToR dies and the supervisor flips this NIC
+		// onto it.
+		spare := c.fabric.AttachSpare(peers[i].Addr, k)
+		if spare != nil {
+			nic.AttachSpare(spare)
 		}
 
 		muCfg := mu.DefaultConfig()
 		muCfg.DisableHeartbeats = opts.DisableHeartbeats
-		if opts.LogSize > 0 {
-			muCfg.LogSize = opts.LogSize
-		}
 		// The adaptive batcher is on at the cluster layer. Its direct
 		// path is byte-identical to classic one-op-one-entry replication
 		// while the pipeline has free slots, so unsaturated workloads
@@ -198,9 +177,6 @@ func (c *Cluster) buildShard(s int) {
 		muCfg.BatchMaxOps = 64
 		if opts.BatchMaxOps != 0 {
 			muCfg.BatchMaxOps = opts.BatchMaxOps
-		}
-		if opts.BatchMaxDelay > 0 {
-			muCfg.BatchMaxDelay = simDuration(opts.BatchMaxDelay)
 		}
 		if opts.PipelineDepth > 0 {
 			muCfg.MaxInflight = opts.PipelineDepth
@@ -222,7 +198,6 @@ func (c *Cluster) buildShard(s int) {
 			}
 		}
 		node := mu.NewNode(muCfg, peers[i], others, nic)
-		node.SetPrimaryPort(hostPort)
 
 		engCfg := core.Config{}
 		if opts.Mode == ModeP4CE {
@@ -245,8 +220,7 @@ func (c *Cluster) buildShard(s int) {
 			mu:      node,
 			engine:  engine,
 			port:    hostPort,
-			backup:  backupPort,
-			standby: standbyPort,
+			spare:   spare,
 			rack:    rack,
 		}
 		c.nodes = append(c.nodes, n)
@@ -463,10 +437,11 @@ func (c *Cluster) FabricStats() tofino.Stats {
 // startFabricSupervisor begins the fabric management plane's health
 // poll: every few milliseconds (BFD-style liveness, coarse enough to
 // stay cheap) it scans the switch tier for crashes and schedules the
-// paper's 40 ms control-plane reconfiguration for whatever it finds —
-// rerouting around a dead spine, or having the standby adopt a dead
-// ToR's rack. Runs on the fabric scheduling domain, so every decision
-// is a plain deterministic event regardless of partition count.
+// move for whatever it finds — rerouting around a dead spine, or moving
+// a dead ToR's hosts onto their spare legs. It is the cluster's only
+// failover trigger, and runs on the fabric scheduling domain, so every
+// decision is a plain deterministic event regardless of partition
+// count.
 func (c *Cluster) startFabricSupervisor() {
 	const poll = 5 * sim.Millisecond
 	c.spineHandled = make([]bool, c.fabric.SpineCount())
@@ -501,35 +476,53 @@ func (c *Cluster) superviseFabric() {
 			c.cp.ReresolveFabricPorts()
 		})
 	}
-	if f.Standby() == nil || f.AdoptedRack() >= 0 || f.Standby().Crashed() {
-		return
-	}
 	for r := 0; r < f.Racks(); r++ {
 		if c.rackHandled[r] || !f.ToR(r).Crashed() {
 			continue
 		}
+		delay := c.reconfig
+		standby := f.Standby() != nil && f.AdoptedRack() < 0 && !f.Standby().Crashed()
+		switch {
+		case standby:
+		case f.Backup() != nil && !f.Backup().Crashed():
+			delay = fabric.RouteReconvergence
+		default:
+			continue // no spare to move the rack onto
+		}
 		c.rackHandled[r] = true
-		r := r
-		c.kernel.Schedule(c.reconfig, func() {
-			if !f.ToR(r).Crashed() {
-				c.rackHandled[r] = false // rebooted before reconfig
-				return
-			}
-			if !f.AdoptRack(r) {
-				return
-			}
-			// Order matters: the standby owns the rack's routes and
-			// identity first, then the consensus groups move onto its
-			// fresh registers, then the hosts' NICs flip to their spare
-			// legs. Gather state restarts empty — safe, because the
-			// leader's go-back-N replays every unacknowledged PSN.
-			c.cp.RehomeRack(r)
-			for _, n := range c.nodes {
-				if n.rack != r {
-					continue
-				}
-				nic := n.mu.NIC()
-				c.kernel.Call(nic.Kernel(), nic.FailoverToStandby)
+		c.kernel.Schedule(delay, func() { c.failRack(r, standby) })
+	}
+}
+
+// failRack moves rack r's hosts onto their spare legs, unless the
+// rack's ToR came back first. With the standby, order matters: the
+// standby owns the rack's routes and identity first, then the
+// consensus groups move onto its fresh registers, then the NICs flip.
+// Gather state restarts empty — safe, because the leader's go-back-N
+// replays every unacknowledged PSN. The plain backup runs no consensus
+// program, so its hosts replicate directly from then on; their pending
+// handshakes went out on the dead route, so they go out again.
+func (c *Cluster) failRack(r int, standby bool) {
+	f := c.fabric
+	if !f.ToR(r).Crashed() {
+		c.rackHandled[r] = false // rebooted before the move
+		return
+	}
+	if standby {
+		if !f.AdoptRack(r) {
+			return
+		}
+		c.cp.RehomeRack(r)
+	}
+	for _, n := range c.nodes {
+		if n.rack != r {
+			continue
+		}
+		c.kernel.Call(n.mu.NIC().Kernel(), func() {
+			n.mu.NIC().FailoverToSpare()
+			if !standby {
+				n.engine.DetachSwitch()
+				n.mu.CMAgent().ResendPending()
 			}
 		})
 	}
@@ -629,11 +622,8 @@ func (c *Cluster) EnableTrace(w io.Writer, ringSize int, filter trace.Filter) *t
 	}
 	for i, n := range c.nodes {
 		tr.Tap(n.port, fmt.Sprintf("host%d", i))
-		if n.backup != nil {
-			tr.Tap(n.backup, fmt.Sprintf("host%d-bk", i))
-		}
-		if n.standby != nil {
-			tr.Tap(n.standby, fmt.Sprintf("host%d-sb", i))
+		if n.spare != nil {
+			tr.Tap(n.spare, fmt.Sprintf("host%d-spare", i))
 		}
 	}
 	return tr

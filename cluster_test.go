@@ -256,6 +256,29 @@ func TestSwitchCrashFallsBackOverBackupFabric(t *testing.T) {
 	}
 }
 
+// TestSwitchRebootKeepsPrimaryRoute: with no spare switch cabled,
+// nothing may move a machine onto a spare leg — a power-cycled switch
+// comes back and the leader re-accelerates through it.
+func TestSwitchRebootKeepsPrimaryRoute(t *testing.T) {
+	cl := NewCluster(Options{Nodes: 3, Mode: ModeP4CE, Seed: 1})
+	if _, err := cl.RunUntilLeader(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	_, horizon, err := cl.ApplyChaosScenario("switch-reboot", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(horizon)
+	for _, n := range cl.Nodes() {
+		if n.OnBackupRoute() {
+			t.Fatalf("node %d reports a spare leg on a testbed without one", n.ID())
+		}
+	}
+	if l := cl.Leader(); l == nil || !l.Accelerated() {
+		t.Fatalf("leader %v not accelerated after the switch came back", l)
+	}
+}
+
 func TestNakFallbackAndReacceleration(t *testing.T) {
 	cl := NewCluster(Options{Nodes: 3, Mode: ModeP4CE,
 		TuneNode: func(i int, cfg *mu.Config) {

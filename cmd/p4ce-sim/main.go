@@ -11,7 +11,13 @@
 // paper's one programmable ToR; "leaf-spine" builds a multi-rack fabric
 // (-racks leaf switches, -spines spine switches, replicas assigned to
 // racks round-robin) with hierarchical ACK aggregation, and -standby
-// cables a spare switch that adopts a failed ToR's identity.
+// cables a spare switch that adopts a failed ToR's identity. On the
+// single switch, -backup cables every machine to a plain spare switch
+// instead. Either way the fabric supervisor, polling every 5 ms, moves
+// a dead ToR's machines onto their spare legs: after the 40 ms
+// reconfiguration onto the standby, still accelerated, or after 55 ms
+// of route reconvergence onto the backup, un-accelerated. The final
+// "backup-route" field reports whether the leader was moved.
 //
 // The -crash flag takes a comma-separated schedule of events:
 // "leader@<t>" (whoever leads at t), "replica<N>@<t>" (machine N),

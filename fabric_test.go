@@ -166,12 +166,20 @@ func TestFabricGatherDeterminism(t *testing.T) {
 }
 
 // TestFabricToRFailoverNoLostCommits drives a continuous workload
-// through a remote-rack ToR crash and standby adoption, and asserts
-// the strongest client-visible contract: every acknowledged operation
-// survives, exactly once, in submit order, on every machine that
-// applied it — nothing committed is lost or reordered across the 40 ms
-// reconfiguration window.
+// through a ToR crash and standby adoption, and asserts the strongest
+// client-visible contract: every acknowledged operation survives,
+// exactly once, in submit order, on every machine that applied it —
+// nothing committed is lost or reordered across the 40 ms
+// reconfiguration window. Rack 1's ToR is a remote rack's; rack 0's
+// serves the leader, which loses every peer until the standby adopts
+// its rack.
 func TestFabricToRFailoverNoLostCommits(t *testing.T) {
+	for _, rack := range []int{1, 0} {
+		t.Run(fmt.Sprintf("rack%d", rack), func(t *testing.T) { torFailoverNoLostCommits(t, rack) })
+	}
+}
+
+func torFailoverNoLostCommits(t *testing.T, rack int) {
 	cl := NewCluster(fabricOptions(11))
 	type rec struct {
 		idx  uint64
@@ -189,8 +197,12 @@ func TestFabricToRFailoverNoLostCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const crashAfter = 10 * time.Millisecond
+	crashAt := cl.Now() + crashAfter
 	var ackedOps []string
+	ackedLate := 0 // acknowledged once the standby has taken over
 	seq := 0
+	sh := cl.Shard(0)
 	var tick func()
 	tick = func() {
 		if l := cl.Leader(); l != nil {
@@ -199,31 +211,40 @@ func TestFabricToRFailoverNoLostCommits(t *testing.T) {
 			_ = l.Propose([]byte(payload), func(err error) {
 				if err == nil {
 					ackedOps = append(ackedOps, payload)
+					if sh.Now() > crashAt+100*time.Millisecond {
+						ackedLate++
+					}
 				}
 			})
 		}
-		cl.Shard(0).After(100*time.Microsecond, tick)
+		sh.After(100*time.Microsecond, tick)
 	}
-	cl.Shard(0).After(100*time.Microsecond, tick)
+	sh.After(100*time.Microsecond, tick)
 
-	// Rack 1's ToR dies mid-stream; the supervisor's 40 ms failover
-	// follows. The leader (rack 0) keeps its local majority throughout.
-	cl.After(10*time.Millisecond, func() { cl.CrashToR(1) })
+	// The ToR dies mid-stream; the supervisor's 40 ms failover follows.
+	cl.After(crashAfter, func() { cl.CrashToR(rack) })
 	cl.Run(300 * time.Millisecond)
 
-	if cl.Fabric().AdoptedRack() != 1 {
-		t.Fatalf("standby never adopted rack 1 (adopted=%d)", cl.Fabric().AdoptedRack())
+	if cl.Fabric().AdoptedRack() != rack {
+		t.Fatalf("standby never adopted rack %d (adopted=%d)", rack, cl.Fabric().AdoptedRack())
 	}
-	if got := cl.Leader(); got == nil || got != leader {
-		t.Fatalf("leadership moved during a remote-rack failover: %v", got)
+	final := cl.Leader()
+	if final == nil {
+		t.Fatal("no leader after the failover")
 	}
-	if len(ackedOps) == 0 {
-		t.Fatal("nothing acknowledged across the failover")
+	if rack != leader.Rack() && final != leader {
+		t.Fatalf("leadership moved during a remote-rack failover: %v", final)
+	}
+	if len(ackedOps) == 0 || ackedLate == 0 {
+		t.Fatalf("acknowledged %d ops, %d of them after the failover: commits did not resume",
+			len(ackedOps), ackedLate)
 	}
 
-	// Build the leader's committed history in log order.
-	recs := applied[0]
-	sort.Slice(recs, func(a, b int) bool { return recs[a].idx < recs[b].idx })
+	// Build the final leader's committed history in log order. A batch
+	// entry applies its operations in order under one index, so the
+	// sort must keep apply order among equal indexes.
+	recs := applied[final.ID()]
+	sort.SliceStable(recs, func(a, b int) bool { return recs[a].idx < recs[b].idx })
 	pos := make(map[string]int)
 	for i, r := range recs {
 		if _, dup := pos[r.data]; dup && r.data != "" {
@@ -244,17 +265,92 @@ func TestFabricToRFailoverNoLostCommits(t *testing.T) {
 		last = p
 	}
 	// And every machine that applied an index agrees on its contents.
-	for i := 1; i < 5; i++ {
-		other := make(map[uint64]string, len(applied[i]))
-		for _, r := range applied[i] {
-			other[r.idx] = r.data
-		}
+	byIndex := func(recs []rec) map[uint64]string {
+		m := make(map[uint64]string, len(recs))
 		for _, r := range recs {
-			if data, ok := other[r.idx]; ok && data != r.data {
-				t.Fatalf("node %d diverged at index %d: %q vs %q", i, r.idx, data, r.data)
+			m[r.idx] += r.data + ";"
+		}
+		return m
+	}
+	want := byIndex(recs)
+	for i := range applied {
+		for idx, data := range byIndex(applied[i]) {
+			if w, ok := want[idx]; ok && data != w {
+				t.Fatalf("node %d diverged at index %d: %q vs %q", i, idx, data, w)
 			}
 		}
 	}
+}
+
+// failRack1 builds the canonical fabric testbed, elects node 0 (rack
+// 0), crashes rack 1's ToR and runs until the supervisor has moved the
+// rack's machines onto their standby legs.
+func failRack1(t *testing.T) *Cluster {
+	t.Helper()
+	cl := NewCluster(fabricOptions(11))
+	if _, err := cl.RunUntilLeader(300 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	cl.CrashToR(1)
+	cl.Run(60 * time.Millisecond) // a 5 ms poll, the 40 ms reconfiguration, slack
+	if cl.Fabric().AdoptedRack() != 1 {
+		t.Fatalf("standby never adopted rack 1 (adopted=%d)", cl.Fabric().AdoptedRack())
+	}
+	for _, n := range cl.Nodes() {
+		if n.OnBackupRoute() != (n.Rack() == 1) {
+			t.Fatalf("node %d (rack %d) on its spare leg: %v", n.ID(), n.Rack(), n.OnBackupRoute())
+		}
+	}
+	return cl
+}
+
+// TestFabricCrashAfterToRFailoverDarkensSpareLeg: a machine crashed
+// after its rack moved onto the standby goes dark on the leg it is on,
+// so it neither receives nor transmits any more.
+func TestFabricCrashAfterToRFailoverDarkensSpareLeg(t *testing.T) {
+	cl := failRack1(t)
+	victim := cl.Node(1)
+	cl.Shard(0).After(0, victim.Crash)
+	cl.Run(5 * time.Millisecond) // let the crash land
+	before := victim.NICStats()
+	cl.Run(50 * time.Millisecond)
+	if after := victim.NICStats(); after.RxPackets != before.RxPackets || after.TxPackets != before.TxPackets {
+		t.Fatalf("crashed machine kept its NIC busy: rx %d → %d, tx %d → %d",
+			before.RxPackets, after.RxPackets, before.TxPackets, after.TxPackets)
+	}
+}
+
+// TestFabricLeaderCrashAfterToRFailoverReaccelerates: a machine on its
+// standby leg still dials its rack's ToR identity — now the standby's —
+// so when it becomes leader it is accelerated like any other.
+func TestFabricLeaderCrashAfterToRFailoverReaccelerates(t *testing.T) {
+	cl := failRack1(t)
+	old := cl.Leader()
+	if old == nil || old.Rack() != 0 {
+		t.Fatalf("leader %v, want a rack-0 machine", old)
+	}
+	sh := cl.Shard(0)
+	sh.After(0, old.Crash)
+	cl.Run(time.Microsecond)
+	crashAt := sh.Now()
+	for sh.Now()-crashAt < 200*time.Millisecond {
+		if !cl.Step() {
+			break
+		}
+		if l := cl.Leader(); l != nil && l != old && l.Accelerated() {
+			if l.Rack() != 1 {
+				t.Fatalf("new leader node %d is in rack %d, want rack 1", l.ID(), l.Rack())
+			}
+			t.Logf("node %d accelerated %v after the crash", l.ID(), sh.Now()-crashAt)
+			return
+		}
+	}
+	l := cl.Leader()
+	if l == nil {
+		t.Fatal("no leader within 200 ms of the crash")
+	}
+	t.Fatalf("new leader node %d (rack %d) not accelerated within 200 ms of the crash",
+		l.ID(), l.Rack())
 }
 
 // TestFabricFlatGatherAblation measures what hierarchical aggregation

@@ -32,9 +32,10 @@ func (l Link) ports() []*simnet.Port {
 	return ps
 }
 
-// NodeTarget is one machine the engine may take down: its cable and its
-// NIC (for the reset that models a reboot tearing down every queue
-// pair).
+// NodeTarget is one machine the engine may take down: its primary
+// cable (the target of link faults) and its NIC, whose power-off and
+// reset model a reboot darkening every leg and tearing down every
+// queue pair.
 type NodeTarget struct {
 	Name string
 	Link Link
@@ -344,34 +345,24 @@ func (e *Engine) Partition(links []Link, start, dur sim.Time) {
 }
 
 // NodeOutage models a replica crash and restart: at now+start the
-// machine's port goes dark and its NIC resets — every queue pair is
-// torn down with a flush error, exactly what a host reboot does — and
-// downFor later the port comes back. The machine's software survives
+// machine's NIC powers off on every leg and resets — every queue pair
+// is torn down with a flush error, exactly what a host reboot does —
+// and downFor later it powers back on. The machine's software survives
 // (the protocol layer is expected to re-dial its connections; mu's
 // monitors do this on their own).
 func (e *Engine) NodeOutage(n NodeTarget, start, downFor sim.Time) {
-	// The host port and the NIC live on the machine's shard domain:
-	// schedule the outage there so a partitioned run mutates them from
-	// their own partition.
-	k := e.k
-	if n.Link.Host != nil {
-		k = n.Link.Host.Kernel()
-	}
+	// The NIC lives on the machine's shard domain: schedule the outage
+	// there so a partitioned run mutates it from its own partition.
+	k := n.NIC.Kernel()
 	k.Schedule(start, func() {
 		atomic.AddUint64(&e.Stats.NodeOutages, 1)
 		e.logf("chaos: node %s outage at %v for %v", n.Name, k.Now(), downFor)
-		if n.Link.Host != nil {
-			n.Link.Host.SetUp(false)
-		}
-		if n.NIC != nil {
-			n.NIC.Reset()
-		}
+		n.NIC.SetPower(false)
+		n.NIC.Reset()
 	})
 	k.Schedule(start+downFor, func() {
 		e.logf("chaos: node %s back at %v", n.Name, k.Now())
-		if n.Link.Host != nil {
-			n.Link.Host.SetUp(true)
-		}
+		n.NIC.SetPower(true)
 	})
 }
 

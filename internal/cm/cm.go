@@ -3,6 +3,7 @@ package cm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"p4ce/internal/rnic"
 	"p4ce/internal/roce"
@@ -161,6 +162,24 @@ func (a *Agent) sendRequest(d *dialState) {
 		}
 		a.sendRequest(d)
 	})
+}
+
+// ResendPending re-sends every pending ConnectRequest now, in dial
+// order, and restarts its retry timer. A host that moved onto a new
+// route calls it: whatever it sent on the old route is lost, and
+// waiting for the retry timer would add up to a RequestTimeout to the
+// move.
+func (a *Agent) ResendPending() {
+	ids := make([]uint32, 0, len(a.dials))
+	for id := range a.dials {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		d := a.dials[id]
+		d.timer.Stop()
+		a.sendRequest(d)
+	}
 }
 
 func (a *Agent) finishDial(d *dialState, c *Conn, err error) {

@@ -200,15 +200,21 @@ func (e *Engine) SetPeers(peers []mu.Peer) {
 	e.nodePeers = append([]mu.Peer(nil), peers...)
 }
 
-// onBecameLeader dials the switch group. A leader already running on
-// the backup fabric knows the programmable switch is gone and stays
-// un-accelerated instead of stalling on a doomed handshake.
+// onBecameLeader dials the switch group. A host detached from the
+// switch (see DetachSwitch) stays un-accelerated instead of stalling on
+// a doomed handshake.
 func (e *Engine) onBecameLeader() {
-	if e.cfg.SwitchAddr == 0 || e.node.NIC().OnBackupRoute() {
+	if e.cfg.SwitchAddr == 0 {
 		return
 	}
 	e.dialSwitch()
 }
+
+// DetachSwitch disables acceleration for good: the fabric moved this
+// host onto a plain backup route, where no programmable switch is left
+// to dial. Proposals held for a pending dial are released when it
+// fails, as on any fallback.
+func (e *Engine) DetachSwitch() { e.cfg.SwitchAddr = 0 }
 
 func (e *Engine) onLostLeader() {
 	e.dialSeq++ // invalidate in-flight dials and probes
@@ -233,11 +239,11 @@ func (e *Engine) onFallback() {
 		e.node.NIC().DestroyQP(e.transport.conn.QP)
 	}
 	e.transport = nil
-	// Probe for re-acceleration later — unless the whole primary fabric
-	// is gone, in which case only operator action brings the switch back.
+	// Probe for re-acceleration later — unless the host was detached
+	// from the switch, in which case only operator action brings it back.
 	seq := e.dialSeq
 	e.k.Schedule(e.cfg.ReaccelerateInterval, func() {
-		if seq != e.dialSeq || !e.node.IsLeader() || e.node.NIC().OnBackupRoute() {
+		if seq != e.dialSeq || !e.node.IsLeader() || e.cfg.SwitchAddr == 0 {
 			return
 		}
 		e.Stats.Reaccelerated++

@@ -15,7 +15,14 @@ const (
 	torOctet     = 254 // ToR r       → 10.254.<r>.254
 	spineOctet   = 253 // spine m     → 10.253.<m>.254
 	standbyOctet = 252 // the standby → 10.252.0.254 (until it adopts)
+	backupOctet  = 251 // the backup  → 10.251.0.254
 )
+
+// RouteReconvergence is how long the network takes to move a dead
+// ToR's hosts onto the plain backup switch: routing reconverges on the
+// alternative route before their traffic flows over it (§III-A; with
+// detection it makes Table IV's ≈60 ms switch crash).
+const RouteReconvergence = 55 * sim.Millisecond
 
 // ToRIP returns rack r's ToR identity address. The address names the
 // *role*, not the ASIC: when the standby adopts rack r it takes this
@@ -27,6 +34,9 @@ func SpineIP(m int) simnet.Addr { return simnet.AddrFrom(10, spineOctet, byte(m)
 
 // StandbyIP returns the standby switch's address before adoption.
 func StandbyIP() simnet.Addr { return simnet.AddrFrom(10, standbyOctet, 0, 254) }
+
+// BackupIP returns the plain backup switch's address.
+func BackupIP() simnet.Addr { return simnet.AddrFrom(10, backupOctet, 0, 254) }
 
 // Spec sizes a leaf-spine fabric.
 type Spec struct {
@@ -41,6 +51,11 @@ type Spec struct {
 	// Standby cables one spare switch to every spine and (dual-homed) to
 	// every host, ready to adopt a dead ToR's identity.
 	Standby bool
+	// Backup cables one plain L3 switch to every host: the paper's
+	// "alternative network route" (§III-A). It runs no consensus
+	// program and routes only to its own hosts, so it belongs to the
+	// one-rack, spine-less fabric alone.
+	Backup bool
 }
 
 // InterLink is one inter-switch cable, exposed so fault injectors can
@@ -55,7 +70,8 @@ type InterLink struct {
 }
 
 // Topology is a built leaf-spine fabric: N ToR switches and M spines,
-// fully meshed, plus an optional standby. It owns the route tables —
+// fully meshed, plus an optional spare switch (a standby, or on the
+// one-rack fabric a plain backup). It owns the route tables —
 // exact-match L3 entries on every switch — and the two reconfiguration
 // moves the control plane drives: rerouting around a dead spine and
 // having the standby adopt a dead ToR's rack.
@@ -66,6 +82,7 @@ type Topology struct {
 	tors    []*tofino.Switch
 	spines  []*tofino.Switch
 	standby *tofino.Switch
+	backup  *tofino.Switch
 	active  []*tofino.Switch // per rack: the switch currently serving it
 
 	// uplink[sw][m] is sw's port toward spine m (ToRs and the standby).
@@ -86,12 +103,13 @@ type Topology struct {
 
 // Build constructs the switches and the full ToR×spine mesh on kernel k
 // (the fabric scheduling domain). Hosts attach afterwards through
-// AttachHost/AttachStandbyHost; every attach updates the route tables
+// AttachHost/AttachSpare; every attach updates the route tables
 // fabric-wide.
 func Build(k *sim.Kernel, spec Spec, swCfg tofino.Config) *Topology {
 	if spec.Racks < 1 || spec.Spines < 0 ||
-		spec.Spines == 0 && (spec.Racks > 1 || spec.Standby) {
-		panic("fabric: Spec needs a rack, and a spine when several racks or a standby share the fabric")
+		spec.Spines == 0 && (spec.Racks > 1 || spec.Standby) ||
+		spec.Backup && spec.Spines > 0 {
+		panic("fabric: Spec needs a rack, a spine when several racks or a standby share the fabric, and none for a backup")
 	}
 	t := &Topology{
 		k:         k,
@@ -126,6 +144,10 @@ func Build(k *sim.Kernel, spec Spec, swCfg tofino.Config) *Topology {
 		for m := 0; m < spec.Spines; m++ {
 			t.cableToSpine(t.standby, -1, m)
 		}
+	}
+	if spec.Backup {
+		t.backup = tofino.New(k, "backup", BackupIP(), swCfg)
+		t.backup.SetProgram(&tofino.L3Program{})
 	}
 	// Inter-ToR routes: every switch in the leaf tier learns how to
 	// reach every rack's identity address across the chosen spine.
@@ -208,16 +230,24 @@ func (t *Topology) AttachHost(r int, addr simnet.Addr, hostPort *simnet.Port) {
 	tor.BindAddr(addr, pid) // local binding wins over the uplink route
 }
 
-// AttachStandbyHost cables a host's spare access port to the standby
-// switch (the dual-homed second leg). Call after AttachHost: the local
-// binding must overwrite the standby's via-spine route for this host.
-func (t *Topology) AttachStandbyHost(addr simnet.Addr, hostPort *simnet.Port) {
-	if t.standby == nil {
-		return
+// AttachSpare cables a host's spare leg — a second access port, built
+// on kernel k (the host's domain) — to the fabric's spare switch: the
+// standby, or the plain backup. It returns the leg, or nil when the
+// fabric has no spare. Call after AttachHost: the local binding must
+// overwrite the standby's via-spine route for this host.
+func (t *Topology) AttachSpare(addr simnet.Addr, k *sim.Kernel) *simnet.Port {
+	sw, suffix := t.standby, "-sb"
+	if t.backup != nil {
+		sw, suffix = t.backup, "-bk"
 	}
-	pid, swPort := t.standby.AddPort(fmt.Sprintf("host-%v", addr))
+	if sw == nil {
+		return nil
+	}
+	hostPort := simnet.NewPort(k, addr.String()+suffix, nil)
+	pid, swPort := sw.AddPort(fmt.Sprintf("host-%v", addr))
 	simnet.Connect(hostPort, swPort, simnet.DefaultLinkConfig())
-	t.standby.BindAddr(addr, pid)
+	sw.BindAddr(addr, pid)
+	return hostPort
 }
 
 // RackOf returns the rack serving a host address.
@@ -242,6 +272,9 @@ func (t *Topology) Spine(m int) *tofino.Switch { return t.spines[m] }
 // Standby returns the standby switch, or nil.
 func (t *Topology) Standby() *tofino.Switch { return t.standby }
 
+// Backup returns the plain backup switch, or nil.
+func (t *Topology) Backup() *tofino.Switch { return t.backup }
+
 // AdoptedRack returns the rack the standby serves, or -1.
 func (t *Topology) AdoptedRack() int { return t.adopted }
 
@@ -251,13 +284,15 @@ func (t *Topology) OriginalToR(r int) *tofino.Switch { return t.tors[r] }
 // InterLinks lists the inter-switch cables (fault-injection targets).
 func (t *Topology) InterLinks() []InterLink { return t.links }
 
-// Switches returns every switch in the fabric — ToRs, spines, standby —
-// in a fixed order (diagnostics, stats aggregation).
+// Switches returns every switch in the fabric — ToRs, spines, then the
+// spare — in a fixed order (diagnostics, stats aggregation).
 func (t *Topology) Switches() []*tofino.Switch {
 	sws := append([]*tofino.Switch(nil), t.tors...)
 	sws = append(sws, t.spines...)
-	if t.standby != nil {
-		sws = append(sws, t.standby)
+	for _, sw := range []*tofino.Switch{t.standby, t.backup} {
+		if sw != nil {
+			sws = append(sws, sw)
+		}
 	}
 	return sws
 }

@@ -22,13 +22,13 @@ func route(t *testing.T, sw *tofino.Switch, addr simnet.Addr) tofino.PortID {
 }
 
 // attach cables n hosts round-robin onto the racks (and, when the
-// fabric has one, onto the standby) and returns their addresses.
+// fabric has one, onto the spare switch) and returns their addresses.
 func attach(k *sim.Kernel, f *Topology, n int) []simnet.Addr {
 	var addrs []simnet.Addr
 	for i := 0; i < n; i++ {
 		a := host(i)
 		f.AttachHost(i%f.Racks(), a, simnet.NewPort(k, a.String(), nil))
-		f.AttachStandbyHost(a, simnet.NewPort(k, a.String()+"-sb", nil))
+		f.AttachSpare(a, k)
 		addrs = append(addrs, a)
 	}
 	return addrs
@@ -83,6 +83,38 @@ func TestOneRackNoSpine(t *testing.T) {
 	check()
 }
 
+// TestOneRackBackup checks the plain backup of the single-switch
+// testbed: a switch of the fabric that is not in its leaf tier (it runs
+// no consensus program), holding one local route per host's spare leg.
+func TestOneRackBackup(t *testing.T) {
+	k := sim.NewKernel(1)
+	f := Build(k, Spec{Racks: 1, Backup: true}, tofino.DefaultConfig())
+	bk, tor := f.Backup(), f.ToR(0)
+	if bk == nil || bk.IP() != BackupIP() || f.Standby() != nil {
+		t.Fatalf("backup %v, standby %v; want a backup at %v and no standby", bk, f.Standby(), BackupIP())
+	}
+	if sws := f.Switches(); len(sws) != 2 || sws[0] != tor || sws[1] != bk {
+		t.Fatalf("Switches() = %v, want the ToR then the backup", sws)
+	}
+	if lt := f.LeafTier(); len(lt) != 1 || lt[0] != tor {
+		t.Fatalf("LeafTier() = %v, want the ToR alone", lt)
+	}
+	for i, a := range attach(k, f, 3) {
+		if p := route(t, bk, a); p != tofino.PortID(i) {
+			t.Fatalf("backup routes %v to port %d, want its leg %d", a, p, i)
+		}
+	}
+	if _, ok := bk.L3Lookup(ToRIP(0)); ok {
+		t.Fatal("the backup routes the ToR's identity address")
+	}
+	if f.AttachSpare(host(9), k) == nil {
+		t.Fatal("AttachSpare returned no leg on a fabric with a backup")
+	}
+	if Build(k, Spec{Racks: 1}, tofino.DefaultConfig()).AttachSpare(host(0), k) != nil {
+		t.Fatal("AttachSpare cabled a leg on a fabric without a spare")
+	}
+}
+
 // TestBuildRejectsUnreachableRacks checks that zero spines is allowed
 // only where nothing must cross one.
 func TestBuildRejectsUnreachableRacks(t *testing.T) {
@@ -91,6 +123,7 @@ func TestBuildRejectsUnreachableRacks(t *testing.T) {
 		{Racks: 2, Spines: 0},
 		{Racks: 1, Spines: 0, Standby: true},
 		{Racks: 1, Spines: -1},
+		{Racks: 1, Spines: 1, Backup: true},
 	} {
 		func() {
 			defer func() {

@@ -42,12 +42,6 @@ type Config struct {
 	// the new commit index.
 	CommitSyncInterval sim.Time
 
-	// RouteFailoverTimeout: when every peer has been silent this long the
-	// machine assumes the primary switch died and fails over to the
-	// backup route (if one exists) after RouteReconvergenceDelay.
-	RouteFailoverTimeout    sim.Time
-	RouteReconvergenceDelay sim.Time
-
 	// CatchUpWindow is how many recent entries the leader keeps encoded
 	// in memory for re-replication during view changes. Peers lagging
 	// further than this are excluded (snapshot transfer is out of scope,
@@ -84,23 +78,21 @@ type Config struct {
 // DefaultConfig returns the calibrated testbed configuration.
 func DefaultConfig() Config {
 	return Config{
-		LogSize:                 4 << 20,
-		ControlVA:               0x1000,
-		LogVA:                   0x100000,
-		HeartbeatInterval:       20 * sim.Microsecond,
-		MonitorInterval:         20 * sim.Microsecond,
-		LivenessTimeout:         60 * sim.Microsecond,
-		LeaderTakeoverDelay:     750 * sim.Microsecond,
-		CPUPostCost:             250 * sim.Nanosecond,
-		CPUAckCost:              185 * sim.Nanosecond,
-		CommitSyncInterval:      500 * sim.Microsecond,
-		RouteFailoverTimeout:    1500 * sim.Microsecond,
-		RouteReconvergenceDelay: 55 * sim.Millisecond,
-		CatchUpWindow:           4096,
-		MaxInflight:             defaultMaxInflight,
-		BatchMaxOps:             1, // batching off; Cluster turns it on
-		BatchMaxBytes:           defaultBatchMaxBytes,
-		BatchMaxDelay:           10 * sim.Microsecond,
+		LogSize:             4 << 20,
+		ControlVA:           0x1000,
+		LogVA:               0x100000,
+		HeartbeatInterval:   20 * sim.Microsecond,
+		MonitorInterval:     20 * sim.Microsecond,
+		LivenessTimeout:     60 * sim.Microsecond,
+		LeaderTakeoverDelay: 750 * sim.Microsecond,
+		CPUPostCost:         250 * sim.Nanosecond,
+		CPUAckCost:          185 * sim.Nanosecond,
+		CommitSyncInterval:  500 * sim.Microsecond,
+		CatchUpWindow:       4096,
+		MaxInflight:         defaultMaxInflight,
+		BatchMaxOps:         1, // batching off; Cluster turns it on
+		BatchMaxBytes:       defaultBatchMaxBytes,
+		BatchMaxDelay:       10 * sim.Microsecond,
 	}
 }
 

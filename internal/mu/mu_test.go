@@ -52,7 +52,6 @@ func newCluster(t *testing.T, n int, mutate func(*mu.Config)) *cluster {
 			}
 		}
 		node := mu.NewNode(cfg, peers[i], others, nic)
-		node.SetPrimaryPort(hostPort)
 		c.ports = append(c.ports, hostPort)
 		idx := i
 		node.OnApply = func(e mu.Entry) {

@@ -264,9 +264,6 @@ type Node struct {
 	hbTicker     *sim.Ticker
 	monTicker    *sim.Ticker
 	commitTicker *sim.Ticker
-	routeTimer   sim.Timer
-	routeArmed   bool // a failover was scheduled (or already happened)
-	primaryPort  *simnet.Port
 
 	// Callbacks. OnApply's entry Data aliases a pooled cache buffer and
 	// is valid only for the duration of the call; state machines that
@@ -615,13 +612,12 @@ func (n *Node) Stop() {
 	n.started = false
 }
 
-// Crash models a machine failure: tickers stop, the NIC goes dark.
+// Crash models a machine failure: tickers stop, the NIC goes dark on
+// every leg.
 func (n *Node) Crash() {
 	n.crashed = true
 	n.stopTickers()
-	if p := n.nicPort(); p != nil {
-		p.SetUp(false)
-	}
+	n.nic.SetPower(false)
 }
 
 // Crashed reports whether the machine was crashed.
@@ -637,15 +633,7 @@ func (n *Node) stopTickers() {
 	if n.commitTicker != nil {
 		n.commitTicker.Stop()
 	}
-	n.routeTimer.Stop()
 }
-
-// SetPrimaryPort tells the node which port to sever on Crash (the NIC
-// does not expose its ports). Topology builders call it once.
-func (n *Node) SetPrimaryPort(p *simnet.Port) { n.primaryPort = p }
-
-// nicPort digs out the primary port for Crash; nil when not attached.
-func (n *Node) nicPort() *simnet.Port { return n.primaryPort }
 
 // setControl stores a u64 into the control region.
 func (n *Node) setControl(slot int, v uint64) {
@@ -892,47 +880,14 @@ func (n *Node) peerAlive(ps *peerState) bool {
 // the lowest identifier.
 func (n *Node) evaluate() {
 	minID := n.self.ID
-	anyPeerAlive := false
-	allPeersSilent := true
 	for _, ps := range n.peerOrder {
-		if n.peerAlive(ps) {
-			anyPeerAlive = true
-			if ps.peer.ID < minID {
-				minID = ps.peer.ID
-			}
+		if n.peerAlive(ps) && ps.peer.ID < minID {
+			minID = ps.peer.ID
 		}
-		if !ps.everSeen || n.k.Now()-ps.lastNew < n.cfg.RouteFailoverTimeout {
-			allPeersSilent = false
-		}
-	}
-	_ = anyPeerAlive
-	if allPeersSilent && len(n.peers) > 0 {
-		n.maybeRouteFailover()
 	}
 	if minID != n.leaderID {
 		n.leaderChanged(minID)
 	}
-}
-
-// maybeRouteFailover switches to the backup fabric when the whole
-// primary path looks dead (a crashed switch, §III-A / Table IV).
-func (n *Node) maybeRouteFailover() {
-	if n.nic.OnBackupRoute() || n.routeArmed {
-		return
-	}
-	n.routeArmed = true
-	// Routing reconvergence takes a while; only then does traffic flow
-	// through the alternative route.
-	n.routeTimer = n.k.Schedule(n.cfg.RouteReconvergenceDelay, func() {
-		n.nic.UseBackupRoute(true)
-		// Re-dial monitors over the new route.
-		for _, ps := range n.peerOrder {
-			if ps.conn == nil || ps.conn.QP.State() != rnic.StateReady {
-				ps.conn = nil
-				n.dialMonitor(ps)
-			}
-		}
-	})
 }
 
 // leaderChanged reacts to a new election outcome.

@@ -384,11 +384,13 @@ func (cp *ControlPlane) buildSetup(msg *roce.CMMessage, from simnet.Addr, rs *ro
 
 // allocGroupRegisters claims a group's stateful register arrays on its
 // home switch. Register names are scoped per switch, so a root and its
-// leaves can share a group id without colliding.
+// leaves can share a group id without colliding. The credits array is
+// indexed by EpID, and RemoveReplica keeps the survivors' EpIDs, so it
+// spans the highest EpID, not the member count.
 func (cp *ControlPlane) allocGroupRegisters(g *group) {
-	n := len(g.replicas)
-	if n == 0 {
-		n = 1 // a root whose rack holds only the leader still allocates
+	n := 1 // a root whose rack holds only the leader still allocates
+	for _, rep := range g.replicas {
+		n = max(n, int(rep.EpID)+1)
 	}
 	g.numRecv = g.sw.AllocRegister(fmt.Sprintf("p4ce/g%d/numRecv", g.id), numRecvSlots)
 	g.slotPSN = g.sw.AllocRegister(fmt.Sprintf("p4ce/g%d/slotPSN", g.id), numRecvSlots)

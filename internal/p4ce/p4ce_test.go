@@ -306,7 +306,6 @@ func TestCrashedReplicaMajorityStillCommits(t *testing.T) {
 	f := newFabric(t, 4, DropInIngress) // f = 2
 	conn := f.dialGroup(t)
 	// Crash one replica: 3 ACKs still arrive, 2 suffice.
-	f.replicas[3].UseBackupRoute(false)
 	// Cut its link by downing the host port side.
 	f.k.Schedule(0, func() {})
 	f.sw.BindAddr(f.replicas[3].IP(), 1<<10) // route to nowhere: drops at egress

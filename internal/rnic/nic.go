@@ -79,17 +79,19 @@ func DefaultConfig() Config {
 // CMHandler receives connection-manager datagrams addressed to this NIC.
 type CMHandler func(msg *roce.CMMessage, from simnet.Addr)
 
-// NIC is one simulated RDMA card. It owns a primary port and an optional
-// backup port (the paper's "alternative network route" used when the
-// programmable switch dies).
+// NIC is one simulated RDMA card. It transmits on one access port and
+// may hold one spare leg, cabled to a spare switch (a leaf-spine
+// fabric's standby, or the plain backup fabric that is the paper's
+// "alternative network route"). The fabric's supervisor moves it onto
+// that leg when its switch dies (FailoverToSpare); SetPower darkens
+// every leg at once.
 type NIC struct {
-	k         *sim.Kernel
-	cfg       Config
-	ip        simnet.Addr
-	port      *simnet.Port // primary path
-	bkup      *simnet.Port // alternative route, may be nil
-	standby   *simnet.Port // dual-homed spare access port, may be nil
-	useBackup bool
+	k       *sim.Kernel
+	cfg     Config
+	ip      simnet.Addr
+	port    *simnet.Port // the leg outbound traffic takes
+	spare   *simnet.Port // the other leg, may be nil
+	onSpare bool
 
 	qps       map[uint32]*QP
 	mrs       map[uint32]*MR
@@ -137,7 +139,7 @@ type Stats struct {
 }
 
 // New creates a NIC with address ip on kernel k. Ports are attached
-// afterwards with AttachPort/AttachBackupPort.
+// afterwards with AttachPort/AttachSpare.
 func New(k *sim.Kernel, cfg Config, ip simnet.Addr) *NIC {
 	if cfg.MTUPayload <= 0 || cfg.MaxOutstanding <= 0 {
 		panic("rnic: invalid config")
@@ -212,59 +214,45 @@ func (n *NIC) Config() Config { return n.cfg }
 // the port's frame handler.
 func (n *NIC) AttachPort(p *simnet.Port) {
 	n.port = p
-	p.SetHandler(simnet.HandlerFunc(func(_ *simnet.Port, frame []byte) {
-		n.receive(frame)
-	}))
+	p.SetHandler(simnet.HandlerFunc(n.receiveOn))
 }
 
-// AttachBackupPort wires the alternative-route port.
-func (n *NIC) AttachBackupPort(p *simnet.Port) {
-	n.bkup = p
-	p.SetHandler(simnet.HandlerFunc(func(_ *simnet.Port, frame []byte) {
-		n.receive(frame)
-	}))
+// AttachSpare wires the spare leg. Frames arriving on it are received
+// even before failover; nothing is sent on it until FailoverToSpare.
+func (n *NIC) AttachSpare(p *simnet.Port) {
+	n.spare = p
+	p.SetHandler(simnet.HandlerFunc(n.receiveOn))
 }
 
-// AttachStandbyPort wires a second access port cabled to a leaf-spine
-// fabric's standby switch (the host is dual-homed). Unlike the backup
-// port, which is a whole alternative fabric selected with
-// UseBackupRoute — and whose activation disables switch acceleration —
-// the standby port is a same-fabric spare: FailoverToStandby swaps it
-// in as the primary, leaving OnBackupRoute (and therefore the engine's
-// acceleration decisions) untouched. Frames arriving on it are received
-// even before failover.
-func (n *NIC) AttachStandbyPort(p *simnet.Port) {
-	n.standby = p
-	p.SetHandler(simnet.HandlerFunc(func(_ *simnet.Port, frame []byte) {
-		n.receive(frame)
-	}))
-}
+// receiveOn is every leg's frame handler.
+func (n *NIC) receiveOn(_ *simnet.Port, frame []byte) { n.receive(frame) }
 
-// FailoverToStandby makes the standby access port the primary path.
-// The fabric control plane invokes it after reprogramming the standby
-// switch; it is idempotent and a no-op when no standby port is cabled.
-func (n *NIC) FailoverToStandby() {
-	if n.standby != nil {
-		n.port = n.standby
+// FailoverToSpare makes the spare leg the one outbound traffic takes.
+// The fabric's supervisor invokes it once the spare switch routes the
+// host; it is idempotent and a no-op when no spare leg is cabled.
+func (n *NIC) FailoverToSpare() {
+	if n.spare != nil && !n.onSpare {
+		n.port, n.spare = n.spare, n.port
+		n.onSpare = true
 	}
 }
 
-// UseBackupRoute selects which path outgoing traffic takes.
-func (n *NIC) UseBackupRoute(use bool) { n.useBackup = use }
+// OnSpare reports whether the NIC moved onto its spare leg.
+func (n *NIC) OnSpare() bool { return n.onSpare }
 
-// OnBackupRoute reports whether the alternative route is active.
-func (n *NIC) OnBackupRoute() bool { return n.useBackup }
+// SetPower switches every leg on or off at once: while off, nothing
+// leaves the card and nothing reaches it. Queue-pair state is untouched
+// (see Reset).
+func (n *NIC) SetPower(on bool) {
+	for _, p := range []*simnet.Port{n.port, n.spare} {
+		if p != nil {
+			p.SetUp(on)
+		}
+	}
+}
 
 // SetCMHandler installs the receiver for connection-manager datagrams.
 func (n *NIC) SetCMHandler(h CMHandler) { n.cmHandler = h }
-
-// activePort returns the port outbound traffic uses right now.
-func (n *NIC) activePort() *simnet.Port {
-	if n.useBackup && n.bkup != nil {
-		return n.bkup
-	}
-	return n.port
-}
 
 // transmit encodes and sends a packet after the NIC pipeline delay. The
 // packet struct is consumed synchronously (marshaled into a pooled
@@ -275,13 +263,12 @@ func (n *NIC) activePort() *simnet.Port {
 func (n *NIC) transmit(p *roce.Packet) {
 	n.Stats.TxPackets++
 	n.mTxPackets.Inc()
-	port := n.activePort()
-	if port == nil {
+	if n.port == nil {
 		return
 	}
 	frame := n.k.Buffers().GetUnzeroed(p.WireSize()) // MarshalInto writes every byte
 	p.MarshalInto(frame)
-	port.SendAfter(n.cfg.ProcessingDelay, frame)
+	n.port.SendAfter(n.cfg.ProcessingDelay, frame)
 }
 
 // SendCM emits a connection-manager datagram. CM traffic is unreliable;

@@ -563,3 +563,51 @@ func TestMultiPacketWriteAcrossPSNWrap(t *testing.T) {
 		t.Fatal("multi-packet write across the PSN wrap failed")
 	}
 }
+
+// TestSpareLeg: once both cards fail over, traffic flows on their spare
+// legs (a repeated failover changes nothing), and powering off darkens
+// every leg until the power comes back.
+func TestSpareLeg(t *testing.T) {
+	tp := newTestPair(t, DefaultConfig())
+	cs := simnet.NewPort(tp.k, "client-spare", nil)
+	ss := simnet.NewPort(tp.k, "server-spare", nil)
+	simnet.Connect(cs, ss, simnet.DefaultLinkConfig())
+	tp.client.AttachSpare(cs)
+	tp.server.AttachSpare(ss)
+	tp.clientPort.SetUp(false) // the primary cable is dead
+	tp.serverPort.SetUp(false)
+	if tp.client.OnSpare() {
+		t.Fatal("on the spare leg before any failover")
+	}
+	for i := 0; i < 2; i++ {
+		tp.client.FailoverToSpare()
+	}
+	tp.server.FailoverToSpare()
+	if !tp.client.OnSpare() || !tp.server.OnSpare() {
+		t.Fatal("failover did not move the cards onto their spare legs")
+	}
+	var done bool
+	if err := tp.cqp.PostWrite([]byte("via spare"), tp.serverMR.Base(), tp.serverMR.RKey(), func(err error) {
+		if err != nil {
+			t.Fatalf("write over the spare leg: %v", err)
+		}
+		done = true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tp.k.Run()
+	if !done || cs.Stats().TxFrames != 1 || ss.Stats().TxFrames != 1 {
+		t.Fatalf("done=%v, spare legs sent %d and %d frames; want a completed write, 1 each",
+			done, cs.Stats().TxFrames, ss.Stats().TxFrames)
+	}
+
+	tp.clientPort.SetUp(true)
+	tp.client.SetPower(false)
+	if tp.clientPort.Up() || cs.Up() {
+		t.Fatal("powering off left a leg up")
+	}
+	tp.client.SetPower(true)
+	if !tp.clientPort.Up() || !cs.Up() {
+		t.Fatal("powering on left a leg down")
+	}
+}

@@ -14,9 +14,8 @@ type Node struct {
 	shard   int
 	mu      *mu.Node
 	engine  *core.Engine
-	port    *simnet.Port
-	backup  *simnet.Port
-	standby *simnet.Port // dual-homed leg to the fabric's standby switch
+	port    *simnet.Port // primary leg, to the rack's ToR
+	spare   *simnet.Port // leg to the fabric's spare switch, or nil
 	rack    int          // fabric rack (0 on the single-switch testbed)
 }
 
@@ -101,9 +100,9 @@ func (n *Node) Crashed() bool { return n.mu.Crashed() }
 // a "zombie" whose queue pairs stay reachable, exercising fencing.
 func (n *Node) Pause() { n.mu.Stop() }
 
-// OnBackupRoute reports whether the machine failed over to the backup
-// fabric.
-func (n *Node) OnBackupRoute() bool { return n.mu.NIC().OnBackupRoute() }
+// OnBackupRoute reports whether the fabric moved the machine onto its
+// spare leg: the backup fabric, or a leaf-spine fabric's standby.
+func (n *Node) OnBackupRoute() bool { return n.mu.NIC().OnSpare() }
 
 // CPUUtilization returns the host core's busy fraction so far.
 func (n *Node) CPUUtilization() float64 { return n.mu.CPU().Utilization() }

@@ -94,7 +94,7 @@ type Topology struct {
 	// every host to it. When a ToR dies, the fabric supervisor has the
 	// standby adopt the dead switch's identity after one control-plane
 	// reconfiguration delay (40 ms), reinstalls the rack's groups on it
-	// and flips the rack's NICs onto their standby legs.
+	// and flips the rack's NICs onto their spare legs.
 	Standby bool
 	// FlatGather disables hierarchical aggregation (the fan-in
 	// ablation): remote ToRs relay every replica ACK across the spine
@@ -155,6 +155,9 @@ type Options struct {
 	// BackupFabric cables every host to a second, plain switch — the
 	// "alternative network route" used when the programmable switch
 	// dies (§III-A). Only on the single-switch testbed (nil Topology).
+	// The fabric supervisor notices the dead switch at its next health
+	// poll and, once routing has reconverged (55 ms), moves every host
+	// onto its backup leg, where replication runs un-accelerated.
 	BackupFabric bool
 	// AckDropInLeaderEgress selects the paper's first (slower) ACK
 	// aggregation placement for the §IV-D ablation.
@@ -192,22 +195,14 @@ type Options struct {
 	// TelemetryInterval overrides the sampling period (simulated time;
 	// 0 = 100µs). Only meaningful with EnableTelemetry.
 	TelemetryInterval time.Duration
-	// LogSize overrides the per-machine replicated log ring size.
-	LogSize int
 	// PipelineDepth overrides how many requests a queue pair keeps in
 	// flight (the testbed allows 16).
 	PipelineDepth int
-	// ResponderApplyDelay slows every replica's consumption of inbound
-	// messages, draining its advertised credits (credit ablations).
-	ResponderApplyDelay time.Duration
 	// BatchMaxOps caps how many client operations the leader's adaptive
 	// batcher may coalesce into one log entry once the RDMA pipeline is
 	// saturated (0 = 64; 1 disables batching). Below saturation every
 	// operation still becomes its own entry.
 	BatchMaxOps int
-	// BatchMaxDelay bounds how long a queued operation waits for
-	// company before the batcher flushes anyway (0 = 10µs).
-	BatchMaxDelay time.Duration
 	// Tune hooks, applied last, for experiments that need to reach
 	// deeper than the exported knobs. Nil-safe.
 	TuneNode   func(i int, cfg *mu.Config)

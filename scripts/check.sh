@@ -58,6 +58,13 @@ go run ./examples/sharded >/dev/null
 go run ./examples/failover >/dev/null
 go run ./examples/kvstore >/dev/null
 
+echo "== switch failover runs =="
+# The fabric supervisor's two moves, end to end through the CLI: the
+# standby adopting the leader's dead ToR, and every host moving onto
+# the plain backup switch. Each run exits nonzero on a panic.
+go run ./cmd/p4ce-sim -nodes 5 -topology leaf-spine -standby -crash tor0@50ms -duration 200ms >/dev/null
+go run ./cmd/p4ce-sim -nodes 5 -backup -crash switch@50ms -duration 200ms >/dev/null
+
 echo "== trace export gate =="
 # The CLI path end to end: a simulator run writes a Perfetto trace.
 go run ./cmd/p4ce-sim -rate 10000 -duration 20ms -trace-out /tmp/p4ce-trace-check.json >/dev/null
