@@ -90,7 +90,6 @@ func NewCluster(opts Options) *Cluster {
 	spec := fabric.Spec{Racks: 1, Backup: opts.BackupFabric}
 	if t := opts.Topology; t != nil {
 		spec = fabric.Spec{Racks: t.Racks, Spines: t.Spines, Standby: t.Standby}
-		cpCfg.FlatGather = t.FlatGather
 	}
 	// Every ToR (and the standby, which must be ready the instant it
 	// adopts a rack) runs its own instance of the P4CE program; the

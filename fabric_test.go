@@ -7,8 +7,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	swp4ce "p4ce/internal/p4ce"
 )
 
 // fabricOptions is the canonical small fabric testbed: five machines
@@ -353,49 +351,71 @@ func TestFabricLeaderCrashAfterToRFailoverReaccelerates(t *testing.T) {
 		l.ID(), l.Rack())
 }
 
-// TestFabricFlatGatherAblation measures what hierarchical aggregation
-// buys: with it, a remote rack's ACKs cross the spine as one
-// partial-count ACK per round; without it (FlatGather), every replica
-// ACK crosses individually.
+// TestFabricFlatGatherAblation measures the fan-in saving of
+// hierarchical aggregation on one run. Rack 1's leaf ToR receives every
+// ACK of its rack's replicas — exactly what a per-ACK relay would carry
+// across the spine — and sends one partial-count ACK up per round, so
+// the saving is the rack's replica count.
 func TestFabricFlatGatherAblation(t *testing.T) {
-	run := func(flat bool) (swp4ce.DataplaneStats, int) {
-		opts := fabricOptions(21)
-		opts.Topology.FlatGather = flat
-		cl := NewCluster(opts)
-		leader, err := cl.RunUntilLeader(300 * time.Millisecond)
-		if err != nil {
+	cl := NewCluster(fabricOptions(21))
+	leader, err := cl.RunUntilLeader(300 * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leader.Rack() != 0 {
+		t.Fatalf("leader in rack %d, want rack 0", leader.Rack())
+	}
+	committed := 0
+	for i := 0; i < 40; i++ {
+		if err := leader.Propose([]byte(fmt.Sprintf("cmd-%d", i)), func(err error) {
+			if err == nil {
+				committed++
+			}
+		}); err != nil {
 			t.Fatal(err)
 		}
-		committed := 0
-		for i := 0; i < 40; i++ {
-			if err := leader.Propose([]byte(fmt.Sprintf("cmd-%d", i)), func(err error) {
-				if err == nil {
-					committed++
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
+	}
+	cl.Run(50 * time.Millisecond)
+	if committed != 40 {
+		t.Fatalf("committed %d, want 40", committed)
+	}
+	root := cl.dps[cl.fabric.ToR(0)].Stats
+	leaf := cl.dps[cl.fabric.ToR(1)].Stats
+	received := leaf.AcksAggregated + leaf.AcksUpForwarded
+	t.Logf("leaf: %d ACKs absorbed + %d partials sent up = %d received; root merged %d partials",
+		leaf.AcksAggregated, leaf.AcksUpForwarded, received, root.PartialsAggregated)
+	if leaf.AcksUpForwarded == 0 {
+		t.Fatalf("leaf never sent a partial up: %+v", leaf)
+	}
+	// Rack 1 holds two replicas (machines 1 and 3): each partial stands
+	// for both of their ACKs.
+	if received != 2*leaf.AcksUpForwarded {
+		t.Fatalf("leaf received %d replica ACKs for %d partials, want 2 per partial",
+			received, leaf.AcksUpForwarded)
+	}
+	if root.PartialsAggregated != leaf.AcksUpForwarded {
+		t.Fatalf("root merged %d partials, leaf sent %d",
+			root.PartialsAggregated, leaf.AcksUpForwarded)
+	}
+	// Each partial carries the rack-complete count: the root's per-slot
+	// rack counts (the run's one group is g1) read 2 in exactly one slot
+	// per partial, never a count of 1 sent before the rack finished.
+	rackCnt, ok := cl.fabric.ToR(0).Register("p4ce/g1/rackCnt")
+	if !ok {
+		t.Fatal("root holds no rack-count register")
+	}
+	full := uint64(0)
+	for i := 0; i < rackCnt.Size(); i++ {
+		switch rackCnt.Read(i) {
+		case 0:
+		case 2:
+			full++
+		default:
+			t.Fatalf("slot %d merged a rack count of %d, want 2", i, rackCnt.Read(i))
 		}
-		cl.Run(50 * time.Millisecond)
-		return cl.SwitchStats(), committed
 	}
-	hier, hierCommitted := run(false)
-	flat, flatCommitted := run(true)
-	if hierCommitted != 40 || flatCommitted != 40 {
-		t.Fatalf("committed hier=%d flat=%d, want 40 each", hierCommitted, flatCommitted)
-	}
-	if hier.PartialsAggregated == 0 {
-		t.Fatalf("hierarchical mode never merged a partial: %+v", hier)
-	}
-	if flat.PartialsAggregated != 0 {
-		t.Fatalf("flat mode merged partials: %+v", flat)
-	}
-	// Rack 1 holds two replicas: flat relays both ACKs per round where
-	// hierarchical forwards one partial, so the spine crossing count
-	// must be strictly — and substantially — higher.
-	if flat.AcksUpForwarded <= hier.AcksUpForwarded {
-		t.Fatalf("flat crossings %d not above hierarchical %d",
-			flat.AcksUpForwarded, hier.AcksUpForwarded)
+	if full != leaf.AcksUpForwarded {
+		t.Fatalf("%d slots hold the full rack count, leaf sent %d partials", full, leaf.AcksUpForwarded)
 	}
 }
 

@@ -12,11 +12,11 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"p4ce"
 	"p4ce/internal/otrace"
+	"p4ce/internal/sim"
 )
 
 // BreakdownConfig tunes the decomposition sweep.
@@ -154,16 +154,7 @@ func runBreakdownPoint(mode p4ce.Mode, replicas int, cfg BreakdownConfig) (Break
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].E2E() < recs[j].E2E() })
 	pick := func(pct float64) BreakdownOp {
-		// Nearest-rank: the smallest op with at least pct% of the sample
-		// at or below it.
-		idx := int(math.Ceil(pct/100*float64(len(recs)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(recs) {
-			idx = len(recs) - 1
-		}
-		r := recs[idx]
+		r := recs[sim.NearestRank(pct, len(recs))]
 		op := BreakdownOp{E2ENs: r.E2E()}
 		for i := range op.StageNs {
 			op.StageNs[i] = r.Stage(i)

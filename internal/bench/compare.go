@@ -151,8 +151,9 @@ func CompareReports(base, cand *Report) []Regression {
 			lower("p99_ns", func(p ScalingPoint) float64 { return float64(p.P99Lat) }),
 			lower("events", func(p ScalingPoint) float64 { return float64(p.Events) })),
 		// The fabric's spine-crossing counter gates the hierarchical
-		// aggregation itself: AcksUp growing toward FlatAcksUp means the
-		// leaf partial counting stopped absorbing ACKs.
+		// aggregation itself: AcksUp growing toward one crossing per
+		// remote replica ACK means the leaf partial counting stopped
+		// absorbing ACKs.
 		compareRows("fabric", base.Fabric.Points, cand.Fabric.Points,
 			func(p FabricPoint) string { return fmt.Sprintf("racks%d", p.Racks) },
 			higher("throughput_ops_per_s", func(p FabricPoint) float64 { return p.Throughput }),

@@ -2,19 +2,17 @@ package bench
 
 // Leaf-spine fabric sweep. RunFabric measures commit latency as the
 // same replica set spreads across more racks (each rack boundary adds
-// two switch hops to the scatter and the gather), and quantifies the
-// hierarchical-aggregation win: the number of ACKs that cross a spine
-// with the leaf partial-count aggregation on, against the same workload
-// with CPConfig.FlatGather relaying every remote ACK individually.
-// Recorded in the machine-readable report (schema v5) and gated by the
-// regression comparator.
+// two switch hops to the scatter and the gather), and counts the ACKs
+// that cross a spine under the leaf partial-count aggregation: one per
+// (rack, round), where a per-ACK relay would carry one per remote
+// replica. Recorded in the machine-readable report (the fabric section)
+// and gated by the regression comparator.
 
 import (
 	"fmt"
 	"time"
 
 	"p4ce"
-	swp4ce "p4ce/internal/p4ce"
 )
 
 // FabricConfig parameterizes the topology sweep.
@@ -70,11 +68,6 @@ type FabricPoint struct {
 	AcksUp uint64 `json:"acks_up_forwarded"`
 	// Partials counts the root-side merges of those partial counts.
 	Partials uint64 `json:"partials_aggregated"`
-	// FlatAcksUp is the spine-crossing ACK count of the identical
-	// workload under the FlatGather ablation, where every remote
-	// replica's ACK is relayed to the root individually. Zero on the
-	// single-switch baseline (there is no spine to cross).
-	FlatAcksUp uint64 `json:"flat_acks_up_forwarded"`
 	// Events is the kernel's determinism fingerprint for the
 	// hierarchical run.
 	Events uint64 `json:"events"`
@@ -86,56 +79,41 @@ func (p FabricPoint) check() error {
 	}
 	if p.Racks <= 1 {
 		// Single switch (or single rack): no spine to cross.
-		if p.AcksUp != 0 || p.Partials != 0 || p.FlatAcksUp != 0 {
+		if p.AcksUp != 0 || p.Partials != 0 {
 			return fmt.Errorf("racks=%d: spine crossings on a spineless topology", p.Racks)
 		}
 		return nil
 	}
-	// Multi-rack: the hierarchy must engage, and the aggregated crossing
-	// count must beat the per-replica relay of the flat ablation — the
-	// section's whole claim.
+	// Multi-rack: the hierarchy must engage.
 	if p.AcksUp == 0 || p.Partials == 0 {
 		return fmt.Errorf("racks=%d: hierarchical aggregation never engaged", p.Racks)
-	}
-	if p.FlatAcksUp <= p.AcksUp {
-		return fmt.Errorf("racks=%d: flat crossings %d not above hierarchical %d", p.Racks, p.FlatAcksUp, p.AcksUp)
 	}
 	return nil
 }
 
-// runFabricOnce measures one closed loop on one topology.
-func runFabricOnce(cfg FabricConfig, racks int, flat bool) (ClosedLoopResult, swp4ce.DataplaneStats, uint64, error) {
-	opts := p4ce.Options{
-		Nodes:         cfg.Nodes,
-		Mode:          p4ce.ModeP4CE,
-		Seed:          cfg.Seed,
-		PipelineDepth: cfg.Depth,
-	}
-	if racks > 0 {
-		opts.Topology = &p4ce.Topology{Racks: racks, Spines: cfg.Spines, FlatGather: flat}
-	}
-	cl, leader, err := Steady(opts)
-	if err != nil {
-		return ClosedLoopResult{}, swp4ce.DataplaneStats{}, 0, err
-	}
-	res, err := ClosedLoop(cl, leader, cfg.ItemSize, cfg.Depth, cfg.Warmup, cfg.Ops)
-	if err != nil {
-		return ClosedLoopResult{}, swp4ce.DataplaneStats{}, 0, err
-	}
-	return res, cl.SwitchStats(), cl.EventsProcessed(), nil
-}
-
-// RunFabric sweeps the rack count, pairing every fabric point with a
-// FlatGather run of the same workload so the fan-in saving is measured
-// rather than derived.
+// RunFabric sweeps the rack count, one closed loop per point.
 func RunFabric(cfg FabricConfig) ([]FabricPoint, error) {
 	var out []FabricPoint
 	for _, racks := range cfg.Racks {
-		res, st, events, err := runFabricOnce(cfg, racks, false)
+		opts := p4ce.Options{
+			Nodes:         cfg.Nodes,
+			Mode:          p4ce.ModeP4CE,
+			Seed:          cfg.Seed,
+			PipelineDepth: cfg.Depth,
+		}
+		if racks > 0 {
+			opts.Topology = &p4ce.Topology{Racks: racks, Spines: cfg.Spines}
+		}
+		cl, leader, err := Steady(opts)
 		if err != nil {
 			return nil, err
 		}
-		pt := FabricPoint{
+		res, err := ClosedLoop(cl, leader, cfg.ItemSize, cfg.Depth, cfg.Warmup, cfg.Ops)
+		if err != nil {
+			return nil, err
+		}
+		st := cl.SwitchStats()
+		out = append(out, FabricPoint{
 			Racks:      racks,
 			Throughput: res.Throughput,
 			MeanLat:    res.MeanLat,
@@ -143,16 +121,8 @@ func RunFabric(cfg FabricConfig) ([]FabricPoint, error) {
 			P99Lat:     res.P99Lat,
 			AcksUp:     st.AcksUpForwarded,
 			Partials:   st.PartialsAggregated,
-			Events:     events,
-		}
-		if racks > 1 {
-			_, fst, _, err := runFabricOnce(cfg, racks, true)
-			if err != nil {
-				return nil, err
-			}
-			pt.FlatAcksUp = fst.AcksUpForwarded
-		}
-		out = append(out, pt)
+			Events:     cl.EventsProcessed(),
+		})
 	}
 	return out, nil
 }

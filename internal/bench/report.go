@@ -22,7 +22,7 @@ import (
 // SchemaVersion identifies the BENCH_p4ce.json layout: the keys of
 // Report and of the runner rows and configs it holds. Validate accepts
 // no other version; bump it whenever a key is added, renamed or removed.
-const SchemaVersion = 7
+const SchemaVersion = 8
 
 // Report is the root of BENCH_p4ce.json.
 type Report struct {
@@ -56,8 +56,7 @@ type Report struct {
 	// it would break bit-reproducibility.
 	Scaling Section[ScalingConfig, ScalingPoint] `json:"scaling"`
 	// Fabric is commit latency against the leaf-spine rack count, with
-	// the hierarchical-aggregation fan-in saving measured against a
-	// FlatGather run of the same workload.
+	// the spine-crossing ACK count of the hierarchical aggregation.
 	Fabric Section[FabricConfig, FabricPoint] `json:"fabric"`
 	// Timeline replays every configured chaos scenario against a
 	// telemetered cluster, each reduced to its alert-log summary.

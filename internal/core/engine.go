@@ -130,9 +130,6 @@ func New(node *mu.Node, cfg Config) *Engine {
 	return e
 }
 
-// Node returns the wrapped protocol node.
-func (e *Engine) Node() *mu.Node { return e.node }
-
 // Accelerated reports whether the switch transport is active.
 func (e *Engine) Accelerated() bool {
 	return e.transport != nil && e.transport.Ready() && e.node.PreferredTransport() != nil

@@ -546,10 +546,6 @@ func (n *Node) LivePeers() []Peer {
 	return live
 }
 
-// quorumF is the cluster majority excluding the leader: the number of
-// replica acknowledgments that decide a value.
-func (n *Node) quorumF() int { return n.ClusterSize() / 2 }
-
 // SetPreferredTransport installs (or clears) the accelerated transport.
 // Uncommitted proposals are re-driven through the new choice.
 func (n *Node) SetPreferredTransport(t Transport) {

@@ -25,11 +25,6 @@ type CPConfig struct {
 	// replication engine — the 40 ms the paper measures for configuring a
 	// communication group (§V-E).
 	ReconfigDelay sim.Time
-	// FlatGather disables hierarchical aggregation on a fabric (the
-	// fan-in ablation): leaves relay every replica ACK across the spine
-	// untouched and the leader's ToR counts alone. No effect when every
-	// replica sits in the leader's rack.
-	FlatGather bool
 }
 
 // FabricView is what the control plane needs to know about the switch
@@ -241,8 +236,7 @@ func shardOf(addr simnet.Addr) int {
 // share the BCast/Aggr queue-pair numbers and the virtual R_key —
 // tables are per switch, so the values never collide — which keeps the
 // leader's and the replicas' view of the group the same whatever the
-// racks. Under CPConfig.FlatGather the root instead holds every replica
-// directly and leaves become stateless relays (the fan-in ablation).
+// racks.
 func (cp *ControlPlane) buildSetup(msg *roce.CMMessage, from simnet.Addr, rs *roce.ReplicaSet) *setup {
 	leaderRack, ok := cp.fabric.RackOf(from)
 	if !ok {
@@ -272,7 +266,6 @@ func (cp *ControlPlane) buildSetup(msg *roce.CMMessage, from simnet.Addr, rs *ro
 		homeRack:      leaderRack,
 		shardID:       shardOf(from),
 	}
-	flat := cp.cfg.FlatGather
 	// ref locates one canonical replica entry; pointers into the member
 	// slices are taken only after every append is done.
 	type ref struct {
@@ -281,7 +274,6 @@ func (cp *ControlPlane) buildSetup(msg *roce.CMMessage, from simnet.Addr, rs *ro
 	}
 	var refs []ref
 	leafByRack := make(map[int]*group)
-	var leafOrder []int
 	leafFor := func(r int) *group {
 		if lg, ok := leafByRack[r]; ok {
 			return lg
@@ -304,10 +296,8 @@ func (cp *ControlPlane) buildSetup(msg *roce.CMMessage, from simnet.Addr, rs *ro
 			homeRack:      r,
 			shardID:       g.shardID,
 			leaf:          true,
-			flat:          flat,
 		}
 		leafByRack[r] = lg
-		leafOrder = append(leafOrder, r)
 		g.leaves = append(g.leaves, lg)
 		return lg
 	}
@@ -318,50 +308,25 @@ func (cp *ControlPlane) buildSetup(msg *roce.CMMessage, from simnet.Addr, rs *ro
 			return nil
 		}
 		psn := cp.k.Rand().Uint32() & roce.PSNMask
-		if flat || r == leaderRack {
-			port, ok := rootSw.L3Lookup(rip)
-			if !ok {
-				cp.rejectLeader(from, msg.LocalCommID, 3)
-				return nil
-			}
-			g.replicas = append(g.replicas, replicaEntry{
-				EpID:    uint8(len(g.replicas)),
-				Port:    port,
-				IP:      rip,
-				PSNBase: psn,
-			})
-			refs = append(refs, ref{g, len(g.replicas) - 1})
-			if flat && r != leaderRack {
-				// The flat leaf still needs the replica as a relay member
-				// (membership check only; the root owns the real entry).
-				// The root's copy advertises the leaf ToR as its source so
-				// the replica's ACK returns through the relay hop.
-				lg := leafFor(r)
-				g.replicas[len(g.replicas)-1].Via = lg.sw.IP()
-				lg.replicas = append(lg.replicas, replicaEntry{EpID: uint8(len(lg.replicas)), IP: rip})
-			}
-			continue
+		owner := g
+		if r != leaderRack {
+			owner = leafFor(r)
 		}
-		lg := leafFor(r)
-		port, ok := lg.sw.L3Lookup(rip)
+		port, ok := owner.sw.L3Lookup(rip)
 		if !ok {
 			cp.rejectLeader(from, msg.LocalCommID, 3)
 			return nil
 		}
-		lg.replicas = append(lg.replicas, replicaEntry{
-			EpID:    uint8(len(lg.replicas)),
+		owner.replicas = append(owner.replicas, replicaEntry{
+			EpID:    uint8(len(owner.replicas)),
 			Port:    port,
 			IP:      rip,
 			PSNBase: psn,
 		})
-		refs = append(refs, ref{lg, len(lg.replicas) - 1})
+		refs = append(refs, ref{owner, len(owner.replicas) - 1})
 	}
-	for _, r := range leafOrder {
-		lg := leafByRack[r]
+	for _, lg := range g.leaves {
 		lg.f = len(lg.replicas) // rack-complete, not a quorum
-		if flat {
-			continue
-		}
 		port, ok := rootSw.L3Lookup(lg.sw.IP())
 		if !ok {
 			cp.rejectLeader(from, msg.LocalCommID, 3)
@@ -371,9 +336,7 @@ func (cp *ControlPlane) buildSetup(msg *roce.CMMessage, from simnet.Addr, rs *ro
 	}
 	cp.allocGroupRegisters(g)
 	for _, lg := range g.leaves {
-		if !lg.flat {
-			cp.allocGroupRegisters(lg)
-		}
+		cp.allocGroupRegisters(lg)
 	}
 	s := &setup{g: g, leaderCommID: msg.LocalCommID, outstanding: make(map[uint32]int)}
 	for _, rf := range refs {
@@ -523,12 +486,8 @@ func (cp *ControlPlane) programGroup(g *group) {
 }
 
 // reprogramMulticast rebuilds a group's replication-engine membership:
-// its replicas plus, on a fabric root, one cross-rack copy per leaf. A
-// flat leaf never scatters, so it keeps no multicast group.
+// its replicas plus, on a fabric root, one cross-rack copy per leaf.
 func (cp *ControlPlane) reprogramMulticast(g *group) {
-	if g.leaf && g.flat {
-		return
-	}
 	members := make([]tofino.GroupMember, 0, len(g.replicas)+len(g.racks))
 	for i := range g.replicas {
 		rep := &g.replicas[i]
@@ -657,9 +616,7 @@ func (cp *ControlPlane) DestroyGroup(leader simnet.Addr, done func(error)) {
 		}
 		for _, tg := range append([]*group{g}, g.leaves...) {
 			tg.dp.removeGroup(tg)
-			if !(tg.leaf && tg.flat) {
-				tg.sw.DeleteMulticastGroup(tg.id)
-			}
+			tg.sw.DeleteMulticastGroup(tg.id)
 			cp.freeGroupRegisters(tg)
 		}
 		if done != nil {
@@ -672,8 +629,8 @@ func (cp *ControlPlane) DestroyGroup(leader simnet.Addr, done func(error)) {
 // home switch so a later group under the same identifier can allocate
 // them again. Every teardown path (destroy, setup reject, replacement)
 // funnels here — register isolation across group reboots depends on it.
-// FreeRegister ignores names never allocated (a flat leaf's, or the
-// rack arrays of a group with no remote rack).
+// FreeRegister ignores names never allocated (the rack arrays of a
+// group with no remote rack).
 func (cp *ControlPlane) freeGroupRegisters(g *group) {
 	g.sw.FreeRegister(fmt.Sprintf("p4ce/g%d/numRecv", g.id))
 	g.sw.FreeRegister(fmt.Sprintf("p4ce/g%d/slotPSN", g.id))
@@ -700,9 +657,7 @@ func (cp *ControlPlane) RehomeRack(rack int) {
 			}
 			g.sw = newSw
 			g.dp = cp.dpOf(newSw)
-			if !(g.leaf && g.flat) {
-				cp.allocGroupRegisters(g)
-			}
+			cp.allocGroupRegisters(g)
 			cp.resolveGroupPorts(g)
 			cp.programGroup(g)
 		}
@@ -750,7 +705,7 @@ type GroupInfo struct {
 	Replicas []simnet.Addr
 	// Racks lists the leaf ToR identity addresses aggregating for this
 	// group's remote racks (empty when every replica shares the leader's
-	// rack, or on a flat fabric).
+	// rack).
 	Racks []simnet.Addr
 }
 
@@ -769,9 +724,6 @@ func (cp *ControlPlane) Groups() []GroupInfo {
 			info.Replicas = append(info.Replicas, rep.IP)
 		}
 		for _, lg := range g.leaves {
-			if lg.flat {
-				continue // relay copies: the root already lists them
-			}
 			for _, rep := range lg.replicas {
 				info.Replicas = append(info.Replicas, rep.IP)
 			}

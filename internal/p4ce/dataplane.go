@@ -40,12 +40,6 @@ type replicaEntry struct {
 	VA      uint64 // base virtual address of the replica's log
 	RKey    uint32 // replica's real R_key
 	BufLen  uint32
-	// Via, when set, is the identity address a scatter copy advertises
-	// as its source instead of the owning switch's own IP — the replica
-	// then addresses its ACKs there. Flat-gather fabric roots set it to
-	// the remote replica's leaf ToR so the ACK's spine crossing passes
-	// through (and is counted by) the leaf's relay stage.
-	Via simnet.Addr
 }
 
 // rackEntry is a root group's per-remote-rack aggregation state: the
@@ -86,11 +80,8 @@ type group struct {
 	// replicas racked behind this ToR and forwards one partial-count ACK
 	// upward to the root ToR (whose coordinates sit in the leader*
 	// fields — the leaf's "leader" is the root). f is then the
-	// rack-complete count, not a quorum. flat disables hierarchical
-	// aggregation (the fan-in ablation): a flat leaf relays every
-	// replica ACK upward untouched and the root counts alone.
+	// rack-complete count, not a quorum.
 	leaf bool
-	flat bool
 
 	// racks is the root group's remote-rack membership. rackCnt holds,
 	// per (slot, rack), the highest partial count the rack's leaf has
@@ -102,8 +93,8 @@ type group struct {
 	rackCnt  *tofino.Register
 	rackCred *tofino.Register
 	// leaves are the root's per-remote-rack leaf groups, in the same
-	// order as racks (hierarchical mode) — the control plane programs,
-	// rehomes and tears them down alongside the root.
+	// order as racks — the control plane programs, rehomes and tears
+	// them down alongside the root.
 	leaves []*group
 
 	// Stateful registers (Table II). NumRecv is the paper's per-PSN ACK
@@ -231,9 +222,6 @@ func clampCredit(c uint32) uint8 {
 // The control plane runs this when the group is first installed and
 // again when re-programming a rebooted switch.
 func (g *group) resetGatherState() {
-	if g.numRecv == nil {
-		return // a flat leaf relays without state
-	}
 	g.numRecv.Clear()
 	for i := 0; i < g.slotPSN.Size(); i++ {
 		g.slotPSN.Write(i, noSlotPSN)
@@ -322,7 +310,7 @@ type DataplaneStats struct {
 	ScatterRetransmits uint64 // of which go-back-N re-sends of a tracked PSN
 	AcksAggregated     uint64 // positive ACKs absorbed (sub-quorum or duplicate)
 	AcksForwarded      uint64 // aggregated ACKs forwarded to the leader
-	AcksUpForwarded    uint64 // leaf→root spine crossings (partials, or raw relays in the flat ablation)
+	AcksUpForwarded    uint64 // leaf→root spine crossings: partial-count ACKs a leaf sent up
 	PartialsAggregated uint64 // rack partial counts merged at a root
 	NaksForwarded      uint64 // NAK/RNR passed through unconditionally
 	BadRKeyDrops       uint64
@@ -342,9 +330,6 @@ func NewDataplane(mode DropMode) *Dataplane {
 		rids:        tofino.NewTable[uint16, *scatterEntry]("p4ce/rid"),
 	}
 }
-
-// DropModeInUse returns the configured ACK drop placement.
-func (dp *Dataplane) DropModeInUse() DropMode { return dp.dropMode }
 
 // ridFor packs a globally unique replication id for a group member.
 func ridFor(g tofino.GroupID, ep uint8) uint16 { return uint16(g)<<8 | uint16(ep) }
@@ -466,15 +451,6 @@ func (dp *Dataplane) ingressGather(sw *tofino.Switch, g *group, pkt *roce.Packet
 		dp.Stats.StaleAckDrops++
 		dp.mStaleAcks.Inc()
 		return tofino.IngressResult{Verdict: tofino.VerdictDrop}
-	}
-	if g.leaf && g.flat {
-		// Fan-in ablation: relay the replica's ACK across the spine
-		// untouched (source identity and PSN space preserved); the root
-		// attributes and counts it as if the replica were local.
-		dp.Stats.AcksUpForwarded++
-		dp.mAcksUp.Inc()
-		pkt.DstIP = g.leaderIP
-		return tofino.IngressResult{Verdict: tofino.VerdictForward, OutPort: g.leaderPort}
 	}
 	// Translate the PSN to what the leader expects (§IV-C).
 	rel := roce.PSNDiff(pkt.PSN, rep.PSNBase)
@@ -779,9 +755,6 @@ func (dp *Dataplane) rewriteWriteForReplica(sw *tofino.Switch, ent *scatterEntry
 	g, rep := ent.g, ent.rep
 	rel := roce.PSNDiff(pkt.PSN, g.leaderPSNBase)
 	pkt.SrcIP = sw.IP()
-	if rep.Via != 0 {
-		pkt.SrcIP = rep.Via
-	}
 	pkt.DstIP = rep.IP
 	pkt.DestQP = rep.QPN
 	pkt.PSN = roce.PSNAdd(rep.PSNBase, rel)
@@ -795,11 +768,7 @@ func (dp *Dataplane) rewriteWriteForReplica(sw *tofino.Switch, ent *scatterEntry
 
 // installGroup publishes a fully-built group into the match tables.
 func (dp *Dataplane) installGroup(g *group) {
-	// A flat leaf only relays ACKs: the scatter copies crossing it are
-	// already addressed to replicas, so no bcast entry must catch them.
-	if !(g.leaf && g.flat) {
-		dp.bcast.Insert(g.bcastQP, g)
-	}
+	dp.bcast.Insert(g.bcastQP, g)
 	dp.aggr.Insert(g.aggrQP, g)
 	dp.byLeaderQPN.Insert(g.leaderQPN, g)
 	for i := range g.replicas {

@@ -35,10 +35,9 @@
 // remote rack's ToR holds a leaf group that counts its rack's ACKs
 // locally and forwards one partial-count ACK toward the root — the
 // count rides the ACK's MSN field, which only the requester side
-// writes, so the wire format is unchanged.
-// CPConfig.FlatGather is the ablation: leaves become stateless relays
-// and the root counts every remote ACK individually. RehomeRack and
-// ReresolveFabricPorts are the failover hooks the fabric supervisor
+// writes, so the wire format is unchanged. A rack of k replicas thus
+// sends one ACK across the spine per round where a per-ACK relay would
+// send k. RehomeRack and ReresolveFabricPorts are the failover hooks the fabric supervisor
 // calls after a ToR death (standby adoption) or a spine death
 // (reroute).
 package p4ce

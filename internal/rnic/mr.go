@@ -52,9 +52,6 @@ func (n *NIC) RegisterMR(base uint64, buf []byte, perm Access) *MR {
 	return mr
 }
 
-// DeregisterMR revokes the region.
-func (n *NIC) DeregisterMR(mr *MR) { delete(n.mrs, mr.rkey) }
-
 // RKey returns the region's authorization key.
 func (mr *MR) RKey() uint32 { return mr.rkey }
 

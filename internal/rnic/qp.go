@@ -184,9 +184,6 @@ func (qp *QP) State() State { return qp.state }
 // RemoteIP returns the connected peer address.
 func (qp *QP) RemoteIP() simnet.Addr { return qp.remoteIP }
 
-// RemoteQPN returns the connected peer queue pair number.
-func (qp *QP) RemoteQPN() uint32 { return qp.remoteQPN }
-
 // NextPSN returns the next send PSN (diagnostics and the switch control
 // plane, which needs it when splicing connections).
 func (qp *QP) NextPSN() uint32 { return qp.sndPSN }

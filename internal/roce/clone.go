@@ -2,9 +2,9 @@ package roce
 
 // Clone returns a deep copy of the packet: the payload is copied, so the
 // clone is independent of the original's buffer. The switch's multicast
-// fan-out no longer uses this (copies share the payload copy-on-write,
-// see ShallowClone); it remains for consumers that need to retain a
-// packet past its frame's lifetime, such as the control-plane punt path.
+// fan-out does not use this (copies share the payload copy-on-write);
+// it is for consumers that need to retain a packet past its frame's
+// lifetime, such as the control-plane punt path.
 func (p *Packet) Clone() *Packet {
 	c := *p
 	if p.Payload != nil {
@@ -14,13 +14,10 @@ func (p *Packet) Clone() *Packet {
 	return &c
 }
 
-// ShallowClone returns a copy of the packet sharing the payload buffer
-// copy-on-write: header fields are independent, payload bytes are not.
-// Call OwnPayload on the clone before mutating payload bytes.
-func (p *Packet) ShallowClone() Packet { return *p }
-
 // OwnPayload replaces the (possibly shared or frame-aliasing) payload
-// view with a private copy, making subsequent payload writes safe.
+// view with a private copy, making subsequent payload writes safe. A
+// struct copy of a Packet shares its payload buffer: call OwnPayload on
+// the copy before mutating payload bytes.
 func (p *Packet) OwnPayload() {
 	if len(p.Payload) == 0 {
 		return

@@ -207,7 +207,3 @@ func (p *Packet) WireSize() int {
 	}
 	return n + len(p.Payload)
 }
-
-// HeaderOverhead returns the per-packet byte overhead for a packet of
-// this shape, i.e. WireSize minus the payload length.
-func (p *Packet) HeaderOverhead() int { return p.WireSize() - len(p.Payload) }

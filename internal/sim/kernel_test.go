@@ -261,18 +261,6 @@ func TestLatencyRecorder(t *testing.T) {
 	}
 }
 
-func TestCounterRate(t *testing.T) {
-	var c Counter
-	c.ResetAt(0)
-	c.Add(1000)
-	if r := c.Rate(Second); r != 1000 {
-		t.Fatalf("Rate = %v, want 1000", r)
-	}
-	if r := c.Rate(0); r != 0 {
-		t.Fatalf("Rate at window start = %v, want 0", r)
-	}
-}
-
 func TestTimeString(t *testing.T) {
 	tests := []struct {
 		give Time

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -25,9 +24,6 @@ func (r *LatencyRecorder) Record(d Time) {
 	r.sorted = false
 }
 
-// Count returns the number of recorded samples.
-func (r *LatencyRecorder) Count() int { return len(r.samples) }
-
 // Mean returns the average sample, or 0 when empty.
 func (r *LatencyRecorder) Mean() Time {
 	if len(r.samples) == 0 {
@@ -49,14 +45,15 @@ func (r *LatencyRecorder) Percentile(p float64) Time {
 		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
 		r.sorted = true
 	}
-	idx := int(math.Ceil(p/100*float64(len(r.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(r.samples) {
-		idx = len(r.samples) - 1
-	}
-	return r.samples[idx]
+	return r.samples[NearestRank(p, len(r.samples))]
+}
+
+// NearestRank returns the index, in an ascending sample of n > 0
+// values, of the p-th percentile by the nearest-rank rule: the smallest
+// value with at least p% of the sample at or below it, clamped to the
+// sample.
+func NearestRank(p float64, n int) int {
+	return min(max(int(math.Ceil(p/100*float64(n)))-1, 0), n-1)
 }
 
 // Max returns the largest sample, or 0 when empty.
@@ -71,41 +68,4 @@ func (r *LatencyRecorder) Min() Time {
 		return r.Percentile(0.0001) // forces the sort; returns first element
 	}
 	return r.samples[0]
-}
-
-// String summarizes the distribution.
-func (r *LatencyRecorder) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		r.Count(), r.Mean(), r.Percentile(50), r.Percentile(99), r.Max())
-}
-
-// Counter is a monotonically increasing event counter with a helper to
-// convert to a rate over simulated time.
-type Counter struct {
-	n     uint64
-	since Time
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// ResetAt marks t as the start of the measurement window and zeroes the
-// counter.
-func (c *Counter) ResetAt(t Time) {
-	c.n = 0
-	c.since = t
-}
-
-// Rate returns events per simulated second over [since, now].
-func (c *Counter) Rate(now Time) float64 {
-	if now <= c.since {
-		return 0
-	}
-	return float64(c.n) / (now - c.since).Seconds()
 }

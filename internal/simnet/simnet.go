@@ -175,16 +175,6 @@ func (p *Port) SetLossFunc(fn LossFunc) { p.lossFn = fn }
 // source.
 func (p *Port) SetDelayFunc(fn DelayFunc) { p.delayFn = fn }
 
-// SetTap installs a frame observer, replacing every observer currently
-// attached; nil removes them all.
-func (p *Port) SetTap(tap TapFunc) {
-	if tap == nil {
-		p.taps = nil
-		return
-	}
-	p.taps = []TapFunc{tap}
-}
-
 // AddTap attaches one more frame observer alongside any existing ones,
 // so a packet tracer and a fault injector's drop logger can watch the
 // same port. Observers run in attachment order.

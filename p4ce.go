@@ -96,10 +96,6 @@ type Topology struct {
 	// reconfiguration delay (40 ms), reinstalls the rack's groups on it
 	// and flips the rack's NICs onto their spare legs.
 	Standby bool
-	// FlatGather disables hierarchical aggregation (the fan-in
-	// ablation): remote ToRs relay every replica ACK across the spine
-	// untouched and the leader's ToR counts alone.
-	FlatGather bool
 }
 
 // withDefaults fills in the unset topology knobs.

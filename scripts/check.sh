@@ -48,15 +48,17 @@ echo "== parallel kernel determinism gate =="
 go test -race -timeout 20m ./internal/chaos -run TestParallelSeedSweep -short -count=1
 
 echo "== examples =="
-# Every example must build; the four that exercise the public surface
-# end to end (single-group, sharded, fail-over over the backup fabric,
-# and the replicated store through a leader crash) must also run clean.
-# Each exits nonzero if its own invariants fail.
+# Every example must build and run clean: single-group, sharded,
+# fail-over over the backup fabric, the replicated store through a
+# leader crash, the goodput mini-sweep and the wire tap of one
+# handshake and write. Each exits nonzero if its own run fails.
 go build ./examples/...
 go run ./examples/quickstart >/dev/null
 go run ./examples/sharded >/dev/null
 go run ./examples/failover >/dev/null
 go run ./examples/kvstore >/dev/null
+go run ./examples/goodput >/dev/null
+go run ./examples/wiretap >/dev/null
 
 echo "== switch failover runs =="
 # The fabric supervisor's two moves, end to end through the CLI: the
