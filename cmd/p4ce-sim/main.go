@@ -17,7 +17,7 @@
 // a dead ToR's machines onto their spare legs: after the 40 ms
 // reconfiguration onto the standby, still accelerated, or after 55 ms
 // of route reconvergence onto the backup, un-accelerated. The final
-// "backup-route" field reports whether the leader was moved.
+// "spare-leg" field reports whether the leader was moved.
 //
 // The -crash flag takes a comma-separated schedule of events:
 // "leader@<t>" (whoever leads at t), "replica<N>@<t>" (machine N),
@@ -361,7 +361,7 @@ func run(nodes int, modeStr string, duration time.Duration, rate float64, size i
 
 	fmt.Printf("\n--- results after %v simulated ---\n", (cl.Now() - setupTime).Round(time.Millisecond))
 	if l := cl.Leader(); l != nil {
-		fmt.Printf("leader: node %d (view %d, accelerated=%v, backup-route=%v)\n",
+		fmt.Printf("leader: node %d (view %d, accelerated=%v, spare-leg=%v)\n",
 			l.ID(), l.Term(), l.Accelerated(), l.OnBackupRoute())
 		fmt.Printf("commit index %d, leader CPU %.0f%% busy\n", l.CommitIndex(), l.CPUUtilization()*100)
 		st := l.Stats()
