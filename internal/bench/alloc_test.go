@@ -55,19 +55,25 @@ func TestZeroAllocSteadyState(t *testing.T) {
 
 // TestEventBudgetSteadyState pins the kernel events one committed
 // 64-byte operation costs in steady state, on the harness of
-// TestZeroAllocSteadyState. events_per_op is what the simulator's
-// wall-clock cost scales with, so a change that adds or removes events
-// on the hot path must update the budget here; the sim.events.*
-// counters of a metrics-enabled run say which site moved. Per P4CE op:
-// 10 frame deliveries, 2 egress emits (one per replication instant: the
-// four write copies leave together, the aggregated ACK alone), one
-// leader ACK step and one post step; the NIC's transmit pipeline is
-// booked on the wire, and switch ingress runs inside the host→switch
-// delivery, so neither costs an event. Per Mu op, four writes out and
-// four ACKs back each cross the switch as unicasts: 16 deliveries, 8
-// egress emits, 4 ACK steps and one post step. With three nodes a P4CE
-// op costs 6 deliveries, 2 egress emits, one ACK step and one post
-// step. The slack covers the odd timer tick.
+// TestZeroAllocSteadyState, which drives the kernel one Step at a time.
+// events_per_op is what the simulator's wall-clock cost scales with, so
+// a change that adds or removes events on the hot path must update the
+// budget here; the sim.events.* counters of a metrics-enabled run say
+// which site moved. An event is a heap entry: the kernel queues a run of
+// same-instant pushes with adjacent keys as one entry, and Processed
+// counts it once, while the sim.events.* counters count every callback.
+// Per P4CE op, 17 callbacks take 8 entries: the leader's write frame
+// (1 delivery, with switch ingress inside it), the four copies (4
+// egress emits, 1 entry), their deliveries to the replicas (4, 1
+// entry: the shard's machines share one domain), the four replica
+// ACKs to the switch (4, 1 entry), the aggregated ACK's egress emit
+// and its delivery (1 each), one leader ACK step and one post step. The
+// NIC's transmit pipeline is booked on the wire, so it costs none. With
+// three nodes the same 8 entries carry 11 callbacks (two copies, two
+// ACKs). Per Mu op, four writes out and four ACKs back each cross the
+// switch as unicasts, 250 ns of leader CPU apart, so nothing shares an
+// entry: 16 deliveries, 8 egress emits, 4 ACK steps and one post step.
+// The slack covers the odd timer tick.
 func TestEventBudgetSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-op warmup")
@@ -79,9 +85,9 @@ func TestEventBudgetSteadyState(t *testing.T) {
 		mode     p4ce.Mode
 		min, max uint64
 	}{
-		{"P4CE", 5, p4ce.ModeP4CE, 14 * ops, 14*ops + 50},
+		{"P4CE", 5, p4ce.ModeP4CE, 8 * ops, 8*ops + 50},
 		{"Mu", 5, p4ce.ModeMu, 29 * ops, 29*ops + 50},
-		{"P4CE-3nodes", 3, p4ce.ModeP4CE, 10 * ops, 10*ops + 50},
+		{"P4CE-3nodes", 3, p4ce.ModeP4CE, 8 * ops, 8*ops + 50},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,21 +101,35 @@ func TestEventBudgetSteadyState(t *testing.T) {
 			}
 		})
 	}
-	// A 4 KiB Mu op: each of the four writes crosses the wire as five
-	// segments, so 40 deliveries and 20 egress emits carry the writes,
-	// 8 and 4 the ACKs, plus 4 ACK steps and one post step. A 4 KiB op
+	// 4 KiB ops cross the wire as five segments per write. A 4 KiB op
 	// takes longer, so the timer ticks take more of the slack. Touching
 	// payload bytes fewer times must not move an event.
-	t.Run("Mu-4KiB", func(t *testing.T) {
-		cl, oneOp := warmSteadySize(t, p4ce.Options{Nodes: 5, Mode: p4ce.ModeMu, Seed: 7}, 4096)
-		ev0 := cl.EventsProcessed()
-		for i := 0; i < ops; i++ {
-			oneOp(t)
-		}
-		if n, lo, hi := cl.EventsProcessed()-ev0, uint64(77*ops), uint64(77*ops+100); n < lo || n > hi {
-			t.Fatalf("%d committed 4 KiB Mu ops took %d events, want [%d, %d]", ops, n, lo, hi)
-		}
-	})
+	for _, tc := range []struct {
+		name     string
+		mode     p4ce.Mode
+		min, max uint64
+	}{
+		// Each of the four writes: 10 deliveries and 5 egress emits out,
+		// 2 and 1 for its ACK back; plus 4 ACK steps and one post step.
+		{"Mu-4KiB", p4ce.ModeMu, 77 * ops, 77*ops + 100},
+		// 53 callbacks in 20 entries. Each of the five segments: its
+		// delivery to the switch, its four copies (1 entry) and their
+		// deliveries (1 entry); then the four replica ACKs (1 entry),
+		// the aggregated ACK's emit and delivery, one ACK step and one
+		// post step.
+		{"P4CE-4KiB", p4ce.ModeP4CE, 20 * ops, 20*ops + 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, oneOp := warmSteadySize(t, p4ce.Options{Nodes: 5, Mode: tc.mode, Seed: 7}, 4096)
+			ev0 := cl.EventsProcessed()
+			for i := 0; i < ops; i++ {
+				oneOp(t)
+			}
+			if n := cl.EventsProcessed() - ev0; n < tc.min || n > tc.max {
+				t.Fatalf("%d committed 4 KiB ops took %d events, want [%d, %d]", ops, n, tc.min, tc.max)
+			}
+		})
+	}
 }
 
 // TestEntryChecksumCensus counts the full-entry checksums Mu's log

@@ -27,10 +27,13 @@
 // must follow: never iterate a Go map while emitting events — sort the
 // keys first.
 //
-// With a metrics registry attached, every fired event also bumps a
-// sim.events.<site> counter named after its callback (for example
+// Processed counts heap entries, not callbacks. With a metrics registry
+// attached, every callback the kernel runs also bumps a
+// sim.events.<site> counter named after it (for example
 // sim.events.tofino.(*Switch).egressEmit), so a run's event budget can
-// be read by site; without one, firing pays a single nil check.
+// be read by site; without one, firing pays a single nil check. The
+// counters' sum exceeds Processed by the linked events that ran right
+// behind their predecessor (see The event queue).
 //
 // # Domains
 //
@@ -57,6 +60,33 @@
 // the top or when compaction sweeps it, and the generation counter in
 // the record — bumped on every recycle — is all a Timer handle needs to
 // know whether it still refers to a queued event.
+//
+// A run of adjacent keys takes one heap entry. A push is linked behind
+// its domain's previous push, on that record's next field, when that
+// push is still queued (neither fired nor canceled) and the new one has
+// the same instant, the next seq and the same run kernel: a multicast's
+// copies leaving together, their deliveries to one shard, the shard's
+// ACKs back. Nothing can sort between two adjacent keys, so the link
+// keeps the total order. The heap slot is the chain's cursor: firing a
+// member rewrites the slot in place to its successor's key, which is
+// still the minimum. The one event that can run between two members is
+// one the first member's run domain pushes for the same instant under
+// a smaller domain (a chain keyed on a shard's domain that runs on the
+// fabric's); it sorts before the successor and sifts above it like any
+// other push. Cross-partition events are linked the same way when the
+// coordinator drains them, against the sending domain's last record
+// drained into the same partition, so chains do not depend on the
+// partition layout. A canceled
+// member is skipped when it reaches the top, and compaction cuts a
+// chain at a canceled member into two entries; Pending and the
+// compaction trigger count records, not entries.
+//
+// Processed counts every event that runs, except a linked one that is
+// the next event to run on its domain after the record it was linked
+// behind — so a chain counts once, and a member that an interposed
+// same-instant event cut off counts again. The rule reads only keys and
+// each domain's run order, which no partition count and no choice
+// between Run and Step can change, so neither can the count.
 //
 // # Ownership and pooling
 //

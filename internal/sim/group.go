@@ -92,6 +92,9 @@ func NewGroup(seed int64, domains, partitions int, lookahead Time) *Group {
 	g.parts = make([]*sched, partitions)
 	for p := range g.parts {
 		g.parts[p] = &sched{cur: quiesced, out: make([][]xev, partitions)}
+		if partitions > 1 {
+			g.parts[p].xtail = make([]chainTail, domains)
+		}
 	}
 	g.kernels = make([]*Kernel, domains)
 	for d := range g.kernels {
@@ -186,6 +189,9 @@ func (g *Group) Stop() { g.stopped.Store(true) }
 // linearizations of the same key order, so states at quiesce points are
 // identical. It reports whether an event was executed.
 func (g *Group) Step() bool {
+	if len(g.parts) > 1 { // one partition has no mailbox to look into
+		g.drainAll()
+	}
 	var best *sched
 	var bev *qent
 	for _, sc := range g.parts {
@@ -197,8 +203,7 @@ func (g *Group) Step() bool {
 	if best == nil {
 		return false
 	}
-	at := bev.at
-	best.fire(best.events.pop()) // head left the live minimum on top
+	at := best.fireTop() // head left the live minimum on top
 	best.cur = quiesced
 	if len(g.parts) > 1 { // one partition has no mailbox to look into
 		g.drainFrom(best)
@@ -262,6 +267,7 @@ func (g *Group) runSeq(limit Time) {
 // runtime.Gosched, which keeps the barrier live on a single core.
 func (g *Group) runPar(limit Time) {
 	n := len(g.parts)
+	g.drainAll()
 	g.epoch.Store(0)
 	g.arrived.Store(0)
 	var wg sync.WaitGroup
@@ -298,9 +304,7 @@ func (g *Group) runPar(limit Time) {
 		g.await(int32(n - 1))
 		// All partition writes are visible now: move cross-partition
 		// events into their destination queues, keys intact.
-		for _, sc := range g.parts {
-			g.drainFrom(sc)
-		}
+		g.drainAll()
 		if w-1 > g.now {
 			g.now = w - 1
 		}
@@ -342,11 +346,32 @@ func (g *Group) await(want int32) {
 	}
 }
 
+// drainAll drains every partition's mailboxes. Besides what a window
+// produced, they hold what was sent across partitions while the group
+// was quiesced (a SendTo or Call from outside any event), which must be
+// queued before a run or a Step looks for the earliest event: left in a
+// mailbox through the first window, such an event would run after
+// later-keyed events of its destination, and only on several
+// partitions.
+func (g *Group) drainAll() {
+	for _, sc := range g.parts {
+		g.drainFrom(sc)
+	}
+}
+
 // drainFrom moves src's outgoing cross-partition events into the
 // destination queues. Only the coordinator calls it (between windows, or
 // after a sequential Step), so no locks are needed. Push order cannot
 // influence pop order: the queue's comparator is a strict total order on
-// the (time, domain, sequence) keys the events already carry.
+// the (time, domain, sequence) keys the events already carry. An event
+// whose key is adjacent to the last one its domain sent to the same
+// partition links behind it by the rule of a same-partition push (see
+// chainTail): events that run on one kernel go to one partition, and a
+// mailbox holds each domain's events in seq order. A chain therefore
+// costs the same heap entries at every partition count. The last
+// drained record is still queued whenever the rule can admit: an event
+// crossing partitions lands at least one lookahead after it was sent,
+// beyond the window it was sent in.
 func (g *Group) drainFrom(src *sched) {
 	for dst, box := range src.out {
 		if len(box) == 0 {
@@ -358,7 +383,12 @@ func (g *Group) drainFrom(src *sched) {
 			ev := d.free.Get()
 			ev.k = x.k
 			ev.fn, ev.afn, ev.arg, ev.bfn, ev.buf = x.fn, x.afn, x.arg, x.bfn, x.buf
-			d.events.push(qent{at: x.at, seq: x.seq, dom: x.dom, ev: ev})
+			if tail := &d.xtail[x.dom]; tail.admits(x.at, x.seq, x.k) {
+				tail.ev.next = ev
+			} else {
+				d.events.push(qent{at: x.at, seq: x.seq, dom: x.dom, ev: ev})
+			}
+			d.xtail[x.dom] = chainTail{ev: ev, gen: ev.gen, at: x.at, seq: x.seq}
 			d.live++
 			*x = xev{}
 		}

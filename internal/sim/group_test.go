@@ -197,3 +197,29 @@ func TestGroupCrossDomainScheduleIsLoud(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupQuiescedSendKeyOrder: a frame sent to another partition while
+// the group is quiesced sorts by its key like any other event. Run and
+// Step must queue it before they look for the earliest event; left in
+// the mailbox through the first window, it ran after a later-keyed
+// event of its destination, on two partitions only.
+func TestGroupQuiescedSendKeyOrder(t *testing.T) {
+	for _, step := range []bool{false, true} {
+		for _, parts := range []int{1, 2} {
+			g := NewGroup(1, 2, parts, 300*Nanosecond)
+			k0, k1 := g.Kernel(0), g.Kernel(1)
+			var got []string
+			k1.At(20*Microsecond, func() { got = append(got, fmt.Sprintf("timer@%d", k1.Now())) })
+			k0.SendTo(k1, Microsecond, func(any, []byte) { got = append(got, fmt.Sprintf("frame@%d", k1.Now())) }, nil, nil)
+			if step {
+				for g.Step() {
+				}
+			} else {
+				g.Run()
+			}
+			if s, want := fmt.Sprint(got), "[frame@1000 timer@20000]"; s != want {
+				t.Fatalf("partitions=%d step=%v: fired %s, want %s", parts, step, s, want)
+			}
+		}
+	}
+}

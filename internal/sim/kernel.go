@@ -43,24 +43,31 @@ func (t Time) String() string {
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // event is a single scheduled callback. Its (at, dom, seq) key lives in
-// the queue slot that points here (see qent), not in the record. Events
-// are pooled: once popped (executed or canceled) the record goes back on
-// the scheduler's free list and its gen counter is bumped, which
-// invalidates any Timer handle still pointing at it — so a handle needs
-// no "still queued" flag beyond the generation it was issued at.
+// the queue slot that points here (see qent), not in the record; a
+// record linked behind another (next) takes no slot of its own and
+// carries its predecessor's key with seq+1. Events are pooled: once
+// popped (executed or canceled) the record goes back on the scheduler's
+// free list and its gen counter is bumped, which invalidates any Timer
+// handle still pointing at it — so a handle needs no "still queued" flag
+// beyond the generation it was issued at.
 type event struct {
+	// The fields queue upkeep reads (skim, compact, chainTail.admits)
+	// come first, within one cache line.
 	gen uint64 // recycle generation, guards stale Timer handles
+	// next is the record of the same domain's next push, linked here
+	// because its key is adjacent to this one's (see chainTail).
+	next     *event
+	k        *Kernel // run domain: its clock advances to the key's time when the event fires
+	canceled bool
 	// Exactly one of fn / afn / bfn is set. afn runs with arg, letting
 	// hot paths reuse a persistent callback instead of allocating a
 	// closure per schedule; bfn additionally carries a byte slice so
 	// frame deliveries cross partitions without boxing the slice.
-	fn       func()
-	afn      func(any)
-	arg      any
-	bfn      func(any, []byte)
-	buf      []byte
-	k        *Kernel // run domain: its clock advances to the key's time when the event fires
-	canceled bool
+	fn  func()
+	afn func(any)
+	arg any
+	bfn func(any, []byte)
+	buf []byte
 }
 
 // compactThreshold is the minimum queue size before cancel-compaction is
@@ -81,9 +88,15 @@ type sched struct {
 	events    eventQueue
 	free      FreeList[event] // recycled event records
 	bufs      Buffers
-	live      int // scheduled and not canceled
-	ncanceled int // canceled events still resident in the queue
+	live      int // records scheduled and not canceled
+	ncanceled int // canceled records still resident in the queue
 	processed uint64
+	// split holds the entries compaction cuts out of a chain at a
+	// canceled member, reused so that compaction does not allocate.
+	split []qent
+	// xtail holds, per sending domain, the last cross-partition event
+	// drained into this partition (see Group.drainFrom).
+	xtail []chainTail
 	// cur is the domain whose event is executing on this partition, or
 	// quiesced between runs. Scheduling under another domain's clock
 	// and sequence counter while it is set is a bug (see Kernel.checkDomain).
@@ -118,10 +131,31 @@ type xev struct {
 	buf []byte
 }
 
+// chainTail is a domain's last queued record on one path (a push into
+// its own partition's queue, or a drain into another's) and the key it
+// was given. The domain's next record on that path links behind it,
+// taking no heap slot, when the key is adjacent (same instant, next
+// seq), the run kernel is the same and the tail is still queued: nothing
+// can sort between adjacent keys, so the link keeps the total order.
+type chainTail struct {
+	ev  *event
+	gen uint64
+	at  Time
+	seq uint64
+}
+
+// admits reports whether a record keyed (at, seq) of the tail's domain,
+// to run on dst, links behind the tail.
+func (c *chainTail) admits(at Time, seq uint64, dst *Kernel) bool {
+	return c.at == at && c.seq+1 == seq && c.ev != nil &&
+		c.ev.gen == c.gen && !c.ev.canceled && c.ev.k == dst
+}
+
 // release returns a popped event record to the free list. Bumping gen
 // here is what makes stale Timer handles inert.
 func (sc *sched) release(ev *event) {
 	ev.gen++
+	ev.next = nil
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
@@ -132,31 +166,57 @@ func (sc *sched) release(ev *event) {
 	sc.free.Put(ev)
 }
 
-// skim pops canceled records off the top of the queue and reports
+// skim removes canceled records from the top of the queue and reports
 // whether a live event is left there.
 func (sc *sched) skim() bool {
 	for len(sc.events) > 0 {
-		if !sc.events[0].ev.canceled {
+		top := &sc.events[0]
+		ev := top.ev
+		if !ev.canceled {
 			return true
 		}
-		sc.release(sc.events.pop().ev)
+		if ev.next != nil {
+			top.ev, top.seq = ev.next, top.seq+1 // still the minimum; see fireTop
+		} else {
+			sc.events.pop()
+		}
+		sc.release(ev)
 		sc.ncanceled--
 	}
 	return false
 }
 
-// fire executes a popped live event, advancing the run domain's clock to
-// its timestamp.
-func (sc *sched) fire(e qent) {
-	ev := e.ev
+// fireTop executes the live event on top of the queue, advancing its run
+// domain's clock to its timestamp, and returns that timestamp. A record
+// with a successor hands the slot to it in place: the successor's key is
+// adjacent, so it is still the minimum and no sift is needed. The slot
+// is the chain's cursor. An event the callback pushes for the same
+// instant that sorts before the successor (a smaller domain's, when the
+// chain runs on a domain other than its own) sifts above it like any
+// other push and fires first.
+func (sc *sched) fireTop() Time {
+	top := &sc.events[0]
+	ev, at := top.ev, top.at
+	next := ev.next
+	if next != nil {
+		top.ev, top.seq = next, top.seq+1
+	} else {
+		sc.events.pop()
+	}
 	sc.live--
-	ev.k.now = e.at
-	sc.cur = ev.k.dom
-	sc.processed++
+	k := ev.k
+	k.now = at
+	sc.cur = k.dom
+	if ev != k.follow || ev.gen != k.followGen {
+		sc.processed++
+	}
+	if k.follow = next; next != nil {
+		k.followGen = next.gen
+	}
 	// Copy the callback out and recycle the record before invoking it,
 	// so the callback's own scheduling can reuse it.
 	fn, afn, arg, bfn, buf := ev.fn, ev.afn, ev.arg, ev.bfn, ev.buf
-	if r := ev.k.metrics; r != nil {
+	if r := k.metrics; r != nil {
 		sc.countSite(r, ev)
 	}
 	sc.release(ev)
@@ -168,6 +228,7 @@ func (sc *sched) fire(e qent) {
 	default:
 		fn()
 	}
+	return at
 }
 
 // countSite bumps the sim.events.<site> counter of ev's callback,
@@ -175,8 +236,9 @@ func (sc *sched) fire(e qent) {
 // The site is the function's package-qualified name with the import
 // path and the method-value suffix trimmed, as in
 // sim.events.tofino.(*Switch).egressEmit; closures keep their .funcN
-// suffix. These counters split Processed by site: Processed itself
-// counts the same events, with or without a registry. The cache assumes
+// suffix. These counters count callbacks; Processed, with or without a
+// registry, counts the same events less the linked ones that run right
+// behind their predecessor. The cache assumes
 // what Group.SetMetrics sets up: one registry for every domain.
 func (sc *sched) countSite(r *metrics.Registry, ev *event) {
 	var fn any = ev.fn
@@ -212,9 +274,7 @@ func (sc *sched) countSite(r *metrics.Registry, ev *event) {
 func (sc *sched) run(limit Time, stop *atomic.Bool) Time {
 	last := Time(-1)
 	for sc.skim() && sc.events[0].at <= limit {
-		e := sc.events.pop()
-		last = e.at
-		sc.fire(e)
+		last = sc.fireTop()
 		if stop != nil && stop.Load() {
 			break
 		}
@@ -236,23 +296,68 @@ func (sc *sched) head() *qent {
 // compact drops canceled events once they outnumber the live ones, so a
 // stopped long-deadline timer (a retransmission timeout re-armed on
 // every ACK, say) does not pin queue memory until its deadline.
-// Filtering preserves each survivor's (at, dom, seq) key, and
-// re-heapifying cannot change pop order — the comparator is a strict
-// total order on those keys — so compaction is invisible to a seeded run.
+// Filtering preserves each survivor's (at, dom, seq) key — a chain cut
+// at a canceled member goes on as a new entry keyed at its next
+// survivor — and re-heapifying cannot change pop order — the comparator
+// is a strict total order on those keys — so compaction is invisible to
+// a seeded run.
 func (sc *sched) compact() {
-	kept := sc.events[:0]
+	kept, split := sc.events[:0], sc.split[:0]
 	for _, e := range sc.events {
-		if e.ev.canceled {
-			sc.release(e.ev)
+		if e.ev.next == nil { // not a chain
+			if e.ev.canceled {
+				sc.release(e.ev)
+			} else {
+				kept = append(kept, e)
+			}
 			continue
 		}
-		kept = append(kept, e)
+		var last *event // the survivor the next one links behind
+		cut := false    // a survivor already heads an entry of this chain
+		for ev := e.ev; ev != nil; e.seq++ {
+			next := ev.next
+			switch {
+			case ev.canceled:
+				if last != nil {
+					last.next, last = nil, nil
+				}
+				sc.release(ev)
+			case last != nil:
+				last = ev
+			case !cut:
+				// At most one entry per slot read, so kept never
+				// overtakes the range.
+				e.ev, last, cut = ev, ev, true
+				kept = append(kept, e)
+			default:
+				e.ev, last = ev, ev
+				split = append(split, e)
+			}
+			ev = next
+		}
 	}
-	// Clear the tail so dropped records do not linger in the backing array.
-	clear(sc.events[len(kept):])
-	sc.events = kept
+	n := len(sc.events)
+	kept = append(kept, split...)
+	if len(kept) < n {
+		// Clear the tail so dropped records do not linger in the backing array.
+		clear(sc.events[len(kept):n])
+	}
+	clear(split)
+	sc.events, sc.split = kept, split[:0]
 	sc.ncanceled = 0
 	sc.events.init()
+}
+
+// resident counts the records in the queue, live or canceled, chained
+// ones included.
+func (sc *sched) resident() int {
+	n := 0
+	for _, e := range sc.events {
+		for ev := e.ev; ev != nil; ev = ev.next {
+			n++
+		}
+	}
+	return n
 }
 
 // Kernel is one scheduling domain of a Group — its clock, sequence
@@ -269,6 +374,16 @@ type Kernel struct {
 	sc      *sched // partition scheduler
 	g       *Group
 	part    int // partition index within the group
+	// tail is this domain's last push into its own partition's queue.
+	tail chainTail
+	// follow is the record linked behind the event that last ran on this
+	// domain, at generation followGen. If it is the next to run here it
+	// is not counted in Processed: it fires right behind its
+	// predecessor, and together they took one heap entry. A domain's run
+	// order does not depend on the partition layout or on Run versus
+	// Step, so neither does the count.
+	follow    *event
+	followGen uint64
 }
 
 // NewKernel returns a standalone kernel — the only domain of a
@@ -336,7 +451,7 @@ func (k *Kernel) Pending() int { return k.g.Pending() }
 // queueLen reports how many event records (live or canceled) are
 // resident in the queue; the excess over Pending is canceled residue
 // awaiting compaction. Exposed for tests.
-func (k *Kernel) queueLen() int { return len(k.sc.events) }
+func (k *Kernel) queueLen() int { return k.sc.resident() }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero.
 // The returned Timer may be used to cancel the call before it fires.
@@ -386,7 +501,8 @@ func (k *Kernel) AtArg(t Time, fn func(any), arg any) Timer {
 
 // push queues a blank event under this domain's next key, to run on dst
 // (which shares this kernel's partition) at time t, and returns the
-// record for the caller to attach its callback to.
+// record for the caller to attach its callback to. A key adjacent to the
+// domain's previous push links behind it (see chainTail).
 func (k *Kernel) push(t Time, dst *Kernel) *event {
 	k.checkDomain()
 	if t < k.now {
@@ -395,7 +511,12 @@ func (k *Kernel) push(t Time, dst *Kernel) *event {
 	sc := k.sc
 	ev := sc.free.Get()
 	ev.k = dst
-	sc.events.push(qent{at: t, seq: k.seq, dom: k.dom, ev: ev})
+	if k.tail.admits(t, k.seq, dst) {
+		k.tail.ev.next = ev
+	} else {
+		sc.events.push(qent{at: t, seq: k.seq, dom: k.dom, ev: ev})
+	}
+	k.tail = chainTail{ev: ev, gen: ev.gen, at: t, seq: k.seq}
 	k.seq++
 	sc.live++
 	return ev
@@ -520,7 +641,7 @@ func (t Timer) Stop() bool {
 	t.ev.canceled = true
 	t.sc.live--
 	t.sc.ncanceled++
-	if t.sc.ncanceled > t.sc.live && len(t.sc.events) >= compactThreshold {
+	if t.sc.ncanceled > t.sc.live && t.sc.live+t.sc.ncanceled >= compactThreshold {
 		t.sc.compact()
 	}
 	return true

@@ -3,11 +3,16 @@ package sim
 // Model-based coverage for the event queue: byte programs drive a
 // 3-domain Group — scheduling, stopping timers, stepping, running in
 // windows, forcing compaction, and events that send across domains,
-// schedule successors or stop timers when they fire — and a naive
-// reference replays the same program over an unsorted list, popping the
-// minimum (at, dom, seq) key by linear scan. The two must fire the same
-// events at the same instants with the same Timer.Stop outcomes, at any
-// partition count. TestEventQueueModel feeds seeded random programs;
+// schedule successors, stop timers or push bursts of same-instant
+// events when they fire — and a naive reference replays the same
+// program over an unsorted list, popping the minimum (at, dom, seq) key
+// by linear scan. The two must fire the same events at the same instants
+// with the same Timer.Stop outcomes, at any partition count, and count
+// the same Processed. The reference derives that count from its own
+// keys: an event is not counted when it was pushed right behind its
+// domain's previous push (same instant, next seq, same run domain, that
+// push still pending) and is the next event to run on their run domain
+// after it. TestEventQueueModel feeds seeded random programs;
 // FuzzEventQueue lets the fuzzer write them.
 
 import (
@@ -27,14 +32,40 @@ const (
 	actSend  // SendTo another domain, one lookahead or more ahead
 	actLocal // Schedule a cancelable successor on the run domain
 	actStop  // Stop an earlier timer of the run domain
+	// actBurst pushes n children for one instant to one domain: timers
+	// on the run domain, SendTos one lookahead or more ahead elsewhere.
+	// With echo, each child schedules a successor for its own instant.
+	actBurst
 	actKinds
 )
 
 type modelAction struct {
 	kind   int
-	dst    int  // actSend: destination domain
-	delay  Time // actSend, actLocal: child delay
+	dst    int  // actSend, actBurst: destination domain
+	delay  Time // actSend, actLocal, actBurst: child delay
 	target int  // actStop: event id
+	n      int  // actBurst: children
+	echo   bool // actBurst: children are actLocal with no delay
+}
+
+// children lists the ids of the events that event id's action makes: a
+// child's id follows its parent's, and an echoing burst child's own child
+// follows it.
+func (a modelAction) children(id int) []int {
+	switch a.kind {
+	case actSend, actLocal:
+		return []int{id + 1}
+	case actBurst:
+		ids := make([]int, a.n)
+		for i := range ids {
+			ids[i] = id + 1 + i
+			if a.echo {
+				ids[i] = id + 1 + 2*i
+			}
+		}
+		return ids
+	}
+	return nil
 }
 
 // firing is one executed event as its run domain saw it.
@@ -45,27 +76,35 @@ type firing struct {
 }
 
 type modelEvent struct {
-	at  Time
-	dom int32
-	seq uint64
-	id  int
-	run int // domain whose clock the event advances
+	at     Time
+	dom    int32
+	seq    uint64
+	id     int
+	run    int // domain whose clock the event advances
+	behind int // id of the push it was linked behind, or -1
 }
 
 // queueModel is the reference: no heap, no pooling, no partitions.
 type queueModel struct {
 	now       [modelDomains]Time
 	seq       [modelDomains]uint64
+	last      [modelDomains]*modelEvent // each domain's last scheduled event
 	pending   []modelEvent
 	fired     [modelDomains][]firing
-	order     []int // ids in global firing order
+	order     []int             // ids in global firing order
+	lastFired [modelDomains]int // id of the event each domain ran last, -1 before the first
 	processed uint64
 }
 
 func (m *queueModel) schedule(d int, delay Time, id, run int) {
-	m.pending = append(m.pending, modelEvent{
-		at: m.now[d] + delay, dom: int32(d), seq: m.seq[d], id: id, run: run,
-	})
+	e := modelEvent{
+		at: m.now[d] + delay, dom: int32(d), seq: m.seq[d], id: id, run: run, behind: -1,
+	}
+	if p := m.last[d]; p != nil && p.at == e.at && p.seq+1 == e.seq && p.run == run && m.isPending(p.id) {
+		e.behind = p.id
+	}
+	m.pending = append(m.pending, e)
+	m.last[d] = &e
 	m.seq[d]++
 }
 
@@ -119,7 +158,10 @@ func (m *queueModel) fire(i int, h *queueHarness) {
 	e := m.pending[i]
 	m.pending = append(m.pending[:i], m.pending[i+1:]...)
 	m.now[e.run] = e.at
-	m.processed++
+	if e.behind < 0 || e.behind != m.lastFired[e.run] {
+		m.processed++
+	}
+	m.lastFired[e.run] = e.id
 	f := firing{id: e.id, at: e.at}
 	switch a := h.acts[e.id]; a.kind {
 	case actSend:
@@ -128,6 +170,14 @@ func (m *queueModel) fire(i int, h *queueHarness) {
 		m.schedule(e.run, a.delay, e.id+1, e.run)
 	case actStop:
 		f.stopped = m.cancel(a.target)
+	case actBurst:
+		for _, c := range a.children(e.id) {
+			if a.dst == e.run {
+				m.schedule(e.run, a.delay, c, e.run)
+			} else {
+				m.schedule(e.run, modelLookahead+a.delay, c, a.dst)
+			}
+		}
 	}
 	m.fired[e.run] = append(m.fired[e.run], f)
 	m.order = append(m.order, e.id)
@@ -155,8 +205,9 @@ func (m *queueModel) runUntil(t Time, h *queueHarness) {
 type queueHarness struct {
 	g      *Group
 	m      queueModel
-	acts   []modelAction // by event id; a child's id is its parent's + 1
+	acts   []modelAction // by event id; see modelAction.children
 	owner  []int         // by event id: domain holding its Timer, -1 for sends
+	run    []int         // by event id: domain it executes on
 	timers []Timer       // by event id
 	got    [modelDomains][]firing
 	order  []int // ids in global firing order; kept only on one partition
@@ -169,24 +220,20 @@ func newQueueHarness(partitions, maxEvents int) *queueHarness {
 		g:      NewGroup(1, modelDomains, partitions, modelLookahead),
 		acts:   make([]modelAction, 0, maxEvents),
 		owner:  make([]int, 0, maxEvents),
+		run:    make([]int, 0, maxEvents),
 		timers: make([]Timer, maxEvents),
+	}
+	for d := range h.m.lastFired {
+		h.m.lastFired[d] = -1
 	}
 	h.fireFn = func(a any) { h.fire(a.(int)) }
 	h.recvFn = func(a any, _ []byte) { h.fire(a.(int)) }
 	return h
 }
 
-// runDomain reports which domain event id executes on.
-func (h *queueHarness) runDomain(id int) int {
-	if h.owner[id] >= 0 {
-		return h.owner[id]
-	}
-	return h.acts[id-1].dst // a send's child runs at its destination
-}
-
 // fire is the body of every real event.
 func (h *queueHarness) fire(id int) {
-	run := h.runDomain(id)
+	run := h.run[id]
 	k := h.g.Kernel(run)
 	f := firing{id: id, at: k.Now()}
 	switch a := h.acts[id]; a.kind {
@@ -196,6 +243,14 @@ func (h *queueHarness) fire(id int) {
 		h.timers[id+1] = k.ScheduleArg(a.delay, h.fireFn, id+1)
 	case actStop:
 		f.stopped = h.timers[a.target].Stop()
+	case actBurst:
+		for _, c := range a.children(id) {
+			if a.dst == run {
+				h.timers[c] = k.ScheduleArg(a.delay, h.fireFn, c)
+			} else {
+				k.SendTo(h.g.Kernel(a.dst), k.Now()+modelLookahead+a.delay, h.recvFn, c, nil)
+			}
+		}
 	}
 	h.got[run] = append(h.got[run], f)
 	if h.g.Partitions() == 1 {
@@ -203,33 +258,52 @@ func (h *queueHarness) fire(id int) {
 	}
 }
 
-// add registers an externally scheduled event on domain d, and its child
-// when the action makes one. It reports false once the id space is full.
+// add registers an externally scheduled event on domain d, and the
+// events its action makes. It reports false once the id space is full.
 func (h *queueHarness) add(d int, a modelAction) (id int, ok bool) {
 	id = len(h.acts)
-	if id+2 > cap(h.acts) {
+	if id+2+2*a.n > cap(h.acts) {
 		return 0, false
 	}
 	if a.kind == actStop && (a.target >= id || h.owner[a.target] != d) {
 		// A Timer may only be used from the partition that scheduled it.
 		a.kind = actNone
 	}
+	h.define(id, a, d, d)
+	return id, true
+}
+
+// define appends event id, executing on run with its Timer (if any) held
+// by owner, and every event its action makes.
+func (h *queueHarness) define(id int, a modelAction, owner, run int) {
 	h.acts = append(h.acts, a)
-	h.owner = append(h.owner, d)
+	h.owner = append(h.owner, owner)
+	h.run = append(h.run, run)
 	switch a.kind {
 	case actSend:
-		h.acts, h.owner = append(h.acts, modelAction{}), append(h.owner, -1)
+		h.define(id+1, modelAction{}, -1, a.dst)
 	case actLocal:
-		h.acts, h.owner = append(h.acts, modelAction{}), append(h.owner, d)
+		h.define(id+1, modelAction{}, run, run)
+	case actBurst:
+		child := modelAction{}
+		if a.echo {
+			child.kind = actLocal
+		}
+		owner := -1
+		if a.dst == run {
+			owner = run
+		}
+		for _, c := range a.children(id) {
+			h.define(c, child, owner, a.dst)
+		}
 	}
-	return id, true
 }
 
 // runQueueProgram interprets prog against a fresh Group and the model,
 // then drains both and compares everything observable.
 func runQueueProgram(t *testing.T, partitions int, prog []byte) {
 	t.Helper()
-	h := newQueueHarness(partitions, 2*len(prog)+2)
+	h := newQueueHarness(partitions, 9*len(prog)+9)
 	g, m := h.g, &h.m
 	pc := 0
 	next := func() int {
@@ -250,6 +324,14 @@ func runQueueProgram(t *testing.T, partitions int, prog []byte) {
 				kind:  b % actKinds,
 				dst:   (d + 1 + b/actKinds%2) % modelDomains,
 				delay: Time(next()%32) * modelTick,
+			}
+			if a.kind == actBurst {
+				// Any domain, the scheduling one included: same-domain,
+				// cross-domain and, on several partitions, cross-partition
+				// chains.
+				a.dst = (d + b/actKinds%3) % modelDomains
+				a.n = 2 + b/(3*actKinds)%3
+				a.echo = b/(9*actKinds)%2 == 1
 			}
 			if n := len(h.acts); n > 0 {
 				a.target = next() % n
@@ -288,8 +370,8 @@ func runQueueProgram(t *testing.T, partitions int, prog []byte) {
 		case 5: // forced compaction of every partition
 			for _, sc := range g.parts {
 				sc.compact()
-				if sc.ncanceled != 0 || len(sc.events) != sc.live {
-					t.Fatalf("pc %d: after compact: %d resident, %d live, %d canceled", pc, len(sc.events), sc.live, sc.ncanceled)
+				if sc.ncanceled != 0 || sc.resident() != sc.live {
+					t.Fatalf("pc %d: after compact: %d resident, %d live, %d canceled", pc, sc.resident(), sc.live, sc.ncanceled)
 				}
 			}
 		case 6: // a bounded run: windows and barriers when partitioned
@@ -309,6 +391,9 @@ func runQueueProgram(t *testing.T, partitions int, prog []byte) {
 		if got, want := g.Pending(), len(m.pending); got != want {
 			t.Fatalf("pc %d: Pending() = %d, model holds %d", pc, got, want)
 		}
+		if got, want := g.Processed(), m.processed; got != want {
+			t.Fatalf("pc %d: Processed() = %d, model counts %d", pc, got, want)
+		}
 	}
 	g.Run()
 	m.runUntil(maxTime, h)
@@ -317,7 +402,7 @@ func runQueueProgram(t *testing.T, partitions int, prog []byte) {
 		t.Fatalf("Pending() = %d after the drain", g.Pending())
 	}
 	if g.Processed() != m.processed {
-		t.Fatalf("Processed() = %d, model fired %d", g.Processed(), m.processed)
+		t.Fatalf("Processed() = %d, model counts %d", g.Processed(), m.processed)
 	}
 	for d := range h.got {
 		got, want := h.got[d], m.fired[d]
@@ -365,6 +450,11 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 0, 0, 6, 20, 6, 20})
 	// Churn past the compaction threshold under a pending timer, then stop it.
 	f.Add([]byte{0, 2, 63, 0, 0, 0, 7, 2, 127, 7, 2, 127, 3, 0, 5, 6, 255})
+	// Bursts: a chain keyed on domain 2 running on domain 0 whose members
+	// each push a same-instant event there, a same-domain chain that grows
+	// as it fires, and a chain from domain 1 to domain 2; stepped, then run
+	// in windows.
+	f.Add([]byte{0, 2, 0, 84, 0, 0, 1, 0, 79, 0, 0, 0, 1, 0, 24, 0, 0, 4, 7, 6, 255, 6, 255})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {
 			t.Skip("the model is quadratic in the program length")

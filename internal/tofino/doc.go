@@ -26,11 +26,12 @@
 // marshalled into a fresh frame. Both ways put the same bytes on the
 // wire.
 //
-// The pipeline costs one kernel event per replication instant
-// (egress): consecutive copies of one multicast frame whose egress
-// parser slots end together leave on one event, in member order, and a
-// unicast or a copy held back by a backlogged parser leaves on its own.
-// It costs
+// The pipeline costs one kernel event per outgoing copy (egress). The
+// copies of one multicast frame whose egress parser slots end together
+// are scheduled back to back for one instant, so their keys are
+// adjacent and the kernel queues them as one heap entry, counted as one
+// event (see package sim); a unicast or a copy held back by a
+// backlogged parser takes an entry of its own. It costs
 // none for a host frame meeting an idle parser: each switch port has a
 // receive delay of one parser service time (simnet.Port.SetRxDelay), so
 // a frame is delivered when its parser slot would end and ingress runs

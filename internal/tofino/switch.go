@@ -173,8 +173,7 @@ type ingressJob struct {
 // egressJob carries one outgoing copy through the pipeline and egress
 // parser stages. pkt is the copy's own header struct; its payload
 // aliases the ingress frame held alive by share. at is the booked end
-// of its egress parser slot; next chains the following copy of the same
-// multicast when it leaves at the same instant (see ingress).
+// of its egress parser slot.
 type egressJob struct {
 	dst   *swPort
 	out   PortID
@@ -182,7 +181,6 @@ type egressJob struct {
 	at    sim.Time
 	pkt   roce.Packet
 	share *frameShare
-	next  *egressJob
 }
 
 // frameShare refcounts an ingress frame across the egress copies whose
@@ -200,7 +198,7 @@ func (sw *Switch) putIngressJob(j *ingressJob) {
 
 func (sw *Switch) putEgressJob(j *egressJob) {
 	j.pkt = roce.Packet{} // drop the payload alias
-	j.dst, j.share, j.next = nil, nil, nil
+	j.dst, j.share = nil, nil
 	sw.egrFree.Put(j)
 }
 
@@ -386,26 +384,16 @@ func (sw *Switch) ingress(p *swPort, frame []byte) {
 		members := sw.mcast[res.Group]
 		sw.mFanout.Observe(int64(len(members)))
 		share := sw.getShare(frame)
-		var prev *egressJob
 		for _, m := range members {
 			sw.Stats.Copies++
 			sw.mCopies.Inc()
 			// The replication engine hands each port its own copy; the
-			// copies share the payload buffer copy-on-write.
-			j := sw.toEgress(m.Port, m.RID, pkt, share)
-			if j == nil {
-				continue
-			}
-			if prev != nil && prev.at == j.at {
-				// A copy leaving with the previous one rides its emit
-				// event: its own would have fired right after it (same
-				// instant, same domain, next seq), so nothing could sort
-				// between them and the chain keeps every order.
-				prev.next = j
-			} else {
+			// copies share the payload buffer copy-on-write. Copies that
+			// leave at one instant have adjacent event keys, so the
+			// kernel queues them as one heap entry.
+			if j := sw.toEgress(m.Port, m.RID, pkt, share); j != nil {
 				sw.k.AtArg(j.at, sw.egrEmitFn, j)
 			}
-			prev = j
 		}
 		sw.releaseShare(share) // drop the ingress hold
 	case VerdictToCPU:
@@ -446,20 +434,12 @@ func (sw *Switch) toEgress(out PortID, rid uint16, pkt *roce.Packet, share *fram
 	return j
 }
 
-// egressEmit runs the egress program and transmits each copy of a
-// chain, in order. It is the one gate for copies caught in flight by a
-// Crash: a copy is dropped if the switch is down at its emit instant
-// (its parser slot stays booked) and sent if a Restore came first.
+// egressEmit runs the egress program for one copy and transmits it. It
+// is the one gate for copies caught in flight by a Crash: a copy is
+// dropped if the switch is down at its emit instant (its parser slot
+// stays booked) and sent if a Restore came first.
 func (sw *Switch) egressEmit(a any) {
-	for j := a.(*egressJob); j != nil; {
-		next := j.next
-		sw.emit(j)
-		j = next
-	}
-}
-
-// emit runs the egress program for one copy and transmits it.
-func (sw *Switch) emit(j *egressJob) {
+	j := a.(*egressJob)
 	if sw.crashed {
 		sw.dropEgressJob(j)
 		return
