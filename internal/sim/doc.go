@@ -19,13 +19,24 @@
 //
 // # Determinism
 //
-// Events execute strictly by (time, domain, seq) — plain (time, seq)
-// FIFO on a standalone kernel, where every event carries domain 0 — and
-// the only random source is each domain's seeded one, so identical
-// builds and seeds replay identically at any partition count;
+// Events execute strictly by (time, domain, lane, seq) — plain (time,
+// lane, seq) FIFO on a standalone kernel, where every event carries
+// domain 0 — and the only random source is each domain's seeded one, so
+// identical builds and seeds replay identically at any partition count;
 // Processed() is the fingerprint tests compare. The one rule components
 // must follow: never iterate a Go map while emitting events — sort the
 // keys first.
+//
+// Every event is keyed in lane 0 except a SendTo addressed to the
+// sending kernel itself, which is keyed in lane 1, the arrival lane: it
+// runs after every lane-0 event its domain has for that instant, even
+// one pushed after the send, and before any event of the next domain.
+// That is where a delivery from another domain sorts relative to the
+// receiving domain's events, so a device that acts at delivery acts at
+// the same place in the order whichever domain sent the frame (the
+// switch model's inline ingress rests on it). Same-domain sends never
+// cross partitions, so the lane changes nothing the partition layout
+// could see.
 //
 // Processed counts heap entries, not callbacks. With a metrics registry
 // attached, every callback the kernel runs also bumps a
@@ -48,8 +59,8 @@
 // # The event queue
 //
 // Each partition keeps its pending events in an implicit 4-ary min-heap
-// of value slots {at, dom, seq, *event} (queue.go): comparisons read
-// the key from the slice without touching the event record, sifting
+// of value slots {at, 2*dom+lane, seq, *event} (queue.go): comparisons
+// read the key from the slice without touching the event record, sifting
 // moves a hole instead of swapping, and the run loops (the
 // one-partition Group loop, a partition's window) share one function
 // that looks at the queue top once per event. The key order is
@@ -64,12 +75,14 @@
 // A run of adjacent keys takes one heap entry. A push is linked behind
 // its domain's previous push, on that record's next field, when that
 // push is still queued (neither fired nor canceled) and the new one has
-// the same instant, the next seq and the same run kernel: a multicast's
-// copies leaving together, their deliveries to one shard, the shard's
-// ACKs back. Nothing can sort between two adjacent keys, so the link
-// keeps the total order. The heap slot is the chain's cursor: firing a
-// member rewrites the slot in place to its successor's key, which is
-// still the minimum. The one event that can run between two members is
+// the same instant, the same lane, the next seq and the same run
+// kernel: a multicast's copies leaving together, their deliveries to
+// one shard, the shard's ACKs back. Nothing can sort between two
+// adjacent keys, so the link keeps the total order; consecutive seqs in
+// different lanes are not adjacent, because every later lane-0 event of
+// the instant sorts between them. The heap slot is the chain's cursor:
+// firing a member rewrites the slot in place to its successor's key,
+// which is still the minimum. The one event that can run between two members is
 // one the first member's run domain pushes for the same instant under
 // a smaller domain (a chain keyed on a shard's domain that runs on the
 // fabric's); it sorts before the successor and sifts above it like any

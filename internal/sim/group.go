@@ -17,8 +17,9 @@ import (
 //
 // # Determinism
 //
-// Every event carries a (time, domain, sequence) key assigned where it
-// was *scheduled*. Domains are fixed by the topology, so the key — and
+// Every event carries a (time, domain, lane, sequence) key assigned
+// where it was *scheduled*. Domains are fixed by the topology and lanes
+// by the call (see Kernel.SendTo), so the key — and
 // with it the global total order of events — is invariant under the
 // partition count. Within a window, events of different partitions may
 // execute in either real-time order, but the lookahead contract
@@ -167,11 +168,16 @@ func (g *Group) Processed() uint64 {
 }
 
 // Pending reports how many events are scheduled and not canceled across
-// all partitions. Same quiescence contract as Processed.
+// all partitions, counting a cross-partition SendTo or Call made while
+// the group is quiesced, which waits in its mailbox until the next Run
+// or Step drains it. Same quiescence contract as Processed.
 func (g *Group) Pending() int {
 	n := 0
 	for _, sc := range g.parts {
 		n += sc.live
+		for _, box := range sc.out {
+			n += len(box)
+		}
 	}
 	return n
 }
@@ -182,8 +188,8 @@ func (g *Group) Pending() int {
 // and so the post-stop state, deterministic.
 func (g *Group) Stop() { g.stopped.Store(true) }
 
-// Step executes the single globally next event — the minimum
-// (time, domain, sequence) key across all partitions — on the calling
+// Step executes the single globally next event — the minimum (time,
+// domain, lane, sequence) key across all partitions — on the calling
 // goroutine, then drains any cross-partition event it produced. It is
 // the sequential twin of the windowed run loop: both execute
 // linearizations of the same key order, so states at quiesce points are
@@ -363,8 +369,8 @@ func (g *Group) drainAll() {
 // destination queues. Only the coordinator calls it (between windows, or
 // after a sequential Step), so no locks are needed. Push order cannot
 // influence pop order: the queue's comparator is a strict total order on
-// the (time, domain, sequence) keys the events already carry. An event
-// whose key is adjacent to the last one its domain sent to the same
+// the (time, domain, lane, sequence) keys the events already carry. An
+// event whose key is adjacent to the last one its domain sent to the same
 // partition links behind it by the rule of a same-partition push (see
 // chainTail): events that run on one kernel go to one partition, and a
 // mailbox holds each domain's events in seq order. A chain therefore
@@ -383,10 +389,10 @@ func (g *Group) drainFrom(src *sched) {
 			ev := d.free.Get()
 			ev.k = x.k
 			ev.fn, ev.afn, ev.arg, ev.bfn, ev.buf = x.fn, x.afn, x.arg, x.bfn, x.buf
-			if tail := &d.xtail[x.dom]; tail.admits(x.at, x.seq, x.k) {
+			if tail := &d.xtail[x.dom]; tail.admits(x.at, laneEvent, x.seq, x.k) {
 				tail.ev.next = ev
 			} else {
-				d.events.push(qent{at: x.at, seq: x.seq, dom: x.dom, ev: ev})
+				d.events.push(qent{at: x.at, seq: x.seq, dl: domLane(x.dom, laneEvent), ev: ev})
 			}
 			d.xtail[x.dom] = chainTail{ev: ev, gen: ev.gen, at: x.at, seq: x.seq}
 			d.live++

@@ -223,3 +223,64 @@ func TestGroupQuiescedSendKeyOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupPendingCountsQuiescedSend: a frame and a control hop sent to
+// another domain while the group is quiesced are pending at once, at
+// every partition count, though on several partitions they wait in a
+// mailbox until the next Run or Step.
+func TestGroupPendingCountsQuiescedSend(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		g := NewGroup(1, 2, parts, 300*Nanosecond)
+		k0, k1 := g.Kernel(0), g.Kernel(1)
+		k0.SendTo(k1, Microsecond, func(any, []byte) {}, nil, nil)
+		if n := g.Pending(); n != 1 {
+			t.Fatalf("partitions=%d: Pending() = %d after a quiesced SendTo, want 1", parts, n)
+		}
+		k1.Call(k0, func() {})
+		if n := g.Pending(); n != 2 {
+			t.Fatalf("partitions=%d: Pending() = %d after a quiesced Call, want 2", parts, n)
+		}
+		g.Run()
+		if n, p := g.Pending(), g.Processed(); n != 0 || p != 2 {
+			t.Fatalf("partitions=%d: after Run, Pending() = %d and Processed() = %d, want 0 and 2", parts, n, p)
+		}
+	}
+}
+
+// TestArrivalLaneOrder: a frame a domain sends to itself for instant t
+// runs after every event the domain has for t, even one pushed after
+// the send (a timer armed later, and one an event at t arms for t), and
+// before a higher domain's event at t. Step runs the global key order at
+// every partition count, Run at one partition.
+func TestArrivalLaneOrder(t *testing.T) {
+	const at = 2 * Microsecond
+	for _, parts := range []int{1, 2} {
+		for _, step := range []bool{false, true} {
+			if parts > 1 && !step {
+				continue // Run interleaves partitions in real time
+			}
+			g := NewGroup(1, 2, parts, 300*Nanosecond)
+			k0, k1 := g.Kernel(0), g.Kernel(1)
+			var got []string
+			k1.At(at, func() { got = append(got, "shard") })
+			k0.At(Microsecond, func() {
+				k0.SendTo(k0, at, func(any, []byte) { got = append(got, "frame") }, nil, nil)
+			})
+			k0.At(Microsecond+1, func() {
+				k0.At(at, func() {
+					got = append(got, "timer")
+					k0.At(at, func() { got = append(got, "echo") })
+				})
+			})
+			if step {
+				for g.Step() {
+				}
+			} else {
+				g.Run()
+			}
+			if s, want := fmt.Sprint(got), "[timer echo frame shard]"; s != want {
+				t.Fatalf("partitions=%d step=%v: fired %s, want %s", parts, step, s, want)
+			}
+		}
+	}
+}

@@ -42,10 +42,10 @@ func (t Time) String() string {
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// event is a single scheduled callback. Its (at, dom, seq) key lives in
-// the queue slot that points here (see qent), not in the record; a
-// record linked behind another (next) takes no slot of its own and
-// carries its predecessor's key with seq+1. Events are pooled: once
+// event is a single scheduled callback. Its (at, dom, lane, seq) key
+// lives in the queue slot that points here (see qent), not in the
+// record; a record linked behind another (next) takes no slot of its own
+// and carries its predecessor's key with seq+1. Events are pooled: once
 // popped (executed or canceled) the record goes back on the scheduler's
 // free list and its gen counter is bumped, which invalidates any Timer
 // handle still pointing at it — so a handle needs no "still queued" flag
@@ -115,10 +115,10 @@ type sched struct {
 const quiesced = -1
 
 // xev is a cross-partition event in flight: the full (at, dom, seq) key
-// assigned at schedule time plus the callback. Because the key is fixed
-// by the sender, delivery order in the destination queue is a
-// deterministic function of (time, source domain, sequence) and never of
-// goroutine scheduling.
+// assigned at schedule time, always in lane 0, plus the callback.
+// Because the key is fixed by the sender, delivery order in the
+// destination queue is a deterministic function of (time, source
+// domain, sequence) and never of goroutine scheduling.
 type xev struct {
 	at  Time
 	dom int32
@@ -134,20 +134,23 @@ type xev struct {
 // chainTail is a domain's last queued record on one path (a push into
 // its own partition's queue, or a drain into another's) and the key it
 // was given. The domain's next record on that path links behind it,
-// taking no heap slot, when the key is adjacent (same instant, next
-// seq), the run kernel is the same and the tail is still queued: nothing
-// can sort between adjacent keys, so the link keeps the total order.
+// taking no heap slot, when the key is adjacent (same instant, same
+// lane, next seq), the run kernel is the same and the tail is still
+// queued: nothing can sort between adjacent keys, so the link keeps the
+// total order. Consecutive seqs in different lanes are not adjacent:
+// every later lane-0 event of the instant sorts between them.
 type chainTail struct {
-	ev  *event
-	gen uint64
-	at  Time
-	seq uint64
+	ev   *event
+	gen  uint64
+	at   Time
+	seq  uint64
+	lane int32
 }
 
-// admits reports whether a record keyed (at, seq) of the tail's domain,
-// to run on dst, links behind the tail.
-func (c *chainTail) admits(at Time, seq uint64, dst *Kernel) bool {
-	return c.at == at && c.seq+1 == seq && c.ev != nil &&
+// admits reports whether a record keyed (at, lane, seq) of the tail's
+// domain, to run on dst, links behind the tail.
+func (c *chainTail) admits(at Time, lane int32, seq uint64, dst *Kernel) bool {
+	return c.at == at && c.seq+1 == seq && c.lane == lane && c.ev != nil &&
 		c.ev.gen == c.gen && !c.ev.canceled && c.ev.k == dst
 }
 
@@ -296,8 +299,8 @@ func (sc *sched) head() *qent {
 // compact drops canceled events once they outnumber the live ones, so a
 // stopped long-deadline timer (a retransmission timeout re-armed on
 // every ACK, say) does not pin queue memory until its deadline.
-// Filtering preserves each survivor's (at, dom, seq) key — a chain cut
-// at a canceled member goes on as a new entry keyed at its next
+// Filtering preserves each survivor's (at, dom, lane, seq) key — a chain
+// cut at a canceled member goes on as a new entry keyed at its next
 // survivor — and re-heapifying cannot change pop order — the comparator
 // is a strict total order on those keys — so compaction is invisible to
 // a seeded run.
@@ -483,7 +486,7 @@ func (k *Kernel) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil function")
 	}
-	ev := k.push(t, k)
+	ev := k.push(t, laneEvent, k)
 	ev.fn = fn
 	return Timer{sc: k.sc, ev: ev, gen: ev.gen}
 }
@@ -493,17 +496,17 @@ func (k *Kernel) AtArg(t Time, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: AtArg called with nil function")
 	}
-	ev := k.push(t, k)
+	ev := k.push(t, laneEvent, k)
 	ev.afn = fn
 	ev.arg = arg
 	return Timer{sc: k.sc, ev: ev, gen: ev.gen}
 }
 
-// push queues a blank event under this domain's next key, to run on dst
-// (which shares this kernel's partition) at time t, and returns the
-// record for the caller to attach its callback to. A key adjacent to the
-// domain's previous push links behind it (see chainTail).
-func (k *Kernel) push(t Time, dst *Kernel) *event {
+// push queues a blank event under this domain's next key in lane, to run
+// on dst (which shares this kernel's partition) at time t, and returns
+// the record for the caller to attach its callback to. A key adjacent to
+// the domain's previous push links behind it (see chainTail).
+func (k *Kernel) push(t Time, lane int32, dst *Kernel) *event {
 	k.checkDomain()
 	if t < k.now {
 		t = k.now
@@ -511,12 +514,12 @@ func (k *Kernel) push(t Time, dst *Kernel) *event {
 	sc := k.sc
 	ev := sc.free.Get()
 	ev.k = dst
-	if k.tail.admits(t, k.seq, dst) {
+	if k.tail.admits(t, lane, k.seq, dst) {
 		k.tail.ev.next = ev
 	} else {
-		sc.events.push(qent{at: t, seq: k.seq, dom: k.dom, ev: ev})
+		sc.events.push(qent{at: t, seq: k.seq, dl: domLane(k.dom, lane), ev: ev})
 	}
-	k.tail = chainTail{ev: ev, gen: ev.gen, at: t, seq: k.seq}
+	k.tail = chainTail{ev: ev, gen: ev.gen, at: t, seq: k.seq, lane: lane}
 	k.seq++
 	sc.live++
 	return ev
@@ -540,11 +543,21 @@ func (k *Kernel) wrongDomain(cur int32) {
 	panic(fmt.Sprintf("sim: domain %d scheduled from an event running on domain %d (use SendTo/Call, or schedule on the running domain)", k.dom, cur))
 }
 
-// SendTo schedules a frame delivery on another domain's kernel at
-// absolute time at. The event keeps this domain's (time, domain,
-// sequence) key, so its position in the global order is fixed here, at
-// schedule time — delivery order at the destination is a deterministic
-// function of that key, never of goroutine scheduling.
+// SendTo schedules a frame delivery on a domain's kernel at absolute
+// time at. The event keeps this domain's (time, domain, lane, sequence)
+// key, so its position in the global order is fixed here, at schedule
+// time — delivery order at the destination is a deterministic function
+// of that key, never of goroutine scheduling.
+//
+// A delivery to another domain is keyed in lane 0, like any event. One
+// addressed to this kernel itself is keyed in the arrival lane: it runs
+// after every lane-0 event this domain has for that instant, however
+// late that event was pushed, and before any event of a higher domain —
+// where a delivery from another domain's sender also sorts, relative to
+// this domain's events. So a device that handles a frame at delivery
+// handles it at the same place in the order whichever domain sent it.
+// Same-domain sends never cross partitions, so the mailbox path below
+// only carries lane-0 keys.
 //
 // When the destination lives in another partition, at must be at least
 // the group's lookahead past this domain's clock (the conservative
@@ -560,7 +573,11 @@ func (k *Kernel) SendTo(dst *Kernel, at Time, fn func(any, []byte), arg any, buf
 		at = k.now
 	}
 	if dst.sc == k.sc {
-		ev := k.push(at, dst)
+		lane := laneEvent
+		if dst == k {
+			lane = laneArrival
+		}
+		ev := k.push(at, lane, dst)
 		ev.bfn = fn
 		ev.arg = arg
 		ev.buf = buf
@@ -593,7 +610,7 @@ func (k *Kernel) Call(dst *Kernel, fn func()) {
 	}
 	at := k.now + k.g.lookahead
 	if dst.sc == k.sc {
-		k.push(at, dst).fn = fn
+		k.push(at, laneEvent, dst).fn = fn
 		return
 	}
 	k.checkDomain()

@@ -1,28 +1,43 @@
 package sim
 
-// qent is one slot of the event queue: the event's (at, dom, seq) key by
-// value, next to the record it orders. Comparisons read the key straight
-// from the slice and never touch the record.
+// qent is one slot of the event queue: the event's (at, dom, lane, seq)
+// key by value, next to the record it orders. Comparisons read the key
+// straight from the slice and never touch the record.
 type qent struct {
 	at  Time
-	seq uint64 // per-domain tie-breaker: FIFO among same-domain events at one instant
-	dom int32  // scheduling domain; ties at the same instant break by (dom, seq)
-	ev  *event
+	seq uint64 // per-domain tie-breaker: FIFO among a domain's events of one lane at one instant
+	// dl packs the scheduling domain and the lane as 2*dom + lane, so
+	// ties at the same instant break by (dom, lane, seq) in one compare:
+	// a domain's arrival lane (1) sorts after all of its lane-0 events at
+	// that instant and before any event of domain dom+1.
+	dl int32
+	ev *event
 }
+
+// Lanes of a domain's events at one instant: every event is keyed in
+// lane 0 except a SendTo addressed to the sending kernel itself, which
+// arrives in lane 1 (see Kernel.SendTo).
+const (
+	laneEvent   int32 = 0
+	laneArrival int32 = 1
+)
+
+// domLane packs a key's domain and lane into qent.dl.
+func domLane(dom, lane int32) int32 { return 2*dom + lane }
 
 // before reports whether a sorts strictly ahead of b. For a standalone
 // kernel every event carries dom 0, so the order degenerates to the
-// classic (at, seq) FIFO; in a partitioned Group the triple is a strict
-// total order over all events of the simulation that depends only on
-// where an event was *scheduled* (domain), never on how domains are
-// packed into partitions — which is what makes same-seed runs
-// bit-identical across partition counts.
+// classic (at, lane, seq) FIFO; in a partitioned Group the key is a
+// strict total order over all events of the simulation that depends
+// only on where an event was *scheduled* (domain) and how (lane), never
+// on how domains are packed into partitions — which is what makes
+// same-seed runs bit-identical across partition counts.
 func (a *qent) before(b *qent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.dom != b.dom {
-		return a.dom < b.dom
+	if a.dl != b.dl {
+		return a.dl < b.dl
 	}
 	return a.seq < b.seq
 }

@@ -9,8 +9,10 @@
 // bandwidth (frames queue FIFO behind one another), then propagates for
 // the configured delay, and is finally delivered to the peer port's
 // handler by one kernel event. That event carries the sender's (time,
-// domain, sequence) key whether or not the two ports share a
-// scheduling domain. Links can be cut and repaired to model crashes,
+// domain, lane, sequence) key; a frame between two ports of one
+// scheduling domain is keyed in the kernel's arrival lane, so it sorts
+// where a frame from another domain would (see sim.Kernel.SendTo).
+// Links can be cut and repaired to model crashes,
 // and can drop frames probabilistically to model a lossy fabric.
 //
 // Port.SendAfter hands a frame over with a device pipeline delay still

@@ -268,9 +268,12 @@ func (p *Port) SendAfter(d sim.Time, frame []byte) bool {
 		jitter = p.delayFn(frame)
 	}
 	// Hand the frame to the peer's domain with the sender's (time,
-	// domain, sequence) key, whether or not it is the sender's own.
-	// Across domains the link's propagation delay is what funds the
-	// group's lookahead, so the arrival always clears the window
+	// domain, lane, sequence) key. To another domain it is keyed like
+	// any event; to the sender's own (switch to switch) it is keyed in
+	// the kernel's arrival lane, after every event the domain has for
+	// that instant, which is where a frame from another domain sorts
+	// too. Across domains the link's propagation delay is what funds
+	// the group's lookahead, so the arrival always clears the window
 	// horizon; the peer's receive delay only moves it later.
 	// Receive-side bookkeeping runs on the peer's domain (see
 	// deliverRemote).

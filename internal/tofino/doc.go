@@ -32,12 +32,15 @@
 // adjacent and the kernel queues them as one heap entry, counted as one
 // event (see package sim); a unicast or a copy held back by a
 // backlogged parser takes an entry of its own. It costs
-// none for a host frame meeting an idle parser: each switch port has a
+// none for a frame meeting an idle parser: each switch port has a
 // receive delay of one parser service time (simnet.Port.SetRxDelay), so
 // a frame is delivered when its parser slot would end and ingress runs
-// inside the delivery. A frame that finds its parser backlogged, or that
-// comes from a switch on the same scheduling domain, costs one ingress
-// event. The match-action traversal costs none.
+// inside the delivery. That delivery sorts after every event the
+// switch's domain has for its instant, where an ingress event would:
+// a host's frame by its sender's domain, and a frame from another
+// switch, which shares the domain, by the kernel's arrival lane (see
+// package sim). A frame that finds its parser backlogged costs one
+// ingress event. The match-action traversal costs none.
 //
 // # Register allocation
 //

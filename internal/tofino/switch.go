@@ -163,8 +163,7 @@ func New(k *sim.Kernel, name string, ip simnet.Addr, cfg Config) *Switch {
 }
 
 // ingressJob carries one received frame across the ingress parser delay
-// when ingress cannot run at delivery: the parser is backlogged, or the
-// frame came from the switch's own domain.
+// when ingress cannot run at delivery: the parser is backlogged.
 type ingressJob struct {
 	p     *swPort
 	frame []byte
@@ -320,12 +319,13 @@ func (sw *Switch) receive(p *swPort, frame []byte) {
 	// about.
 	svc, now := sw.cfg.ParserServiceTime, sw.k.Now()
 	done := p.ingress.Book(now-svc, svc)
-	// A frame from another domain that met an idle parser is done with it
-	// now, and its delivery already sorts where the ingress step would
-	// have: after every fabric-domain event at this instant. A frame from
-	// the same domain is keyed at its send instant, a cable flight
-	// earlier, so it (like a backlogged frame) keeps the step.
-	if done == now && p.net.Peer().Kernel() != sw.k {
+	// A frame that met an idle parser is done with it now, and its
+	// delivery already sorts where the ingress step would have: after
+	// every event the switch's domain has for this instant. A frame from
+	// another domain gets there by its domain's key, one from a switch of
+	// the same domain by the kernel's arrival lane (sim.Kernel.SendTo).
+	// Only a frame that finds its parser backlogged takes a step.
+	if done == now {
 		sw.ingress(p, frame)
 		return
 	}

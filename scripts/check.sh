@@ -47,6 +47,12 @@ echo "== parallel kernel determinism gate =="
 # byte-identical, under the detector.
 go test -race -timeout 20m ./internal/chaos -run TestParallelSeedSweep -short -count=1
 
+echo "== fuzz: event queue model =="
+# A bounded search beyond the seed corpus that go test already ran: the
+# kernel's queue against its reference model, at 1, 2 and 3 partitions.
+# A failing input is written under internal/sim/testdata/fuzz.
+go test ./internal/sim -run '^$' -fuzz FuzzEventQueue -fuzztime 10s
+
 echo "== examples =="
 # Every example must build and run clean: single-group, sharded,
 # fail-over over the backup fabric, the replicated store through a
