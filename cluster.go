@@ -45,9 +45,8 @@ type Cluster struct {
 	// program instance.
 	fabric       *fabric.Topology
 	dps          map[*tofino.Switch]*swp4ce.Dataplane
-	reconfig     sim.Time // control-plane reconfiguration delay (40 ms)
-	spineHandled []bool   // supervisor: spine failovers already scheduled
-	rackHandled  []bool   // supervisor: rack failovers already scheduled
+	spineHandled []bool // supervisor: spine failovers already scheduled
+	rackHandled  []bool // supervisor: rack failovers already scheduled
 
 	tl *telemetry.Timeline // non-nil with Options.EnableTelemetry
 }
@@ -85,8 +84,6 @@ func NewCluster(opts Options) *Cluster {
 	if opts.AckDropInLeaderEgress {
 		dropMode = swp4ce.DropInLeaderEgress
 	}
-	cpCfg := swp4ce.DefaultCPConfig()
-	c.reconfig = cpCfg.ReconfigDelay
 	spec := fabric.Spec{Racks: 1, Backup: opts.BackupFabric}
 	if t := opts.Topology; t != nil {
 		spec = fabric.Spec{Racks: t.Racks, Spines: t.Spines, Standby: t.Standby}
@@ -102,7 +99,7 @@ func NewCluster(opts Options) *Cluster {
 		sw.SetProgram(dp)
 		c.dps[sw] = dp
 	}
-	c.cp = swp4ce.NewControlPlane(c.fabric, func(sw *tofino.Switch) *swp4ce.Dataplane { return c.dps[sw] }, cpCfg)
+	c.cp = swp4ce.NewControlPlane(c.fabric, func(sw *tofino.Switch) *swp4ce.Dataplane { return c.dps[sw] })
 
 	for s := 0; s < opts.Shards; s++ {
 		c.buildShard(s)
@@ -180,12 +177,6 @@ func (c *Cluster) buildShard(s int) {
 		if opts.PipelineDepth > 0 {
 			muCfg.MaxInflight = opts.PipelineDepth
 		}
-		muCfg.Shard = s
-		// Always scope, even single-shard: the telemetry sampler needs
-		// per-shard instruments it can read from the shard's own
-		// scheduling domain (the global mu.* series are written by every
-		// domain and would race under the partitioned kernel).
-		muCfg.MetricsLabel = fmt.Sprintf("shard%d", s)
 		if opts.TuneNode != nil {
 			opts.TuneNode(g, &muCfg)
 		}
@@ -462,7 +453,7 @@ func (c *Cluster) superviseFabric() {
 		}
 		c.spineHandled[m] = true
 		m := m
-		c.kernel.Schedule(c.reconfig, func() {
+		c.kernel.Schedule(swp4ce.ReconfigDelay, func() {
 			if !f.Spine(m).Crashed() {
 				c.spineHandled[m] = false // came back before reconfig
 				return
@@ -479,7 +470,7 @@ func (c *Cluster) superviseFabric() {
 		if c.rackHandled[r] || !f.ToR(r).Crashed() {
 			continue
 		}
-		delay := c.reconfig
+		delay := swp4ce.ReconfigDelay
 		standby := f.Standby() != nil && f.AdoptedRack() < 0 && !f.Standby().Crashed()
 		switch {
 		case standby:

@@ -280,10 +280,7 @@ func TestSwitchRebootKeepsPrimaryRoute(t *testing.T) {
 }
 
 func TestNakFallbackAndReacceleration(t *testing.T) {
-	cl := NewCluster(Options{Nodes: 3, Mode: ModeP4CE,
-		TuneNode: func(i int, cfg *mu.Config) {
-			// Keep the test's re-acceleration probe short.
-		}})
+	cl := NewCluster(Options{Nodes: 3, Mode: ModeP4CE})
 	leader, err := cl.RunUntilLeader(200 * time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

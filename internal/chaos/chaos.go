@@ -139,15 +139,8 @@ func NewEngine(k *sim.Kernel, cfg Config) *Engine {
 	}
 }
 
-// Kernel returns the clock the engine schedules on.
-func (e *Engine) Kernel() *sim.Kernel { return e.k }
-
 // Nodes returns the machines the engine can target.
 func (e *Engine) Nodes() []NodeTarget { return e.cfg.Nodes }
-
-// Switches returns the fabric switches the engine can target (rack 0's
-// ToR alone on a single-switch testbed).
-func (e *Engine) Switches() []SwitchTarget { return e.cfg.Switches }
 
 // Switch finds a fabric switch target by role: the ToR of the given
 // rack, or (rack == -1) the given spine.
@@ -159,9 +152,6 @@ func (e *Engine) Switch(rack, spine int) (SwitchTarget, bool) {
 	}
 	return SwitchTarget{}, false
 }
-
-// InterLinks returns the fabric core's cables.
-func (e *Engine) InterLinks() []FabricLink { return e.cfg.InterLinks }
 
 // RackUplinks returns the core cables hanging off rack r's ToR.
 func (e *Engine) RackUplinks(r int) []Link {

@@ -50,8 +50,11 @@ type AcceptFunc func(from simnet.Addr, privateData []byte) (*Accept, error)
 // Config tunes handshake retransmission.
 type Config struct {
 	// RequestTimeout is how long to wait for a ConnectReply before
-	// retransmitting the request. It must exceed the passive side's
-	// worst-case setup time (the switch takes 40 ms to reconfigure).
+	// retransmitting the request. It may be shorter than the passive
+	// side's setup (the switch takes 40 ms to reconfigure) as long as
+	// RequestTimeout × (MaxRetries+1) outlasts it: the switch's control
+	// plane answers a duplicate request from its stored reply. mu's
+	// nodes retry every 10 ms, 40 times.
 	RequestTimeout sim.Time
 	// MaxRetries bounds request retransmissions.
 	MaxRetries int

@@ -25,6 +25,10 @@ type Management interface {
 	RemoveReplica(leader, replica simnet.Addr, done func(error))
 }
 
+// ReaccelerateInterval is how often a fallen-back leader re-probes the
+// switch.
+const ReaccelerateInterval = 100 * sim.Millisecond
+
 // Config tunes the engine.
 type Config struct {
 	// SwitchAddr is the P4CE switch's address. Zero disables
@@ -35,9 +39,6 @@ type Config struct {
 	// suggests; off reproduces the measured Table IV behaviour, where
 	// the leader waits out the 40 ms reconfiguration.
 	AsyncReconfig bool
-	// ReaccelerateInterval is how often a fallen-back leader re-probes
-	// the switch.
-	ReaccelerateInterval sim.Time
 	// Management, when set, lets the leader push membership updates to
 	// the switch control plane (the BfRt RPC channel in the real
 	// system). It is optional: without it, crashed replicas simply stop
@@ -52,9 +53,8 @@ type Config struct {
 // DefaultConfig returns paper-faithful behaviour for the given switch.
 func DefaultConfig(switchAddr simnet.Addr) Config {
 	return Config{
-		SwitchAddr:           switchAddr,
-		AsyncReconfig:        false,
-		ReaccelerateInterval: 100 * sim.Millisecond,
+		SwitchAddr:    switchAddr,
+		AsyncReconfig: false,
 	}
 }
 
@@ -239,7 +239,7 @@ func (e *Engine) onFallback() {
 	// Probe for re-acceleration later — unless the host was detached
 	// from the switch, in which case only operator action brings it back.
 	seq := e.dialSeq
-	e.k.Schedule(e.cfg.ReaccelerateInterval, func() {
+	e.k.Schedule(ReaccelerateInterval, func() {
 		if seq != e.dialSeq || !e.node.IsLeader() || e.cfg.SwitchAddr == 0 {
 			return
 		}

@@ -32,9 +32,6 @@ const batchOpHeaderBytes = 4
 // defaultMaxInflight backs Config.MaxInflight when unset.
 const defaultMaxInflight = 16
 
-// defaultBatchMaxBytes backs Config.BatchMaxBytes when unset.
-const defaultBatchMaxBytes = 64 << 10
-
 // BatchIter walks the operations of a FlagBatch entry payload in
 // order. It is a value type so iteration allocates nothing:
 //
@@ -103,20 +100,13 @@ func (n *Node) maxInflight() int {
 	return defaultMaxInflight
 }
 
-func (n *Node) batchMaxBytes() int {
-	if n.cfg.BatchMaxBytes > 0 {
-		return n.cfg.BatchMaxBytes
-	}
-	return defaultBatchMaxBytes
-}
-
 // enqueueBatch parks one proposal in the batch queue, flushing when a
 // size bound is hit and arming the age-bound timer otherwise.
 func (n *Node) enqueueBatch(data []byte, done func(error)) {
 	buf := n.k.Buffers().Clone(data)
 	n.batchQ = append(n.batchQ, batchedOp{data: buf, done: done})
 	n.batchBytes += batchOpHeaderBytes + len(buf)
-	if len(n.batchQ) >= n.cfg.BatchMaxOps || n.batchBytes >= n.batchMaxBytes() {
+	if len(n.batchQ) >= n.cfg.BatchMaxOps || n.batchBytes >= BatchMaxBytes {
 		n.flushBatch()
 		return
 	}
@@ -209,7 +199,7 @@ func (n *Node) proposeBatch(payload []byte) {
 		p.dones = append(p.dones, n.batchQ[i].done)
 	}
 	p.proposedAt = n.k.Now()
-	p.trace = n.otr.Begin(n.oc, n.cfg.Shard, false, true, len(n.batchQ), len(p.bytes))
+	p.trace = n.otr.Begin(n.oc, n.nic.Shard(), false, true, len(n.batchQ), len(p.bytes))
 	n.maxDataIdx = e.Index
 	n.sentCommit = e.CommitIndex
 	n.pendingApply.Push(Entry{

@@ -2,26 +2,47 @@ package mu
 
 import "p4ce/internal/sim"
 
-// Config carries every protocol and calibration constant. Defaults are
+// Protocol constants: no experiment varies them. DESIGN.md §5 names the
+// published number each stands for, or marks it a simulator choice.
+const (
+	// ControlVA and LogVA are the virtual base addresses of the control
+	// region and the log region.
+	ControlVA = 0x1000
+	LogVA     = 0x100000
+
+	// HeartbeatInterval is how often a machine increments its heartbeat
+	// counter: Mu's 20 µs pulse.
+	HeartbeatInterval = 20 * sim.Microsecond
+	// MonitorInterval is how often a machine RDMA-reads each peer's
+	// control region.
+	MonitorInterval = 20 * sim.Microsecond
+	// LivenessTimeout declares a peer dead when its heartbeat counter has
+	// not changed for this long (three missed pulses).
+	LivenessTimeout = 60 * sim.Microsecond
+
+	// CommitSyncInterval bounds how long a committed entry may remain
+	// unannounced to replicas before the leader appends a no-op carrying
+	// the new commit index.
+	CommitSyncInterval = 500 * sim.Microsecond
+
+	// CatchUpWindow is how many recent entries every machine keeps
+	// encoded in memory for re-replication during view changes. Peers
+	// lagging further than this are excluded (snapshot transfer is out of
+	// scope, as it is in the paper's evaluation).
+	CatchUpWindow = 4096
+
+	// BatchMaxBytes caps the framed payload size of one batch entry;
+	// reaching it flushes immediately.
+	BatchMaxBytes = 64 << 10
+)
+
+// Config carries the protocol knobs an experiment varies. Defaults are
 // tuned so the simulated cluster lands the paper's measured fail-over
 // and throughput numbers (see DESIGN.md §5).
 type Config struct {
 	// LogSize is the byte size of every machine's replicated log ring.
 	LogSize int
-	// ControlVA and LogVA are the virtual base addresses of the control
-	// region and the log region.
-	ControlVA uint64
-	LogVA     uint64
 
-	// HeartbeatInterval is how often a machine increments its heartbeat
-	// counter.
-	HeartbeatInterval sim.Time
-	// MonitorInterval is how often a machine RDMA-reads each peer's
-	// control region.
-	MonitorInterval sim.Time
-	// LivenessTimeout declares a peer dead when its heartbeat counter has
-	// not changed for this long.
-	LivenessTimeout sim.Time
 	// DisableHeartbeats turns failure detection off entirely (steady-state
 	// throughput benchmarks, where the monitor traffic is pure noise).
 	DisableHeartbeats bool
@@ -37,17 +58,6 @@ type Config struct {
 	CPUPostCost sim.Time
 	CPUAckCost  sim.Time
 
-	// CommitSyncInterval bounds how long a committed entry may remain
-	// unannounced to replicas before the leader appends a no-op carrying
-	// the new commit index.
-	CommitSyncInterval sim.Time
-
-	// CatchUpWindow is how many recent entries the leader keeps encoded
-	// in memory for re-replication during view changes. Peers lagging
-	// further than this are excluded (snapshot transfer is out of scope,
-	// as it is in the paper's evaluation).
-	CatchUpWindow int
-
 	// MaxInflight caps the log entries the leader keeps in flight before
 	// the adaptive batcher starts coalescing proposals (see batch.go).
 	// Below the cap, proposals take the classic one-op-one-entry path
@@ -58,40 +68,20 @@ type Config struct {
 	// batching entirely — the DefaultConfig choice, keeping classic
 	// one-op-one-entry semantics; the cluster facade opts in.
 	BatchMaxOps int
-	// BatchMaxBytes caps the framed payload size of one batch entry;
-	// reaching it flushes immediately. Zero means defaultBatchMaxBytes.
-	BatchMaxBytes int
 	// BatchMaxDelay bounds how long a queued operation may wait for
 	// more company before the batcher flushes anyway.
 	BatchMaxDelay sim.Time
-
-	// MetricsLabel, when non-empty, additionally binds per-group
-	// counters under "mu.<label>." (sharded clusters label each group
-	// "shard<N>") next to the shared "mu.*" series.
-	MetricsLabel string
-
-	// Shard is the consensus group's shard number, used to scope causal
-	// trace IDs and component names (single-group clusters leave it 0).
-	Shard int
 }
 
 // DefaultConfig returns the calibrated testbed configuration.
 func DefaultConfig() Config {
 	return Config{
 		LogSize:             4 << 20,
-		ControlVA:           0x1000,
-		LogVA:               0x100000,
-		HeartbeatInterval:   20 * sim.Microsecond,
-		MonitorInterval:     20 * sim.Microsecond,
-		LivenessTimeout:     60 * sim.Microsecond,
 		LeaderTakeoverDelay: 750 * sim.Microsecond,
 		CPUPostCost:         250 * sim.Nanosecond,
 		CPUAckCost:          185 * sim.Nanosecond,
-		CommitSyncInterval:  500 * sim.Microsecond,
-		CatchUpWindow:       4096,
 		MaxInflight:         defaultMaxInflight,
 		BatchMaxOps:         1, // batching off; Cluster turns it on
-		BatchMaxBytes:       defaultBatchMaxBytes,
 		BatchMaxDelay:       10 * sim.Microsecond,
 	}
 }

@@ -395,10 +395,10 @@ func (n *Node) repairReplica(ps *peerState, c *cm.Conn) {
 }
 
 func (n *Node) lowestCached() uint64 {
-	if n.lastIndex < uint64(n.cfg.CatchUpWindow) {
+	if n.lastIndex < CatchUpWindow {
 		return 1
 	}
-	return n.lastIndex - uint64(n.cfg.CatchUpWindow) + 1
+	return n.lastIndex - CatchUpWindow + 1
 }
 
 // discardUncommittedSuffix rewinds the log to the committed prefix.
@@ -551,7 +551,7 @@ func (n *Node) proposeEntry(data []byte, flags uint8, done func(error)) {
 	p.noop = flags&FlagNoop != 0
 	p.done = done
 	p.proposedAt = n.k.Now()
-	p.trace = n.otr.Begin(n.oc, n.cfg.Shard, p.noop, false, 1, len(p.bytes))
+	p.trace = n.otr.Begin(n.oc, n.nic.Shard(), p.noop, false, 1, len(p.bytes))
 	if flags&FlagNoop == 0 {
 		n.maxDataIdx = e.Index
 	}

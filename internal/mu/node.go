@@ -294,7 +294,8 @@ type Node struct {
 	mLeaderChanges *metrics.Counter
 	mFallbacks     *metrics.Counter
 	mBatchOps      *metrics.Histogram // client ops per flushed entry
-	// Per-group series (bound only when cfg.MetricsLabel is set).
+	// Per-group series, under "mu.shard<s>." next to the shared "mu.*"
+	// ones.
 	mGroupProposed    *metrics.Counter
 	mGroupCommitted   *metrics.Counter
 	mGroupCommitLatNs *metrics.Histogram
@@ -322,7 +323,8 @@ type NodeStats struct {
 }
 
 // NewNode builds (but does not start) a machine. The NIC must already
-// have its ports attached.
+// have its ports attached; its shard (rnic.NIC.Shard) names the node's
+// consensus group in metrics and traces.
 func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 	// Handshakes retry every 10 ms: quick enough to recover promptly
 	// after a route fail-over, patient enough (40 tries) to ride out the
@@ -341,7 +343,7 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 		peerStates: make(map[int]*peerState, len(peers)),
 		replConns:  make(map[int]*cm.Conn),
 		proposals:  make(map[uint64]*proposal),
-		recent:     make(recentRing, max(cfg.CatchUpWindow, 1)),
+		recent:     make(recentRing, CatchUpWindow),
 		inbound:    make(map[simnet.Addr][]*rnic.QP),
 	}
 	m := nic.Kernel().Metrics()
@@ -351,19 +353,22 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 	n.mLeaderChanges = m.Counter("mu.leader_changes")
 	n.mFallbacks = m.Counter("mu.fallbacks")
 	n.mBatchOps = m.Histogram("mu.batch_ops_per_entry")
-	if cfg.MetricsLabel != "" {
-		scope := m.Scope("mu." + cfg.MetricsLabel)
-		n.mGroupProposed = scope.Counter("proposed")
-		n.mGroupCommitted = scope.Counter("committed")
-		n.mGroupCommitLatNs = scope.Histogram("commit_latency_ns")
-	}
+	// Always scoped, even single-shard: the telemetry sampler reads the
+	// per-shard instruments from the shard's own scheduling domain (the
+	// global mu.* series are written by every domain and would race
+	// under the partitioned kernel).
+	shard := nic.Shard()
+	scope := m.Scope(fmt.Sprintf("mu.shard%d", shard))
+	n.mGroupProposed = scope.Counter("proposed")
+	n.mGroupCommitted = scope.Counter("committed")
+	n.mGroupCommitLatNs = scope.Histogram("commit_latency_ns")
 	n.otr = nic.Kernel().Tracer()
-	n.oc = n.otr.ComponentAt(fmt.Sprintf("s%d/mu/n%d", cfg.Shard, self.ID), cfg.Shard,
+	n.oc = n.otr.ComponentAt(fmt.Sprintf("s%d/mu/n%d", shard, self.ID), shard,
 		func() int64 { return int64(nic.Kernel().Now()) })
 	ctrl := make([]byte, controlRegionBytes)
-	n.controlMR = nic.RegisterMR(cfg.ControlVA, ctrl, rnic.AccessRemoteRead)
+	n.controlMR = nic.RegisterMR(ControlVA, ctrl, rnic.AccessRemoteRead)
 	n.logBuf = make([]byte, cfg.LogSize)
-	n.logMR = nic.RegisterMR(cfg.LogVA, n.logBuf, rnic.AccessRemoteRead|rnic.AccessRemoteWrite)
+	n.logMR = nic.RegisterMR(LogVA, n.logBuf, rnic.AccessRemoteRead|rnic.AccessRemoteWrite)
 	n.ring = NewRing(cfg.LogSize)
 	n.consumer = NewConsumer(n.logBuf, 1)
 	// Followers keep the same re-replication cache leaders build, so a
@@ -491,9 +496,6 @@ func (n *Node) CMAgent() *cm.Agent { return n.agent }
 // CPU returns the host CPU resource (for cost accounting by transports).
 func (n *Node) CPU() *sim.CPU { return n.cpu }
 
-// Config returns the node configuration.
-func (n *Node) Config() Config { return n.cfg }
-
 // Role returns the current role.
 func (n *Node) Role() Role { return n.role }
 
@@ -591,12 +593,12 @@ func (n *Node) Start() {
 	n.startAt = n.k.Now()
 	n.setControl(ctrlHeartbeat, 1)
 	if !n.cfg.DisableHeartbeats {
-		n.hbTicker = n.k.NewTicker(n.cfg.HeartbeatInterval, func() {
+		n.hbTicker = n.k.NewTicker(HeartbeatInterval, func() {
 			n.bumpControl(ctrlHeartbeat)
 		})
-		n.monTicker = n.k.NewTicker(n.cfg.MonitorInterval, n.monitorTick)
+		n.monTicker = n.k.NewTicker(MonitorInterval, n.monitorTick)
 	}
-	n.commitTicker = n.k.NewTicker(n.cfg.CommitSyncInterval, n.commitSyncTick)
+	n.commitTicker = n.k.NewTicker(CommitSyncInterval, n.commitSyncTick)
 	for _, ps := range n.peerOrder {
 		n.dialMonitor(ps)
 	}
@@ -867,9 +869,9 @@ func (n *Node) readPeer(ps *peerState) {
 func (n *Node) peerAlive(ps *peerState) bool {
 	if !ps.everSeen {
 		// Give peers a grace period at startup before declaring them dead.
-		return n.k.Now()-n.startAt < 20*n.cfg.LivenessTimeout
+		return n.k.Now()-n.startAt < 20*LivenessTimeout
 	}
-	return n.k.Now()-ps.lastNew < n.cfg.LivenessTimeout
+	return n.k.Now()-ps.lastNew < LivenessTimeout
 }
 
 // evaluate runs the election rule: the leader is the live machine with

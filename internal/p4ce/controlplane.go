@@ -19,13 +19,10 @@ var (
 	ErrUnknownGroup = errors.New("p4ce: unknown group")
 )
 
-// CPConfig tunes the control plane.
-type CPConfig struct {
-	// ReconfigDelay is the time to program the data-plane tables and the
-	// replication engine — the 40 ms the paper measures for configuring a
-	// communication group (§V-E).
-	ReconfigDelay sim.Time
-}
+// ReconfigDelay is the time to program the data-plane tables and the
+// replication engine — the 40 ms the paper measures for configuring a
+// communication group (§V-E).
+const ReconfigDelay = 40 * sim.Millisecond
 
 // FabricView is what the control plane needs to know about the switch
 // topology: which rack serves an address, which switch serves a rack,
@@ -37,11 +34,6 @@ type FabricView interface {
 	ToR(rack int) *tofino.Switch
 	Racks() int
 	Standby() *tofino.Switch
-}
-
-// DefaultCPConfig returns the measured testbed value.
-func DefaultCPConfig() CPConfig {
-	return CPConfig{ReconfigDelay: 40 * sim.Millisecond}
 }
 
 // setup tracks one in-progress group establishment.
@@ -65,8 +57,7 @@ type setup struct {
 // BfRt in the real artifact): it terminates the leader's CM handshake,
 // opens the per-replica connections, and programs the data plane.
 type ControlPlane struct {
-	k   *sim.Kernel
-	cfg CPConfig
+	k *sim.Kernel
 
 	// fabric spreads the control plane across the topology: CM punts
 	// arrive from every ToR, groups are homed per switch, and dpOf
@@ -96,10 +87,9 @@ type setupKey struct {
 // gRPC target per device but one operator drives them all). It
 // terminates CM on every ToR and the standby, and homes each group's
 // tables and registers on the switch its members sit behind.
-func NewControlPlane(view FabricView, dpOf func(*tofino.Switch) *Dataplane, cfg CPConfig) *ControlPlane {
+func NewControlPlane(view FabricView, dpOf func(*tofino.Switch) *Dataplane) *ControlPlane {
 	cp := &ControlPlane{
 		k:           view.ToR(0).Kernel(),
-		cfg:         cfg,
 		fabric:      view,
 		dpOf:        dpOf,
 		nextGroupID: 1,
@@ -440,7 +430,7 @@ func (cp *ControlPlane) handleReplicaReject(msg *roce.CMMessage) {
 // reconfiguration delay covers BfRt table and replication-engine
 // programming — 40 ms on the testbed.
 func (cp *ControlPlane) finishSetup(s *setup) {
-	cp.k.Schedule(cp.cfg.ReconfigDelay, func() {
+	cp.k.Schedule(ReconfigDelay, func() {
 		g := s.g
 		minBuf := uint32(1<<32 - 1)
 		for _, rep := range s.entries {
@@ -508,7 +498,7 @@ func (cp *ControlPlane) reprogramMulticast(g *group) {
 // otherwise the leaders fall back to direct replication and re-dial.
 // done, if non-nil, fires when the data plane is consistent again.
 func (cp *ControlPlane) ReinstallGroups(done func()) {
-	cp.k.Schedule(cp.cfg.ReconfigDelay, func() {
+	cp.k.Schedule(ReconfigDelay, func() {
 		for _, leader := range cp.sortedGroupLeaders() {
 			g := cp.groups[leader]
 			cp.programGroup(g)
@@ -556,7 +546,7 @@ func (cp *ControlPlane) RemoveReplica(leader, replica simnet.Addr, done func(err
 		}
 		return
 	}
-	cp.k.Schedule(cp.cfg.ReconfigDelay, func() {
+	cp.k.Schedule(ReconfigDelay, func() {
 		if !cp.removeMember(g, replica) {
 			// Not in the root: on a fabric it may be racked behind a
 			// leaf. Shrinking the rack also shrinks the leaf's
@@ -608,7 +598,7 @@ func (cp *ControlPlane) DestroyGroup(leader simnet.Addr, done func(error)) {
 		}
 		return
 	}
-	cp.k.Schedule(cp.cfg.ReconfigDelay, func() {
+	cp.k.Schedule(ReconfigDelay, func() {
 		// Guard against the leader having re-established a fresh group
 		// while this teardown was queued: only remove what we looked up.
 		if cur, ok := cp.groups[leader]; ok && cur == g {

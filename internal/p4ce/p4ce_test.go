@@ -45,15 +45,22 @@ func (v oneSwitch) Standby() *tofino.Switch { return nil }
 
 func newFabric(t *testing.T, nReplicas int, mode DropMode) *fabric {
 	t.Helper()
+	return newFabricNICs(t, nReplicas, mode, nil)
+}
+
+// newFabricNICs is newFabric with replica i's NIC built from
+// replicaNIC(i) instead of the default card (nil: every card default).
+func newFabricNICs(t *testing.T, nReplicas int, mode DropMode, replicaNIC func(i int) rnic.Config) *fabric {
+	t.Helper()
 	k := sim.NewKernel(11)
 	f := &fabric{k: k}
 	f.sw = tofino.New(k, "tofino", simnet.AddrFrom(10, 0, 0, 254), tofino.DefaultConfig())
 	f.dp = NewDataplane(mode)
 	f.sw.SetProgram(f.dp)
-	f.cp = NewControlPlane(oneSwitch{f.sw}, func(*tofino.Switch) *Dataplane { return f.dp }, DefaultCPConfig())
+	f.cp = NewControlPlane(oneSwitch{f.sw}, func(*tofino.Switch) *Dataplane { return f.dp })
 
-	attach := func(ip simnet.Addr) *rnic.NIC {
-		nic := rnic.New(k, rnic.DefaultConfig(), ip)
+	attach := func(ip simnet.Addr, cfg rnic.Config) *rnic.NIC {
+		nic := rnic.New(k, cfg, ip)
 		hostPort := simnet.NewPort(k, ip.String(), nil)
 		pid, swPort := f.sw.AddPort(ip.String())
 		simnet.Connect(hostPort, swPort, simnet.DefaultLinkConfig())
@@ -64,10 +71,14 @@ func newFabric(t *testing.T, nReplicas int, mode DropMode) *fabric {
 		return nic
 	}
 
-	f.leader = attach(simnet.AddrFrom(10, 0, 0, 1))
+	f.leader = attach(simnet.AddrFrom(10, 0, 0, 1), rnic.DefaultConfig())
 	f.leaderCM = cm.NewAgent(f.leader, cm.DefaultConfig())
 	for i := 0; i < nReplicas; i++ {
-		nic := attach(simnet.AddrFrom(10, 0, 0, byte(2+i)))
+		cfg := rnic.DefaultConfig()
+		if replicaNIC != nil {
+			cfg = replicaNIC(i)
+		}
+		nic := attach(simnet.AddrFrom(10, 0, 0, byte(2+i)), cfg)
 		logMR := nic.RegisterMR(0x100000*uint64(i+1), make([]byte, 64<<10),
 			rnic.AccessRemoteRead|rnic.AccessRemoteWrite)
 		agent := cm.NewAgent(nic, cm.DefaultConfig())
@@ -151,7 +162,7 @@ func TestGroupSetupTakesReconfigDelay(t *testing.T) {
 		doneAt = f.k.Now()
 	})
 	f.k.RunUntil(200 * sim.Millisecond)
-	want := DefaultCPConfig().ReconfigDelay
+	want := ReconfigDelay
 	if doneAt < want || doneAt > want+5*sim.Millisecond {
 		t.Fatalf("group ready after %v, want ≈%v", doneAt, want)
 	}
@@ -294,8 +305,7 @@ func TestSwitchCrashTimesOutLeader(t *testing.T) {
 		t.Fatalf("completion = %v, want ErrRetryExceeded", gotErr)
 	}
 	// Detection = (retries+1) × 131 µs ≈ 1 ms.
-	cfg := rnic.DefaultConfig()
-	want := sim.Time(cfg.MaxRetries+1) * cfg.AckTimeout
+	want := sim.Time(rnic.MaxRetries+1) * rnic.AckTimeout
 	// Completion callback fires via QP error; allow the last timeout window.
 	if d := f.k.Now() - start; d < want {
 		t.Fatalf("detected after %v, want ≥ %v", d, want)
@@ -336,7 +346,7 @@ func TestRemoveReplicaReconfigures(t *testing.T) {
 		doneAt = f.k.Now()
 	})
 	f.k.RunFor(100 * sim.Millisecond)
-	if doneAt-start < DefaultCPConfig().ReconfigDelay {
+	if doneAt-start < ReconfigDelay {
 		t.Fatalf("reconfiguration took %v, want ≥ 40ms", doneAt-start)
 	}
 	groups := f.cp.Groups()
@@ -399,34 +409,82 @@ func TestEgressDropModeStillCorrect(t *testing.T) {
 }
 
 func TestCreditAggregationTracksSlowestReplica(t *testing.T) {
-	f := newFabric(t, 2, DropInIngress)
-	// Replica 1 is slow: its slots drain with a delay, so its advertised
-	// credits sag below replica 0's.
-	slowCfg := rnic.DefaultConfig()
-	f.k.Rand() // keep kernel deterministic regardless of config reads
-	_ = slowCfg
+	// Replica 1 is slow: each write holds one of its 8 responder slots
+	// for 1 ms, so the credits it advertises sag below replica 0's
+	// saturated 31 while a burst is in flight.
+	f := newFabricNICs(t, 2, DropInIngress, func(i int) rnic.Config {
+		cfg := rnic.DefaultConfig()
+		if i == 1 {
+			cfg.ResponderSlots = 8
+			cfg.ApplyDelay = sim.Millisecond
+		}
+		return cfg
+	})
 	conn := f.dialGroup(t)
 
-	// Drive a burst and inspect the credits the leader ends up with: the
-	// forwarded ACK must carry min(credits), never the fast replica's.
-	const n = 10
-	done := 0
-	for i := 0; i < n; i++ {
-		if err := conn.QP.PostWrite([]byte{1}, uint64(i), conn.RemoteRKey, func(err error) {
-			if err != nil {
-				t.Fatalf("write: %v", err)
+	// reported[i] is the last credit count replica i's ACKs brought to
+	// the switch. The quorum of one completes on whichever ACK arrives
+	// first, before the other replica's count for the same write is in,
+	// so the forwarded minimum is taken over what the switch had seen
+	// then: slowAtFast snapshots replica 1's count at each of replica
+	// 0's arrivals (and equals its latest one when replica 1 was first).
+	reported := make([]int, len(f.replicas))
+	slowAtFast := 0
+	for i := range f.replicas {
+		f.swPorts[1+i].AddTap(func(dir simnet.TapDirection, frame []byte) {
+			var p roce.Packet
+			if dir != simnet.TapRx || roce.UnmarshalInto(frame, &p) != nil || !isAck(&p) {
+				return
 			}
-			done++
-		}); err != nil {
-			t.Fatal(err)
+			reported[i] = int(p.Syndrome.Value())
+			if i == 0 {
+				slowAtFast = reported[1]
+			}
+		})
+	}
+	burst := func(n int) {
+		t.Helper()
+		done := 0
+		for i := 0; i < n; i++ {
+			if err := conn.QP.PostWrite([]byte{1}, uint64(i), conn.RemoteRKey, func(err error) {
+				if err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				done++
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.k.RunFor(500 * sim.Microsecond) // inside the slow replica's 1 ms hold
+		if done != n {
+			t.Fatalf("completed %d of %d", done, n)
 		}
 	}
-	f.k.RunFor(5 * sim.Millisecond)
-	if done != n {
-		t.Fatalf("completed %d of %d", done, n)
+
+	// While replica 1's slots are held, the forwarded ACK must carry
+	// min(credits) — replica 1's count — never the fast replica's.
+	burst(6)
+	held := conn.QP.Credits()
+	if held != slowAtFast || held >= reported[0] {
+		t.Fatalf("leader credits = %d, want the slow replica's %d (the fast one advertises %d)",
+			held, slowAtFast, reported[0])
 	}
-	// Both replicas idle ⇒ min credit = 31 ("unlimited"), which the
-	// requester maps to its full window.
+
+	// Drained: the next write brings the slow replica's idle count (its
+	// slots less the one the write holds) to the switch, and the write
+	// after it carries that count to the leader, which recovers.
+	f.k.RunFor(5 * sim.Millisecond)
+	burst(2)
+	if got := conn.QP.Credits(); got != slowAtFast || got <= held {
+		t.Fatalf("leader credits after the drain = %d, want the slow replica's %d (above %d)",
+			got, slowAtFast, held)
+	}
+
+	// With every replica fast and idle, min credit = 31 ("unlimited"),
+	// which the requester maps to its full window.
+	f = newFabric(t, 2, DropInIngress)
+	conn = f.dialGroup(t)
+	burst(10)
 	if got := conn.QP.Credits(); got != rnic.DefaultConfig().MaxOutstanding {
 		t.Fatalf("leader credits = %d, want full window", got)
 	}

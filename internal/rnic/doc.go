@@ -11,11 +11,11 @@
 // would run against hardware. Below, the NIC owns one simnet port and
 // encodes/decodes frames with package roce.
 //
-// The card's per-packet pipeline (Config.ProcessingDelay) is booked on
-// the port at hand-off with simnet.Port.SendAfter, not run as a kernel
-// event: the frame leaves the wire exactly when a delayed send would
-// have sent it, and the port's link, loss and tap decisions are taken
-// when the NIC hands it over.
+// The card's per-packet pipeline (the ProcessingDelay constant) is
+// booked on the port at hand-off with simnet.Port.SendAfter, not run as
+// a kernel event: the frame leaves the wire exactly when a delayed send
+// would have sent it, and the port's link, loss and tap decisions are
+// taken when the NIC hands it over.
 //
 // # Buffer ownership
 //

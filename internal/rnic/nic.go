@@ -30,25 +30,33 @@ var (
 	ErrInvalidRequest = errors.New("rnic: invalid work request")
 )
 
+// Calibrated card constants: the paper's ConnectX-5 testbed. No
+// experiment varies them (see DESIGN.md §5).
+const (
+	// MTUPayload is the RoCE payload carried per packet on a 1500 B
+	// Ethernet MTU.
+	MTUPayload = 1024
+	// AckTimeout is the retransmission timeout. RDMA NICs quantize it to
+	// 4.096×2^x µs; the testbed uses x=5 → 131 µs (§V-E).
+	AckTimeout = 131 * sim.Microsecond
+	// MaxRetries bounds timeout-driven retransmissions before the QP
+	// errors out.
+	MaxRetries = 7
+	// MaxRNRRetries bounds receiver-not-ready retries.
+	MaxRNRRetries = 7
+	// RNRDelay is how long the requester backs off after an RNR NAK.
+	RNRDelay = 10 * sim.Microsecond
+	// ProcessingDelay is the fixed NIC pipeline latency added to every
+	// packet it emits (request, response or ACK).
+	ProcessingDelay = 50 * sim.Nanosecond
+)
+
 // Config holds the card's tunables. The defaults mirror the paper's
 // ConnectX-5 testbed.
 type Config struct {
-	// MTUPayload is the RoCE payload carried per packet on a 1500 B
-	// Ethernet MTU.
-	MTUPayload int
 	// MaxOutstanding caps in-flight (un-acked) requests per queue pair;
 	// the paper's setup allows 16 pending writes (§IV-C).
 	MaxOutstanding int
-	// AckTimeout is the retransmission timeout. RDMA NICs quantize it to
-	// 4.096×2^x µs; the testbed uses x=5 → 131 µs (§V-E).
-	AckTimeout sim.Time
-	// MaxRetries bounds timeout-driven retransmissions before the QP
-	// errors out.
-	MaxRetries int
-	// MaxRNRRetries bounds receiver-not-ready retries.
-	MaxRNRRetries int
-	// RNRDelay is how long the requester backs off after an RNR NAK.
-	RNRDelay sim.Time
 	// ResponderSlots is the message buffering capacity advertised through
 	// credit counts (at most 31, the 5-bit syndrome limit).
 	ResponderSlots int
@@ -56,23 +64,13 @@ type Config struct {
 	// slot before the host consumes it; zero means slots free instantly
 	// and credits stay saturated.
 	ApplyDelay sim.Time
-	// ProcessingDelay is the fixed NIC pipeline latency added to every
-	// packet it emits (request, response or ACK).
-	ProcessingDelay sim.Time
 }
 
 // DefaultConfig returns the testbed card configuration.
 func DefaultConfig() Config {
 	return Config{
-		MTUPayload:      1024,
-		MaxOutstanding:  16,
-		AckTimeout:      131 * sim.Microsecond,
-		MaxRetries:      7,
-		MaxRNRRetries:   7,
-		RNRDelay:        10 * sim.Microsecond,
-		ResponderSlots:  31,
-		ApplyDelay:      0,
-		ProcessingDelay: 50 * sim.Nanosecond,
+		MaxOutstanding: 16,
+		ResponderSlots: 31,
 	}
 }
 
@@ -125,7 +123,7 @@ type NIC struct {
 	// Causal tracing (nil no-ops when the kernel has no tracer).
 	otr   *otrace.Tracer
 	oc    *otrace.Component
-	shard int // the /24 block of the NIC's address, keys trace lookups
+	shard int // the /24 block of the NIC's address, keys metrics and traces
 }
 
 // Stats are the NIC's datapath counters.
@@ -141,7 +139,7 @@ type Stats struct {
 // New creates a NIC with address ip on kernel k. Ports are attached
 // afterwards with AttachPort/AttachSpare.
 func New(k *sim.Kernel, cfg Config, ip simnet.Addr) *NIC {
-	if cfg.MTUPayload <= 0 || cfg.MaxOutstanding <= 0 {
+	if cfg.MaxOutstanding <= 0 {
 		panic("rnic: invalid config")
 	}
 	if cfg.ResponderSlots > 31 {
@@ -207,8 +205,9 @@ func (n *NIC) IP() simnet.Addr { return n.ip }
 // Kernel returns the simulation kernel the NIC runs on.
 func (n *NIC) Kernel() *sim.Kernel { return n.k }
 
-// Config returns the NIC configuration.
-func (n *NIC) Config() Config { return n.cfg }
+// Shard returns the consensus group the NIC belongs to: the third
+// octet of its address (10.0.<shard>.x), the cluster's address plan.
+func (n *NIC) Shard() int { return n.shard }
 
 // AttachPort wires the primary network port. The NIC installs itself as
 // the port's frame handler.
@@ -268,7 +267,7 @@ func (n *NIC) transmit(p *roce.Packet) {
 	}
 	frame := n.k.Buffers().GetUnzeroed(p.WireSize()) // MarshalInto writes every byte
 	p.MarshalInto(frame)
-	n.port.SendAfter(n.cfg.ProcessingDelay, frame)
+	n.port.SendAfter(ProcessingDelay, frame)
 }
 
 // SendCM emits a connection-manager datagram. CM traffic is unreliable;

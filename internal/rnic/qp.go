@@ -249,7 +249,7 @@ func (qp *QP) PostRead(dst []byte, remoteVA uint64, rkey uint32, done func(error
 
 // PostSend posts a two-sided SEND carrying payload.
 func (qp *QP) PostSend(payload []byte, done func(error)) error {
-	if len(payload) > qp.nic.cfg.MTUPayload {
+	if len(payload) > MTUPayload {
 		return ErrInvalidRequest
 	}
 	if qp.state != StateReady {
@@ -309,7 +309,7 @@ func (qp *QP) pump() {
 	}
 	for qp.pending.Len() > 0 && qp.inflight.Len() < qp.windowLimit() {
 		wr := qp.pending.PopFront()
-		span := wr.psnSpan(qp.nic.cfg.MTUPayload)
+		span := wr.psnSpan(MTUPayload)
 		wr.firstPSN = qp.sndPSN
 		wr.lastPSN = roce.PSNAdd(qp.sndPSN, span-1)
 		qp.sndPSN = roce.PSNAdd(qp.sndPSN, span)
@@ -332,9 +332,9 @@ func (qp *QP) pump() {
 func (qp *QP) transmitWR(wr *workRequest) {
 	switch wr.typ {
 	case wrWrite:
-		n := roce.SegmentCount(len(wr.data), qp.nic.cfg.MTUPayload)
+		n := roce.SegmentCount(len(wr.data), MTUPayload)
 		for i := 0; i < n; i++ {
-			seg := roce.WriteSegmentAt(len(wr.data), qp.nic.cfg.MTUPayload, wr.firstPSN, i, n)
+			seg := roce.WriteSegmentAt(len(wr.data), MTUPayload, wr.firstPSN, i, n)
 			qp.txPkt = roce.Packet{
 				SrcIP: qp.nic.ip, DstIP: qp.remoteIP, SrcPort: 49152,
 				OpCode: seg.OpCode, DestQP: qp.remoteQPN, PSN: seg.PSN,
@@ -380,7 +380,7 @@ func (qp *QP) armTimer() {
 	if scale > 8 {
 		scale = 8
 	}
-	qp.rtTimer = qp.nic.k.Schedule(qp.nic.cfg.AckTimeout*scale, qp.timeoutFn)
+	qp.rtTimer = qp.nic.k.Schedule(AckTimeout*scale, qp.timeoutFn)
 }
 
 func (qp *QP) onTimeout() {
@@ -388,7 +388,7 @@ func (qp *QP) onTimeout() {
 		return
 	}
 	qp.retries++
-	if qp.retries > qp.nic.cfg.MaxRetries {
+	if qp.retries > MaxRetries {
 		qp.enterError(ErrRetryExceeded)
 		return
 	}
@@ -497,11 +497,11 @@ func (qp *QP) handleRNR() {
 		return
 	}
 	qp.rnrCount++
-	if qp.rnrCount > qp.nic.cfg.MaxRNRRetries {
+	if qp.rnrCount > MaxRNRRetries {
 		qp.enterError(ErrRNRRetryExceeded)
 		return
 	}
-	qp.rnrTimer = qp.nic.k.Schedule(qp.nic.cfg.RNRDelay, qp.rnrFn)
+	qp.rnrTimer = qp.nic.k.Schedule(RNRDelay, qp.rnrFn)
 }
 
 // onRNRExpire retransmits the window after the RNR backoff.
@@ -540,7 +540,7 @@ func (qp *QP) handleReadResponse(p *roce.Packet) {
 	var wr *workRequest
 	for i := 0; i < qp.inflight.Len(); i++ {
 		cand := qp.inflight.At(i)
-		if cand.typ == wrRead && roce.PSNInWindow(p.PSN, cand.firstPSN, cand.psnSpan(qp.nic.cfg.MTUPayload)) {
+		if cand.typ == wrRead && roce.PSNInWindow(p.PSN, cand.firstPSN, cand.psnSpan(MTUPayload)) {
 			wr = cand
 			break
 		}
@@ -548,7 +548,7 @@ func (qp *QP) handleReadResponse(p *roce.Packet) {
 	if wr == nil {
 		return // stale or duplicate response
 	}
-	off := roce.PSNDiff(p.PSN, wr.firstPSN) * qp.nic.cfg.MTUPayload
+	off := roce.PSNDiff(p.PSN, wr.firstPSN) * MTUPayload
 	copy(wr.dst[off:], p.Payload)
 	if p.OpCode.HasAETH() {
 		qp.setCredits(p.Syndrome.Value())
@@ -714,13 +714,13 @@ func (qp *QP) handleInboundRead(p *roce.Packet) {
 		return
 	}
 	data := mr.read(p.VA, int(p.DMALen))
-	n := roce.SegmentCount(len(data), qp.nic.cfg.MTUPayload)
+	n := roce.SegmentCount(len(data), MTUPayload)
 	if d == 0 {
 		qp.expPSN = roce.PSNAdd(p.PSN, n)
 		qp.msn = (qp.msn + 1) & roce.PSNMask
 	}
 	for i := 0; i < n; i++ {
-		seg := roce.ReadRespSegmentAt(len(data), qp.nic.cfg.MTUPayload, p.PSN, i, n)
+		seg := roce.ReadRespSegmentAt(len(data), MTUPayload, p.PSN, i, n)
 		qp.txPkt = roce.Packet{
 			SrcIP: qp.nic.ip, DstIP: qp.remoteIP, SrcPort: roce.UDPPort,
 			OpCode: seg.OpCode, DestQP: qp.remoteQPN, PSN: seg.PSN,

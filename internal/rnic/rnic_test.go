@@ -312,12 +312,12 @@ func TestRetryExhaustionErrorsQP(t *testing.T) {
 	// Detection time with exponential backoff (1,2,4,8,8,... × 131 µs
 	// over MaxRetries+1 = 8 rounds): ≈ 6.2 ms.
 	var want sim.Time
-	for r := 0; r <= DefaultConfig().MaxRetries; r++ {
+	for r := 0; r <= MaxRetries; r++ {
 		scale := sim.Time(1) << uint(r)
 		if scale > 8 {
 			scale = 8
 		}
-		want += DefaultConfig().AckTimeout * scale
+		want += AckTimeout * scale
 	}
 	if tp.k.Now() < want || tp.k.Now() > want+200*sim.Microsecond {
 		t.Fatalf("failure detected at %v, want ≈%v", tp.k.Now(), want)

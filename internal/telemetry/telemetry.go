@@ -75,9 +75,6 @@ func (t *Timeline) Domain(id int, k *sim.Kernel) *Domain {
 	return d
 }
 
-// Domains returns the samplers in id order.
-func (t *Timeline) Domains() []*Domain { return t.domains }
-
 // OnSample registers fn to run on the fabric domain's ticker after each
 // sample — the hook behind p4ce-sim's periodic -metrics dumps, sharing
 // the telemetry ticker instead of adding a second event source.
@@ -120,12 +117,6 @@ type Domain struct {
 	ticker *sim.Ticker
 	ticks  int64 // samples taken so far
 }
-
-// ID returns the scheduling-domain id.
-func (d *Domain) ID() int { return d.id }
-
-// Ticks returns how many samples this domain has taken.
-func (d *Domain) Ticks() int64 { return d.ticks }
 
 func (d *Domain) addSeries(s *series) *series {
 	if d.tl.started {

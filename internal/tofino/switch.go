@@ -48,25 +48,27 @@ type Program interface {
 // CPUHandler receives packets punted to the control plane.
 type CPUHandler func(in PortID, pkt *roce.Packet)
 
-// Config holds the ASIC's timing characteristics.
+// First-generation Tofino timing constants (see DESIGN.md §5).
+const (
+	// PipelineLatency is the fixed match-action traversal time.
+	PipelineLatency = 400 * sim.Nanosecond
+	// CPUPuntLatency is the PCIe+driver delay for packets sent to the
+	// control plane, and for packets the control plane injects.
+	CPUPuntLatency = 10 * sim.Microsecond
+)
+
+// Config holds the ASIC's timing knob.
 type Config struct {
 	// ParserServiceTime is the per-packet service time of each per-port
 	// parser. The default, 8 ns, is 125 Mpps, rounded from the paper's
 	// 121 Mpps (8.26 ns); see ROADMAP U.
 	ParserServiceTime sim.Time
-	// PipelineLatency is the fixed match-action traversal time.
-	PipelineLatency sim.Time
-	// CPUPuntLatency is the PCIe+driver delay for packets sent to the
-	// control plane, and for packets the control plane injects.
-	CPUPuntLatency sim.Time
 }
 
 // DefaultConfig returns first-generation Tofino timing.
 func DefaultConfig() Config {
 	return Config{
 		ParserServiceTime: 8 * sim.Nanosecond, // 125 Mpps, rounded from the paper's 121 Mpps (8.26 ns); see ROADMAP U
-		PipelineLatency:   400 * sim.Nanosecond,
-		CPUPuntLatency:    10 * sim.Microsecond,
 	}
 }
 
@@ -404,7 +406,7 @@ func (sw *Switch) ingress(p *swPort, frame []byte) {
 			// are control-plane traffic, far off the fast path.
 			pc := pkt.Clone()
 			in := p.id
-			sw.k.Schedule(sw.cfg.CPUPuntLatency, func() { sw.cpu(in, pc) })
+			sw.k.Schedule(CPUPuntLatency, func() { sw.cpu(in, pc) })
 		}
 		pkt.Payload = nil
 		sw.k.Buffers().Put(frame)
@@ -430,7 +432,7 @@ func (sw *Switch) toEgress(out PortID, rid uint16, pkt *roce.Packet, share *fram
 	j.pkt = *pkt
 	j.share = share
 	share.refs++
-	j.at = j.dst.egress.Book(sw.k.Now()+sw.cfg.PipelineLatency, sw.cfg.ParserServiceTime)
+	j.at = j.dst.egress.Book(sw.k.Now()+PipelineLatency, sw.cfg.ParserServiceTime)
 	return j
 }
 
@@ -478,7 +480,7 @@ func (sw *Switch) InjectFromCP(pkt *roce.Packet) {
 	if !ok {
 		return
 	}
-	sw.k.Schedule(sw.cfg.CPUPuntLatency, func() {
+	sw.k.Schedule(CPUPuntLatency, func() {
 		if sw.crashed {
 			return
 		}

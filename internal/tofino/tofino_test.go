@@ -110,8 +110,8 @@ func TestPuntToCPU(t *testing.T) {
 	if punted == nil {
 		t.Fatal("packet addressed to switch not punted")
 	}
-	if puntedAt-sent < DefaultConfig().CPUPuntLatency {
-		t.Fatalf("punt arrived after %v, want ≥ %v", puntedAt-sent, DefaultConfig().CPUPuntLatency)
+	if puntedAt-sent < CPUPuntLatency {
+		t.Fatalf("punt arrived after %v, want ≥ %v", puntedAt-sent, CPUPuntLatency)
 	}
 }
 
@@ -530,7 +530,7 @@ func twoStageModel(ingress []ingressRec) map[PortID][]copyRec {
 	var queue []enq
 	for _, in := range ingress {
 		for i, port := range in.ports {
-			queue = append(queue, enq{in.at + cfg.PipelineLatency, port, copyRec{psn: in.psn, rid: in.rids[i]}})
+			queue = append(queue, enq{in.at + PipelineLatency, port, copyRec{psn: in.psn, rid: in.rids[i]}})
 		}
 	}
 	slices.SortStableFunc(queue, func(a, b enq) int { return cmp.Compare(a.at, b.at) })
@@ -670,7 +670,7 @@ func TestCrashDropsCopiesInPipeline(t *testing.T) {
 		t.Fatalf("copies = %d, backlog = %v: want two copies in the pipeline", tf.sw.Stats.Copies, tf.sw.PortBacklog(1))
 	}
 	tf.sw.Crash()
-	tf.k.RunFor(DefaultConfig().PipelineLatency + 10*DefaultConfig().ParserServiceTime)
+	tf.k.RunFor(PipelineLatency + 10*DefaultConfig().ParserServiceTime)
 	tf.sw.Restore()
 	tf.k.Run()
 	if n := len(tf.hosts[1].frames) + len(tf.hosts[2].frames); n != 0 {

@@ -224,7 +224,7 @@ func TestTraceStampsTxAtHandOff(t *testing.T) {
 	if ev[0].At != handOff {
 		t.Fatalf("TX at %v, want the hand-off instant %v", ev[0].At, handOff)
 	}
-	if want := handOff + cfg.ProcessingDelay + wire + link.Propagation; ev[1].At != want {
+	if want := handOff + rnic.ProcessingDelay + wire + link.Propagation; ev[1].At != want {
 		t.Fatalf("RX at %v, want %v", ev[1].At, want)
 	}
 }

@@ -7,6 +7,8 @@ package p4ce
 // nil handles and no-op observations.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -93,5 +95,68 @@ func TestClusterMetricsDisabledByDefault(t *testing.T) {
 	snap := reg.Snapshot()
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
+	}
+}
+
+// TestShardMetricsScopedByNICAddress pins where a machine's per-shard
+// series come from: each mu node and NIC takes its shard from the third
+// octet of its address (10.0.<s>.x), so load on shard 0 moves only
+// shard 0's series.
+func TestShardMetricsScopedByNICAddress(t *testing.T) {
+	cl := NewCluster(Options{Nodes: 3, Shards: 2, Mode: ModeP4CE, Seed: 7, EnableMetrics: true})
+	leaders := shardedReady(t, cl)
+	// shard1 reads every mu.shard1.* and rnic.shard1.* counter.
+	shard1 := func() map[string]uint64 {
+		out := make(map[string]uint64)
+		for name, v := range cl.Metrics().Snapshot().Counters {
+			if strings.HasPrefix(name, "mu.shard1.") || strings.HasPrefix(name, "rnic.shard1.") {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	idle := shard1()
+	for _, name := range []string{"mu.shard1.proposed", "rnic.shard1.retransmits"} {
+		if _, ok := idle[name]; !ok {
+			t.Fatalf("%s not bound", name)
+		}
+	}
+
+	committed := 0
+	cl.Shard(0).After(0, func() {
+		for i := 0; i < 32; i++ {
+			if err := leaders[0].Propose([]byte{byte(i)}, func(err error) {
+				if err == nil {
+					committed++
+				}
+			}); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	cl.Run(5 * time.Millisecond)
+	if committed != 32 {
+		t.Fatalf("shard 0 committed %d of 32", committed)
+	}
+
+	snap := cl.Metrics().Snapshot()
+	for s, l := range leaders {
+		st := l.Stats()
+		if got := snap.Counters[fmt.Sprintf("mu.shard%d.proposed", s)]; got != st.Proposed {
+			t.Errorf("mu.shard%d.proposed = %d, want shard %d leader's %d", s, got, s, st.Proposed)
+		}
+		if got := snap.Counters[fmt.Sprintf("mu.shard%d.committed", s)]; got != st.Committed {
+			t.Errorf("mu.shard%d.committed = %d, want shard %d leader's %d", s, got, s, st.Committed)
+		}
+	}
+	// Shard 1's leader committed only its takeover no-op; its NICs never
+	// retransmitted.
+	for name, v := range shard1() {
+		if v != idle[name] {
+			t.Errorf("%s moved %d -> %d under shard 0's load", name, idle[name], v)
+		}
+		if strings.HasPrefix(name, "rnic.") && v != 0 {
+			t.Errorf("%s = %d with no fault on shard 1", name, v)
+		}
 	}
 }

@@ -50,8 +50,11 @@ go test -race -timeout 20m ./internal/chaos -run TestParallelSeedSweep -short -c
 echo "== fuzz: event queue model =="
 # A bounded search beyond the seed corpus that go test already ran: the
 # kernel's queue against its reference model, at 1, 2 and 3 partitions.
-# A failing input is written under internal/sim/testdata/fuzz.
-go test ./internal/sim -run '^$' -fuzz FuzzEventQueue -fuzztime 10s
+# A failing input is written under internal/sim/testdata/fuzz. New
+# interesting inputs are kept unminimized (-fuzzminimizetime 0x): the
+# fuzzer does not count minimization as execs, and left at its default
+# it spends most of the 10 s minimizing at "0/sec".
+go test ./internal/sim -run '^$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 0x
 
 echo "== examples =="
 # Every example must build and run clean: single-group, sharded,
