@@ -187,16 +187,15 @@ func TestEntryChecksumCensus(t *testing.T) {
 
 // TestMuLargeFootprint bounds the host memory a warm five-node 4 KiB Mu
 // cluster keeps live, in MB of 2^20 bytes as the benchmark's host_mem_mb
-// counts them. Each node's CatchUpWindow caches 4 096 encoded 4 129-byte
-// entries in pooled buffers, about 81 MB of payload over five nodes.
-// With one size class per doubling each entry held an 8 KiB array and
-// the heap read 181.5 MB; with eight per doubling it holds a 4 608-byte
-// one and the heap reads about 118 MB.
+// counts them. Each node's re-replication cache holds at most one 4 MiB
+// log ring of encoded bytes: 1 015 entries of 4 129 bytes, each in a
+// pooled 4 608-byte buffer, about 22 MB over five nodes beside the five
+// rings themselves (20 MB), and the heap reads about 45 MB.
 func TestMuLargeFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-op warmup")
 	}
-	const limit = 140 << 20
+	const limit = 50 << 20
 	cl, _ := warmSteadySize(t, p4ce.Options{Nodes: 5, Mode: p4ce.ModeMu, Seed: 7}, 4096)
 	runtime.GC()
 	var ms runtime.MemStats
@@ -205,7 +204,7 @@ func TestMuLargeFootprint(t *testing.T) {
 	mb := float64(ms.HeapInuse) / (1 << 20)
 	t.Logf("warm 5-node 4 KiB Mu cluster: HeapInuse %.1f MB", mb)
 	if ms.HeapInuse > limit {
-		t.Fatalf("warm 5-node 4 KiB Mu cluster keeps %.1f MB of heap in use, want at most 140 MB", mb)
+		t.Fatalf("warm 5-node 4 KiB Mu cluster keeps %.1f MB of heap in use, want at most 50 MB", mb)
 	}
 }
 
@@ -213,10 +212,11 @@ func TestMuLargeFootprint(t *testing.T) {
 // function that proposes one 64-byte operation on its leader and steps
 // the kernel until it commits, after 6000 such operations of warmup.
 //
-// The warmup must outlast CatchUpWindow (4096 entries) so the
-// re-replication caches reach their prune-and-recycle steady state on
-// every machine; before that, each append grows a cache that has never
-// returned a buffer to the pool.
+// The warmup must fill the re-replication caches so they reach their
+// prune-and-recycle steady state on every machine: 4 096 entries at
+// 64 bytes, where the count bound binds, and about 1 015 at 4 KiB, where
+// one log ring of bytes does. Before that, each append grows a cache
+// that has never returned a buffer to the pool.
 func warmSteady(t *testing.T, opts p4ce.Options) (*p4ce.Cluster, func(*testing.T)) {
 	t.Helper()
 	return warmSteadySize(t, opts, 64)

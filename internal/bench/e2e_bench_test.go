@@ -39,7 +39,7 @@ func benchCommittedOps(b *testing.B, mode p4ce.Mode, nodes int) {
 		}
 	}
 	// Warm the free lists and the re-replication caches (prune-and-
-	// recycle starts one CatchUpWindow in).
+	// recycle starts once they hold mu.CatchUpWindow 64-byte entries).
 	for i := 0; i < 5000; i++ {
 		oneOp()
 	}

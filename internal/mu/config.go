@@ -26,7 +26,10 @@ const (
 	CommitSyncInterval = 500 * sim.Microsecond
 
 	// CatchUpWindow is how many recent entries every machine keeps
-	// encoded in memory for re-replication during view changes. Peers
+	// encoded in memory for re-replication during view changes. The
+	// cache also holds no more encoded bytes than one log ring
+	// (Config.LogSize), the most a real machine can re-send from its log:
+	// 4 096 entries or one log ring of bytes, whichever is fewer. Peers
 	// lagging further than this are excluded (snapshot transfer is out of
 	// scope, as it is in the paper's evaluation).
 	CatchUpWindow = 4096

@@ -250,13 +250,28 @@ func (n *Node) reReplicateTo(id int, c *cm.Conn) {
 		n.direct.RemovePath(id)
 		return
 	}
+	// The peer's log is a prefix of this one, so its ring ends where
+	// entry from-1 ends in this layout.
+	n.writeCached(id, c, from, int(ps.ringOff))
+}
+
+// writeCached writes the cached entries from from through lastIndex to
+// replica id at their home offsets, with a wrap marker wherever they
+// cross the end of the ring; prevEnd is where the replica's bytes before
+// entry from end (-1 when that is not known). It excludes the replica at
+// the first entry the cache no longer holds.
+func (n *Node) writeCached(id int, c *cm.Conn, from uint64, prevEnd int) {
 	for idx := from; idx <= n.lastIndex; idx++ {
 		ent, ok := n.recent.get(idx)
 		if !ok {
 			n.direct.RemovePath(id)
 			return
 		}
+		if prevEnd >= 0 && ent.off < prevEnd && len(n.logBuf)-prevEnd >= 4 {
+			_ = c.QP.PostWrite(WrapMarkBytes(), c.RemoteVA+uint64(prevEnd), c.RemoteRKey, nil)
+		}
 		_ = c.QP.PostWrite(ent.bytes, c.RemoteVA+uint64(ent.off), c.RemoteRKey, nil)
+		prevEnd = ent.off + len(ent.bytes)
 	}
 }
 
@@ -379,26 +394,17 @@ func (n *Node) repairReplica(ps *peerState, c *cm.Conn) {
 		markOff = 0
 	}
 	_ = c.QP.PostWrite(mark, c.RemoteVA+uint64(markOff), c.RemoteRKey, nil)
-	prevEnd := -1
-	for idx := target; idx <= n.lastIndex; idx++ {
-		ent, ok := n.recent.get(idx)
-		if !ok {
-			n.direct.RemovePath(id)
-			return
-		}
-		if prevEnd >= 0 && ent.off < prevEnd && logLen-prevEnd >= 4 {
-			_ = c.QP.PostWrite(WrapMarkBytes(), c.RemoteVA+uint64(prevEnd), c.RemoteRKey, nil)
-		}
-		_ = c.QP.PostWrite(ent.bytes, c.RemoteVA+uint64(ent.off), c.RemoteRKey, nil)
-		prevEnd = ent.off + len(ent.bytes)
-	}
+	n.writeCached(id, c, target, -1)
 }
 
+// lowestCached is the oldest index the re-replication cache may hold:
+// the higher of the count bound's edge and the byte bound's.
 func (n *Node) lowestCached() uint64 {
-	if n.lastIndex < CatchUpWindow {
-		return 1
+	low := max(n.recent.low, 1)
+	if n.lastIndex >= CatchUpWindow {
+		low = max(low, n.lastIndex-CatchUpWindow+1)
 	}
-	return n.lastIndex - CatchUpWindow + 1
+	return low
 }
 
 // discardUncommittedSuffix rewinds the log to the committed prefix.

@@ -111,26 +111,33 @@ type recentEntry struct {
 	bytes []byte
 }
 
-// recentRing is the re-replication cache: the encoded form of the last
-// CatchUpWindow log entries, entry idx in slot idx % window. Log indices
-// are dense, so the cache is a sliding window: the only other entry that
-// can occupy idx's slot is the one a whole window older, which caching
-// idx evicts (see Node.setRecent).
-type recentRing []recentEntry
+// recentRing is the re-replication cache: the encoded form of the most
+// recent log entries, entry idx in slot idx % CatchUpWindow. It holds at
+// most CatchUpWindow entries and at most one log ring of encoded bytes,
+// whichever is fewer. Log indices are dense, so the cache is a sliding
+// window from low up: caching idx evicts the entry a whole slot array
+// older and then, oldest first, whatever the byte bound requires (see
+// Node.setRecent).
+type recentRing struct {
+	slots []recentEntry
+	bytes int    // encoded bytes held
+	low   uint64 // no entry below it is held
+}
 
-func (r recentRing) slot(idx uint64) *recentEntry { return &r[idx%uint64(len(r))] }
+func (r *recentRing) slot(idx uint64) *recentEntry { return &r.slots[idx%uint64(len(r.slots))] }
 
 // get returns the cached record of entry idx.
-func (r recentRing) get(idx uint64) (recentEntry, bool) {
+func (r *recentRing) get(idx uint64) (recentEntry, bool) {
 	ent := *r.slot(idx)
 	return ent, ent.index == idx && idx != 0
 }
 
 // del removes and returns the cached record of entry idx.
-func (r recentRing) del(idx uint64) (recentEntry, bool) {
+func (r *recentRing) del(idx uint64) (recentEntry, bool) {
 	ent, ok := r.get(idx)
 	if ok {
 		*r.slot(idx) = recentEntry{}
+		r.bytes -= len(ent.bytes)
 	}
 	return ent, ok
 }
@@ -206,7 +213,7 @@ type Node struct {
 	// pendingApply holds entries (from any source: consumed as a
 	// follower, adopted during catch-up, or self-proposed as leader) in
 	// index order, awaiting commit coverage before application. Entry
-	// Data aliases the re-replication cache's pooled copies; pruneRecent
+	// Data aliases the re-replication cache's pooled copies; setRecent
 	// keeps a pruned buffer out of the pool until application passed it.
 	pendingApply entryQueue
 
@@ -343,7 +350,7 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 		peerStates: make(map[int]*peerState, len(peers)),
 		replConns:  make(map[int]*cm.Conn),
 		proposals:  make(map[uint64]*proposal),
-		recent:     make(recentRing, CatchUpWindow),
+		recent:     recentRing{slots: make([]recentEntry, CatchUpWindow)},
 		inbound:    make(map[simnet.Addr][]*rnic.QP),
 	}
 	m := nic.Kernel().Metrics()
@@ -467,18 +474,32 @@ func (n *Node) putAckEvt(evt *ackEvt) {
 	n.evtFree.Put(evt)
 }
 
-// setRecent caches the encoded entry idx, evicting the record that fell
-// out of the catch-up window when idx was appended. The evicted buffer
-// returns to the pool only once application has passed the pruned entry:
-// until then the pendingApply queue (and OnApply delivery) still alias
-// its bytes. The rare unrecycled buffer is simply left to the garbage
-// collector.
+// setRecent caches the encoded entry idx, evicting the records that
+// fell out of the catch-up window when idx was appended: the one whose
+// slot it takes, then the oldest until the cache fits in one log ring.
+// An evicted buffer returns to the pool only once application has
+// passed its entry: until then the pendingApply queue (and OnApply
+// delivery) still alias its bytes. The rare unrecycled buffer is simply
+// left to the garbage collector.
 func (n *Node) setRecent(idx uint64, off int, bytes []byte) {
-	slot := n.recent.slot(idx)
-	if old := *slot; old.index != 0 && old.index != idx && old.index <= n.appliedIdx {
-		n.k.Buffers().Put(old.bytes)
+	r := &n.recent
+	slot := r.slot(idx)
+	if old := *slot; old.index != 0 {
+		r.bytes -= len(old.bytes)
+		if old.index != idx && old.index <= n.appliedIdx {
+			n.k.Buffers().Put(old.bytes)
+		}
 	}
 	*slot = recentEntry{index: idx, off: off, bytes: bytes}
+	r.bytes += len(bytes)
+	// A rewind can re-deliver entries below the window's old edge.
+	r.low = min(r.low, idx)
+	for r.bytes > len(n.logBuf) && r.low < idx {
+		if old, ok := r.del(r.low); ok && old.index <= n.appliedIdx {
+			n.k.Buffers().Put(old.bytes)
+		}
+		r.low++
+	}
 }
 
 // ID returns the machine identifier.

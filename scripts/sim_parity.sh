@@ -5,8 +5,11 @@
 # with -metrics, and compares the outputs byte for byte with the
 # per-site kernel event counters (sim.events.*) masked — a change that
 # only removes or merges kernel events passes; one that moves any
-# simulated value fails. The happy path is also run in Mu mode, and one
-# star and one leaf-spine scenario at two partitions. Each run's line
+# simulated value fails. The happy path is also run in Mu mode, once
+# more in Mu mode at 4 KiB values through a leader crash (the
+# re-replication cache's byte bound binds at that size, and the new
+# leader catches its peers up from it), and one star and one leaf-spine
+# scenario at two partitions. Each run's line
 # shows its sim.events.* total at the ref and in the working tree
 # (old -> new), the census of an event cut.
 #
@@ -60,6 +63,7 @@ run() {
 
 run happy-path
 run happy-path-mu -mode mu
+run mu-4k-crash -mode mu -size 4096 -nodes 5 -rate 200000 -crash leader@50ms -duration 150ms
 for sc in $("$work/p4ce-sim-new" -chaos list | awk '{print $1}'); do
 	case $sc in
 	# The scenarios marked Fabric in internal/chaos/scenarios.go.
